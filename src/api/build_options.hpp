@@ -32,16 +32,6 @@ struct BuildOptions {
     /// preserving (identical edge set at every setting).
     EngineTuning engine;
 
-    /// Candidate delivery of engine builds. The edge set is identical on
-    /// both paths (chunk boundaries only split weight buckets); the knob
-    /// trades the full materialized array against streaming peak memory.
-    enum class Chunking {
-        kAuto,         ///< chunk iff the source streams (ChunkSupport::kStreaming)
-        kMaterialize,  ///< always materialize the full sorted list
-        kChunked       ///< force the chunked path (throws on ChunkSupport::kNone)
-    };
-    Chunking chunking = Chunking::kAuto;
-
     /// Section: approximate-greedy (the §5 simulation; "greedy-approx").
     ApproxParams approx;
 

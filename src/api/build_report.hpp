@@ -35,7 +35,7 @@ struct BuildReport {
     // SpannerSession both construction counters are zero -- the
     // session-reuse bench probe (BENCH_greedy.json v4) tracks exactly
     // these fields.
-    double seconds = 0.0;        ///< whole build() call (materialize + run)
+    double seconds = 0.0;        ///< whole build() call (candidates + run)
     double setup_seconds = 0.0;  ///< engine construction / pool acquisition
     std::size_t pools_constructed = 0;       ///< thread pools built by this call
     std::size_t workspaces_constructed = 0;  ///< Dijkstra workspaces built by this call

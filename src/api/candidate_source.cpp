@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <string>
 #include <tuple>
 
 #include "api/session.hpp"
@@ -26,45 +25,15 @@ double CandidateSource::stretch_target(double engine_stretch) const {
     return engine_stretch;
 }
 
-namespace {
-
-/// The universal chunk adapter: materialize the full sorted list once,
-/// serve soft_cap-sized slices. Makes every source chunk-capable (the
-/// ordering contract holds trivially) at the cost of the same peak memory
-/// as the materializing path -- hence ChunkSupport::kFallback.
-class MaterializedChunkSource final : public CandidateChunkSource {
-public:
-    explicit MaterializedChunkSource(CandidateSource& source) { source.materialize(all_); }
-
-    bool next_chunk(std::size_t soft_cap, std::vector<GreedyCandidate>& out) override {
-        if (cursor_ >= all_.size()) return false;
-        const std::size_t take =
-            std::min(std::max<std::size_t>(soft_cap, 1), all_.size() - cursor_);
-        const std::size_t end = cursor_ + take;
-        out.insert(out.end(),
-                   all_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-                   all_.begin() + static_cast<std::ptrdiff_t>(end));
-        cursor_ = end;
-        return true;
+void CandidateSource::materialize(std::vector<GreedyCandidate>& out) {
+    const auto generator = chunks();
+    while (generator->next_chunk(std::numeric_limits<std::size_t>::max(), out)) {
     }
-
-private:
-    std::vector<GreedyCandidate> all_;
-    std::size_t cursor_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<CandidateChunkSource> CandidateSource::chunks() {
-    if (chunk_support() == ChunkSupport::kNone) {
-        throw std::logic_error(std::string("CandidateSource: source '") + kind() +
-                               "' does not support chunked generation");
-    }
-    return std::make_unique<MaterializedChunkSource>(*this);
 }
 
-void GraphCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
-    append_sorted_graph_candidates(g_, out);
+std::unique_ptr<CandidateChunkSource> GraphCandidateSource::chunks() {
+    return std::make_unique<WholeListChunkSource>(
+        [this](std::vector<GreedyCandidate>& out) { append_sorted_graph_candidates(g_, out); });
 }
 
 void GraphCandidateSource::configure_engine(GreedyEngineOptions& options,
@@ -78,7 +47,12 @@ void GraphCandidateSource::configure_engine(GreedyEngineOptions& options,
     }
 }
 
-void MetricCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
+std::unique_ptr<CandidateChunkSource> MetricCandidateSource::chunks() {
+    return std::make_unique<WholeListChunkSource>(
+        [this](std::vector<GreedyCandidate>& out) { append_sorted_pairs(out); });
+}
+
+void MetricCandidateSource::append_sorted_pairs(std::vector<GreedyCandidate>& out) const {
     const std::size_t n = m_.size();
     if (n < 2) return;
     const std::size_t base = out.size();
@@ -121,7 +95,7 @@ void MetricCandidateSource::configure_engine(GreedyEngineOptions& options,
         options.group_probing = EngineTuning::GroupProbing::kOn;
     }
     // Pin the candidate-weight batches to the run's resolved backend
-    // (configure_engine runs before materialize/chunks in a session build).
+    // (configure_engine runs before chunks() in a session build).
     simd_ = &resolve_simd_kernels(options.simd_backend);
     // The metric would be a sound goal oracle here (edge weights are
     // metric distances), but neither wiring pays on all-pairs streams,
@@ -151,25 +125,6 @@ WspdCandidateSource::WspdCandidateSource(const EuclideanMetric& m, double separa
     }
 }
 
-void WspdCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
-    if (m_.size() < 2) return;
-    const std::size_t base = out.size();
-    const QuadTree tree(m_);
-    const auto pairs = well_separated_pairs(tree, separation_);
-    out.reserve(base + pairs.size());
-    for (const WspdPair& p : pairs) {
-        const VertexId a = tree.node(p.a).representative;
-        const VertexId b = tree.node(p.b).representative;
-        const VertexId u = std::min(a, b);
-        const VertexId v = std::max(a, b);
-        out.push_back(GreedyCandidate{u, v, m_.distance(u, v)});
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-              [](const GreedyCandidate& a, const GreedyCandidate& b) {
-                  return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
-              });
-}
-
 void WspdCandidateSource::configure_engine(GreedyEngineOptions& options,
                                            SpannerSession&) {
     // Dumbbell representatives repeat across pairs (quadtree reps are
@@ -191,8 +146,8 @@ namespace {
 /// vector, sorts it by the source's (weight, u, v) tie rule, and hands out
 /// soft_cap-sized slices. Because the class of a candidate is a monotone
 /// function of its weight and equal weights always share a class, the
-/// concatenation of per-class sorts is exactly the global sort --
-/// bit-identical to materialize().
+/// concatenation of per-class sorts is exactly the global (weight, u, v)
+/// sort of all representative pairs.
 class WspdChunkSource final : public CandidateChunkSource {
 public:
     WspdChunkSource(const EuclideanMetric& m, double separation) : m_(m) {
@@ -363,9 +318,9 @@ BaseSpannerCandidateSource::BaseSpannerCandidateSource(const MetricSpace& m,
 
     // E0: edges of weight <= D/n go straight to the output, lightest
     // first (their spanner edge ids must form the prefix -- the Lemma-11
-    // suite relies on it). The heavier rest of G' is streamed by
-    // materialize() straight into the session's candidate buffer, so the
-    // source never holds a second copy of the candidate list.
+    // suite relies on it). The heavier rest of G' is streamed by chunks()
+    // straight into the session's candidate buffer, so the source never
+    // holds a second copy of the candidate list.
     Weight max_w = 0.0;
     for (const Edge& e : base_.edges()) max_w = std::max(max_w, e.weight);
     light_threshold_ = max_w / static_cast<double>(n);
@@ -377,7 +332,13 @@ BaseSpannerCandidateSource::BaseSpannerCandidateSource(const MetricSpace& m,
     });
 }
 
-void BaseSpannerCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
+std::unique_ptr<CandidateChunkSource> BaseSpannerCandidateSource::chunks() {
+    return std::make_unique<WholeListChunkSource>(
+        [this](std::vector<GreedyCandidate>& out) { append_sorted_heavy_edges(out); });
+}
+
+void BaseSpannerCandidateSource::append_sorted_heavy_edges(
+    std::vector<GreedyCandidate>& out) const {
     if (m_.size() <= 1) return;
     // The simulated candidates: G' minus E0, in the simulation's
     // historical tie order (weight, u, v) over raw endpoints.

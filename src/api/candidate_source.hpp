@@ -3,13 +3,13 @@
 // Every greedy entry point was always "the same loop" over a different
 // candidate enumeration -- all edges of a graph, all pairs of a metric,
 // the base-spanner edges of the §5 simulation. CandidateSource makes that
-// the pluggable axis: a source names the vertex universe, materializes the
-// weight-sorted candidate list (with its deterministic tie rule -- the
-// engine preserves order, so the source owns reproducibility), optionally
-// seeds edges into the spanner before the loop (the approximate-greedy E0
-// set), and optionally installs per-algorithm engine hooks (the cluster
-// oracle). SpannerSession::build consumes any source through the one
-// shared GreedyEngine.
+// the pluggable axis: a source names the vertex universe, streams the
+// weight-sorted candidate sequence through the chunk protocol (with its
+// deterministic tie rule -- the engine preserves order, so the source owns
+// reproducibility), optionally seeds edges into the spanner before the
+// loop (the approximate-greedy E0 set), and optionally installs
+// per-algorithm engine hooks (the cluster oracle). SpannerSession::build
+// consumes any source through the one shared GreedyEngine.
 //
 // Shipped sources:
 //   GraphCandidateSource        all edges of a weighted graph;
@@ -44,12 +44,10 @@ namespace gsp {
 
 class SpannerSession;
 
-/// How a source participates in the pull-based chunk protocol
-/// (CandidateChunkSource, core/candidate_stream.hpp).
+/// How a source's chunks() generator produces the candidate sequence.
 enum class ChunkSupport {
-    kNone,      ///< chunks() unavailable; only materialize() works
-    kFallback,  ///< chunks() works by materializing internally (no memory win)
-    kStreaming  ///< chunks() generates incrementally with sub-full-list peak memory
+    kWholeList,  ///< sorts the full list, handed over as one chunk
+    kStreaming   ///< generates incrementally with sub-full-list peak memory
 };
 
 class CandidateSource {
@@ -62,25 +60,23 @@ public:
     /// Size of the vertex universe the candidates speak about.
     [[nodiscard]] virtual std::size_t num_vertices() const = 0;
 
-    /// Append this build's candidates to `out` in non-decreasing weight
-    /// order with a deterministic tie rule. Called once per build; the
-    /// buffer is session-owned and reused across builds.
-    virtual void materialize(std::vector<GreedyCandidate>& out) = 0;
+    /// A fresh generator over this build's candidates in non-decreasing
+    /// weight order with a deterministic tie rule (the
+    /// CandidateChunkSource contract, core/candidate_stream.hpp). Called
+    /// once per build; the chunks land in the session's reusable buffer.
+    /// The generator is single-use and must not outlive the source.
+    [[nodiscard]] virtual std::unique_ptr<CandidateChunkSource> chunks() = 0;
 
-    /// Whether chunks() streams, materializes internally, or refuses.
-    /// kStreaming is the signal SpannerSession's kAuto chunking keys on:
-    /// only a genuinely linear-space generator is worth routing through
-    /// the chunked engine path by default.
-    [[nodiscard]] virtual ChunkSupport chunk_support() const { return ChunkSupport::kFallback; }
+    /// Whether chunks() streams or sorts the whole list (informational:
+    /// every build pulls chunks either way).
+    [[nodiscard]] virtual ChunkSupport chunk_support() const {
+        return ChunkSupport::kWholeList;
+    }
 
-    /// A fresh chunk generator over exactly the candidate sequence
-    /// materialize() would produce (same order, same tie rule -- the
-    /// chunked and materializing builds are bit-identical). The default
-    /// materializes the full list internally and serves soft_cap-sized
-    /// slices: correct everywhere, but no memory win (kFallback).
-    /// Sources reporting kNone throw. The generator is single-use and
-    /// must not outlive the source.
-    [[nodiscard]] virtual std::unique_ptr<CandidateChunkSource> chunks();
+    /// Append the full candidate sequence to `out` by draining a fresh
+    /// chunks() generator -- for inspection and layer timing; builds
+    /// stream instead.
+    void materialize(std::vector<GreedyCandidate>& out);
 
     /// Edges inserted into the spanner before the greedy loop runs (the
     /// approximate-greedy E0 set). Default: none.
@@ -109,7 +105,7 @@ public:
 
     [[nodiscard]] const char* kind() const override { return "graph-edges"; }
     [[nodiscard]] std::size_t num_vertices() const override { return g_.num_vertices(); }
-    void materialize(std::vector<GreedyCandidate>& out) override;
+    [[nodiscard]] std::unique_ptr<CandidateChunkSource> chunks() override;
     void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
 
 private:
@@ -124,10 +120,12 @@ public:
 
     [[nodiscard]] const char* kind() const override { return "metric-pairs"; }
     [[nodiscard]] std::size_t num_vertices() const override { return m_.size(); }
-    void materialize(std::vector<GreedyCandidate>& out) override;
+    [[nodiscard]] std::unique_ptr<CandidateChunkSource> chunks() override;
     void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
 
 private:
+    void append_sorted_pairs(std::vector<GreedyCandidate>& out) const;
+
     const MetricSpace& m_;
     /// Kernel table for the batched candidate-weight evaluation (2D
     /// Euclidean inputs); configure_engine pins it to the run's resolved
@@ -157,7 +155,6 @@ public:
 
     [[nodiscard]] const char* kind() const override { return "wspd-pairs"; }
     [[nodiscard]] std::size_t num_vertices() const override { return m_.size(); }
-    void materialize(std::vector<GreedyCandidate>& out) override;
     void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
     [[nodiscard]] double stretch_target(double engine_stretch) const override {
         return wspd_greedy_stretch_bound(engine_stretch, separation_);
@@ -191,7 +188,7 @@ public:
 
     [[nodiscard]] const char* kind() const override { return "base-spanner-edges"; }
     [[nodiscard]] std::size_t num_vertices() const override { return m_.size(); }
-    void materialize(std::vector<GreedyCandidate>& out) override;
+    [[nodiscard]] std::unique_ptr<CandidateChunkSource> chunks() override;
     void seed(Graph& h) override;
     void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
     [[nodiscard]] double stretch_target(double) const override {
@@ -205,11 +202,13 @@ public:
     [[nodiscard]] double seconds_base() const { return seconds_base_; }
 
 private:
+    void append_sorted_heavy_edges(std::vector<GreedyCandidate>& out) const;
+
     const MetricSpace& m_;
     ApproxParams params_;
     Graph base_{0};
     std::vector<Edge> light_;     ///< E0, seeded before the loop
-    Weight light_threshold_ = 0;  ///< D/n; materialize streams the heavier rest of G'
+    Weight light_threshold_ = 0;  ///< D/n; chunks() streams the heavier rest of G'
     double t_base_ = 0.0;
     double t_sim_ = 0.0;
     double seconds_base_ = 0.0;

@@ -21,12 +21,6 @@ GridCandidateSource::GridCandidateSource(const EuclideanMetric& m, double separa
                                          double epsilon)
     : m_(m), grid_(m, resolve_separation(separation, epsilon)) {}
 
-void GridCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
-    GridChunkSource source(grid_);
-    while (source.next_chunk(static_cast<std::size_t>(-1), out)) {
-    }
-}
-
 std::unique_ptr<CandidateChunkSource> GridCandidateSource::chunks() {
     return std::make_unique<GridChunkSource>(grid_);
 }

@@ -35,10 +35,6 @@ public:
     [[nodiscard]] const char* kind() const override { return "grid-cells"; }
     [[nodiscard]] std::size_t num_vertices() const override { return m_.size(); }
 
-    /// Drains a fresh chunk generator: byte-for-byte the sequence the
-    /// chunked path streams (the sweep *is* the definition of the order).
-    void materialize(std::vector<GreedyCandidate>& out) override;
-
     [[nodiscard]] ChunkSupport chunk_support() const override {
         return ChunkSupport::kStreaming;
     }

@@ -30,29 +30,14 @@ GSP_SERIAL_ONLY Graph SpannerSession::build(CandidateSource& source,
     GreedyEngine engine(n, std::move(engine_options), resources_);
     const double setup_seconds = setup_timer.seconds();
 
-    // Candidate delivery: kAuto routes through the chunked engine path
-    // exactly when the source generates incrementally (kStreaming) -- the
-    // only case where chunking buys memory. Both paths produce the same
-    // candidate sequence, so the edge set and decision stats are
-    // bit-identical either way.
-    const bool chunked =
-        options.chunking == BuildOptions::Chunking::kChunked ||
-        (options.chunking == BuildOptions::Chunking::kAuto &&
-         source.chunk_support() == ChunkSupport::kStreaming);
-
     Graph h(n);
     source.seed(h);
 
+    // The generator is a temporary, so a streaming source's window
+    // buffers are released as soon as the run returns.
     GreedyStats stats;
-    if (chunked) {
-        const auto chunk_source = source.chunks();  // throws on kNone
-        candidates_.clear();
-        h = engine.run(std::move(h), *chunk_source, candidates_, &stats);
-    } else {
-        candidates_.clear();
-        source.materialize(candidates_);
-        h = engine.run(std::move(h), candidates_, &stats);
-    }
+    candidates_.clear();
+    h = engine.run(std::move(h), *source.chunks(), candidates_, &stats);
     ++builds_;
 
     if (report != nullptr) {

@@ -2,8 +2,8 @@
 //
 // A SpannerSession owns the expensive half of the greedy machinery -- the
 // stage-2 thread pools, the serial and per-worker Dijkstra workspaces, the
-// bound-sketch and certificate arenas, and the candidate materialization
-// buffer -- and keeps it warm across build() calls. The one-shot entry
+// bound-sketch and certificate arenas, and the candidate chunk buffer --
+// and keeps it warm across build() calls. The one-shot entry
 // points (greedy_spanner, greedy_spanner_metric, ...) are sessions that
 // live for a single call; a request-serving process keeps one session per
 // serving thread, and every warm build() pays zero pool / workspace
@@ -77,7 +77,7 @@ public:
 
 private:
     EngineResources resources_;
-    std::vector<GreedyCandidate> candidates_;  ///< reused materialization buffer
+    std::vector<GreedyCandidate> candidates_;  ///< reused candidate chunk buffer
     std::size_t builds_ = 0;
 };
 

@@ -5,19 +5,7 @@
 
 namespace gsp {
 
-bool CandidateStream::next(CandidateBucket& out) {
-    if (cursor_ >= candidates_.size()) return false;
-    out.begin = cursor_;
-    out.lo = candidates_[cursor_].weight;
-    out.hi = out.lo * bucket_ratio_;
-    std::size_t end = cursor_;
-    while (end < candidates_.size() && candidates_[end].weight <= out.hi) ++end;
-    out.end = end;
-    cursor_ = end;
-    return true;
-}
-
-bool ChunkedCandidateStream::refill() {
+bool CandidateStream::refill() {
     if (exhausted_) return false;
     base_ = cursor_;
     buffer_->clear();
@@ -30,7 +18,7 @@ bool ChunkedCandidateStream::refill() {
     for (const GreedyCandidate& c : *buffer_) {
         if (have_prev && c.weight < prev) {
             throw std::invalid_argument(
-                "ChunkedCandidateStream: chunk source emitted candidates out of "
+                "CandidateStream: chunk source emitted candidates out of "
                 "non-decreasing weight order");
         }
         prev = c.weight;
@@ -44,7 +32,7 @@ bool ChunkedCandidateStream::refill() {
     return true;
 }
 
-bool ChunkedCandidateStream::next(CandidateBucket& out) {
+bool CandidateStream::next(CandidateBucket& out) {
     if (cursor_ - base_ >= buffer_->size() && !refill()) return false;
     const std::vector<GreedyCandidate>& buf = *buffer_;
     std::size_t local = cursor_ - base_;
@@ -60,10 +48,9 @@ bool ChunkedCandidateStream::next(CandidateBucket& out) {
     return true;
 }
 
-GSP_DECISION_PURE void SourceGroups::rebuild(
-    std::span<const GreedyCandidate> candidates,
-                           const CandidateBucket& range, std::size_t base,
-                           std::size_t num_vertices, bool anchored) {
+GSP_DECISION_PURE void SourceGroups::rebuild(std::span<const GreedyCandidate> candidates,
+                                             const CandidateBucket& range,
+                                             std::size_t num_vertices, bool anchored) {
     if (groups_.size() < num_vertices) {
         groups_.resize(num_vertices);
         remaining_.resize(num_vertices, 0);
@@ -76,7 +63,7 @@ GSP_DECISION_PURE void SourceGroups::rebuild(
     }
     sources_.clear();
     max_group_size_ = 0;
-    if (anchor_.size() < range.end - base) anchor_.resize(range.end - base);
+    if (anchor_.size() < range.end) anchor_.resize(range.end);
 
     if (anchored) {
         // Pass 1: endpoint incidences over the range (lazily cleared
@@ -110,7 +97,7 @@ GSP_DECISION_PURE void SourceGroups::rebuild(
                 is_hub_[a] = 1;
             }
         }
-        const auto local = static_cast<std::uint32_t>(i - base);
+        const auto local = static_cast<std::uint32_t>(i);
         anchor_[local] = a;
         if (groups_[a].empty()) sources_.push_back(a);
         groups_[a].push_back(local);

@@ -2,12 +2,13 @@
 //
 // The engine consumes candidates bucket by bucket -- geometric weight
 // classes [lo, bucket_ratio * lo], the same boundary rule the
-// approximate-greedy simulation has always used. CandidateStream walks the
-// sorted candidate span and materializes one bucket at a time;
-// ChunkedCandidateStream does the same over a pull-based chunk source, so
-// the full sorted array never has to exist (the linear-space greedy of
-// Alewijnse et al.: candidates are generated one weight window at a time
-// into a reusable buffer). SourceGroups indexes a bucket's candidates by
+// approximate-greedy simulation has always used. Every build feeds the
+// engine through one pull-based protocol: a CandidateChunkSource appends
+// its candidates chunk by chunk into a reusable caller-owned buffer, and
+// CandidateStream carves buckets out of the resident chunk, so the full
+// sorted array only exists when a source produces it in one piece (the
+// linear-space greedy of Alewijnse et al.: streaming sources generate one
+// weight window at a time). SourceGroups indexes a bucket's candidates by
 // source vertex, which is both the unit of ball sharing (one ball answers
 // a whole group) and the unit of work handed to the parallel prefilter
 // stage (groups touch disjoint candidate slots, so workers never race on
@@ -16,7 +17,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -31,7 +34,7 @@ struct GreedyCandidate {
     Weight weight = 0.0;
 };
 
-/// One weight bucket: candidate indices [begin, end) of the sorted span.
+/// One weight bucket: candidate indices [begin, end) of the stream.
 struct CandidateBucket {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -41,37 +44,20 @@ struct CandidateBucket {
     [[nodiscard]] std::size_t size() const { return end - begin; }
 };
 
-/// Walks a weight-sorted candidate span in geometric buckets.
-class CandidateStream {
-public:
-    CandidateStream(std::span<const GreedyCandidate> candidates, double bucket_ratio)
-        : candidates_(candidates), bucket_ratio_(bucket_ratio) {}
-
-    /// Materialize the next bucket into `out`; false at end of stream.
-    bool next(CandidateBucket& out);
-
-private:
-    std::span<const GreedyCandidate> candidates_;
-    double bucket_ratio_;
-    std::size_t cursor_ = 0;
-};
-
-/// The pull-based chunk protocol: a source that generates its candidates
-/// incrementally instead of materializing the full sorted array.
+/// The pull-based chunk protocol: how every candidate reaches the engine.
 ///
-/// Contract (what ChunkedCandidateStream validates and the engine's
-/// bit-identity guarantee rests on):
+/// Contract (what CandidateStream validates and the engine's bit-identity
+/// guarantee rests on):
 ///  * each call appends candidates in non-decreasing weight order, every
-///    weight >= every weight of every earlier chunk -- concatenating all
-///    chunks yields exactly the sequence materialize() would have
-///    produced, with the source's own deterministic tie rule;
+///    weight >= every weight of every earlier chunk, with the source's own
+///    deterministic tie rule;
 ///  * `soft_cap` is advisory: a source should stop appending once the
 ///    chunk reaches it, but may overshoot to finish an atomic unit of
 ///    generation (a weight window it cannot split, a run of equal
-///    weights it has already sorted);
-///  * the buffer is owned by the caller (the session's reusable
-///    materialization buffer): the source only ever appends, and must not
-///    keep references into it across calls;
+///    weights it has already sorted, a list it can only sort whole);
+///  * the buffer is owned by the caller (the session's reusable candidate
+///    buffer): the source only ever appends, and must not keep references
+///    into it across calls;
 ///  * returns true after appending at least one candidate; false --
 ///    appending nothing -- once the stream is exhausted (and on every
 ///    call thereafter).
@@ -82,25 +68,49 @@ public:
     virtual bool next_chunk(std::size_t soft_cap, std::vector<GreedyCandidate>& out) = 0;
 };
 
+/// A chunk source over a list produced in one piece (a sort needs every
+/// candidate before it can emit the first): the first pull appends the
+/// whole list straight into the caller's buffer -- one chunk, whatever
+/// the soft cap, so the list is never held twice -- and every later pull
+/// reports the end of the stream.
+class WholeListChunkSource final : public CandidateChunkSource {
+public:
+    using Generator = std::function<void(std::vector<GreedyCandidate>&)>;
+
+    /// `generate` appends the sorted list; it runs at most once.
+    explicit WholeListChunkSource(Generator generate) : generate_(std::move(generate)) {}
+
+    bool next_chunk(std::size_t, std::vector<GreedyCandidate>& out) override {
+        if (done_) return false;
+        done_ = true;
+        const std::size_t before = out.size();
+        generate_(out);
+        return out.size() > before;
+    }
+
+private:
+    Generator generate_;
+    bool done_ = false;
+};
+
 /// Drives the engine's bucket loop from a CandidateChunkSource: one chunk
 /// at a time lives in the caller-owned buffer, and buckets are carved out
 /// of the resident chunk. A weight class that straddles a chunk boundary
 /// is simply split into two buckets -- bucket boundaries are decision
 /// preserving (bucket_ratio is an EngineTuning knob), so the edge set is
-/// bit-identical to the materializing path at every chunk size.
-class ChunkedCandidateStream {
+/// the same at every chunk size.
+class CandidateStream {
 public:
     /// `buffer` must outlive the stream; it is cleared and refilled on
     /// every chunk pull. Requires bucket_ratio > 1 and soft_cap >= 1.
-    ChunkedCandidateStream(CandidateChunkSource& source,
-                           std::vector<GreedyCandidate>& buffer, double bucket_ratio,
-                           std::size_t soft_cap)
+    CandidateStream(CandidateChunkSource& source, std::vector<GreedyCandidate>& buffer,
+                    double bucket_ratio, std::size_t soft_cap)
         : source_(&source), buffer_(&buffer), bucket_ratio_(bucket_ratio),
           soft_cap_(soft_cap) {}
 
-    /// Produce the next bucket (global candidate indices, like
-    /// CandidateStream); false at end of stream. Throws
-    /// std::invalid_argument if the source violates the ordering contract.
+    /// Produce the next bucket (stream-global candidate indices); false at
+    /// end of stream. Throws std::invalid_argument if the source violates
+    /// the ordering contract.
     bool next(CandidateBucket& out);
 
     /// The resident candidates of `bucket` (which must be the bucket most
@@ -220,12 +230,12 @@ private:
 ///    downstream asks anchor_of()/other_of() instead of assuming `u`.
 class SourceGroups {
 public:
-    /// Rebuild the grouping for the candidate range `range` (a stage-2
-    /// batch, or the whole bucket when serial); indices are recorded
-    /// relative to `base` (the owning bucket's begin).
+    /// Rebuild the grouping for the bucket-local candidate range `range`
+    /// of the bucket window `candidates` (a stage-2 batch, or the whole
+    /// bucket when serial).
     GSP_DECISION_PURE void rebuild(std::span<const GreedyCandidate> candidates,
-                                   const CandidateBucket& range, std::size_t base,
-                                   std::size_t num_vertices, bool anchored = false);
+                                   const CandidateBucket& range, std::size_t num_vertices,
+                                   bool anchored = false);
 
     /// Anchors that have at least one candidate in the current range, in
     /// first-appearance order.

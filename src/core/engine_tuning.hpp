@@ -156,11 +156,12 @@ struct EngineTuning {
     /// work (see BatchedProbe's header note).
     const MetricSpace* probe_goal_bound = nullptr;
 
-    /// Advisory chunk size (candidates) of the streaming candidate path:
-    /// how many candidates a CandidateChunkSource is asked to append per
-    /// pull. Sources may overshoot to finish an atomic generation unit.
-    /// Must be >= 1. Chunk boundaries only ever split weight buckets,
-    /// which is decision preserving like every other field here.
+    /// Advisory chunk size (candidates) of the candidate stream: how many
+    /// candidates a CandidateChunkSource is asked to append per pull.
+    /// Sources may overshoot to finish an atomic generation unit (a
+    /// whole-list source hands over its sorted list in one chunk). Must
+    /// be >= 1. Chunk boundaries only ever split weight buckets, which is
+    /// decision preserving like every other field here.
     std::size_t chunk_soft_cap = 1 << 16;
 
     /// The naive reference kernel: every optimisation off, one one-sided

@@ -27,7 +27,8 @@ struct GreedyStats {
     std::size_t edges_examined = 0;  ///< candidate edges processed
     std::size_t edges_added = 0;     ///< edges kept in the spanner
     std::size_t dijkstra_runs = 0;   ///< distance/ball queries actually executed
-    double seconds = 0.0;            ///< wall-clock time of the run
+    double seconds = 0.0;            ///< wall-clock time of the run (candidate
+                                     ///< generation included)
 
     // GreedyEngine counters (zero when the matching optimisation is off).
     std::size_t balls_computed = 0;       ///< shared ball() queries grown
@@ -96,10 +97,9 @@ struct GreedyStats {
     /// numerator tracked in BENCH_greedy.json.
     std::size_t handoff_peak_bytes = 0;
 
-    // Candidate-memory counters (the linear-space streaming path). On the
-    // materializing path candidates_streamed is the full candidate count
-    // and the buffer peak is the whole sorted array -- the honest
-    // comparison baseline for the chunked mode.
+    // Candidate-memory counters (the chunk stream). For a whole-list
+    // source the buffer peak is the whole sorted array -- the honest
+    // comparison baseline for the streaming sources.
     std::size_t candidates_streamed = 0;  ///< candidates pulled through stage 1
     std::size_t candidate_buffer_peak_bytes = 0;  ///< peak resident candidate bytes
 };

@@ -142,26 +142,6 @@ struct PrefilterGateState {
     }
 };
 
-/// Stage-1 feed over a fully materialized candidate span: the classic
-/// path. streamed()/peak_buffer_bytes() report the whole array -- the
-/// honest baseline the chunked feed's counters are compared against.
-struct SpanCandidateFeed {
-    CandidateStream stream;
-    std::span<const GreedyCandidate> all;
-
-    SpanCandidateFeed(std::span<const GreedyCandidate> candidates, double bucket_ratio)
-        : stream(candidates, bucket_ratio), all(candidates) {}
-
-    bool next(CandidateBucket& out) { return stream.next(out); }
-    [[nodiscard]] std::span<const GreedyCandidate> window(const CandidateBucket& b) const {
-        return all.subspan(b.begin, b.size());
-    }
-    [[nodiscard]] std::size_t streamed() const { return all.size(); }
-    [[nodiscard]] std::size_t peak_buffer_bytes() const {
-        return all.size() * sizeof(GreedyCandidate);
-    }
-};
-
 }  // namespace
 
 ThreadPool& EngineResources::acquire_pool(std::size_t workers) {
@@ -212,36 +192,9 @@ void GreedyEngine::init() {
     }
 }
 
-GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h,
-                                        std::span<const GreedyCandidate> candidates,
-                        GreedyStats* stats) {
-    const Timer timer;
-    if (h.num_vertices() != n_) {
-        throw std::invalid_argument("GreedyEngine::run: vertex count mismatch");
-    }
-    for (std::size_t i = 1; i < candidates.size(); ++i) {
-        if (candidates[i].weight < candidates[i - 1].weight) {
-            throw std::invalid_argument(
-                "GreedyEngine::run: candidates must be sorted by weight");
-        }
-    }
-    GreedyStats local;
-    SpanCandidateFeed feed(candidates, options_.bucket_ratio);
-    Graph out(0);
-    if (options_.csr_snapshot) {
-        IncrementalAdapter adapter;
-        out = run_impl(adapter, std::move(h), feed, local);
-    } else {
-        LiveAdapter adapter;
-        out = run_impl(adapter, std::move(h), feed, local);
-    }
-    local.seconds = timer.seconds();
-    if (stats != nullptr) *stats = local;
-    return out;
-}
-
 GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h, CandidateChunkSource& source,
-                        std::vector<GreedyCandidate>& buffer, GreedyStats* stats) {
+                                        std::vector<GreedyCandidate>& buffer,
+                                        GreedyStats* stats) {
     const Timer timer;
     if (h.num_vertices() != n_) {
         throw std::invalid_argument("GreedyEngine::run: vertex count mismatch");
@@ -249,8 +202,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h, CandidateChunkSource& source,
     // Sortedness is validated incrementally as chunks arrive (the stream
     // throws on a contract violation), including across chunk boundaries.
     GreedyStats local;
-    ChunkedCandidateStream feed(source, buffer, options_.bucket_ratio,
-                                options_.chunk_soft_cap);
+    CandidateStream feed(source, buffer, options_.bucket_ratio, options_.chunk_soft_cap);
     Graph out(0);
     if (options_.csr_snapshot) {
         IncrementalAdapter adapter;
@@ -264,8 +216,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h, CandidateChunkSource& source,
     return out;
 }
 
-template <class Adapter, class Feed>
-GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& feed,
+template <class Adapter>
+GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, CandidateStream& feed,
                                              GreedyStats& stats) {
     // Every expensive array below lives in the (possibly session-shared)
     // resources; a warm build reuses them all. Per-run state is reset
@@ -389,6 +341,38 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         sketch.record_exact(b, a, d, insert_epoch);
     };
 
+    // Phase-B repair seeds from the loaded certificate: every endpoint of
+    // an edge inserted since the batch snapshot, at (certified snapshot
+    // distance of the other endpoint + edge weight), when that fits the
+    // threshold. The insertion log is truncated per batch, so mark 0 is
+    // always the snapshot boundary.
+    const auto collect_repair_seeds = [&](std::vector<RepairSeed>& out, Weight threshold) {
+        out.clear();
+        for (const LoggedInsert& e : adapter.inserts_since(0)) {
+            const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
+            if (via_u <= threshold) out.push_back({e.v, via_u});
+            const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
+            if (via_v <= threshold) out.push_back({e.u, via_v});
+        }
+    };
+
+    // One early-exit point query by the configured strategy. The
+    // goal-directed probe (a metric oracle focusing the sweep into the
+    // pair's ellipse) is one-sided, so only the bidirectional query leaves
+    // backward labels to harvest.
+    const auto point_query = [&](VertexId a, VertexId b, Weight threshold) -> Weight {
+        if (options_.goal_bound != nullptr) {
+            const MetricSpace& lb = *options_.goal_bound;
+            return ws.distance_goal_directed(
+                adapter.view(), a, b, threshold,
+                [&lb, b](VertexId x) { return lb.distance(x, b); });
+        }
+        if (options_.bidirectional) {
+            return ws.distance_bidirectional(adapter.view(), a, b, threshold);
+        }
+        return ws.distance(adapter.view(), a, b, threshold);
+    };
+
     // Online cost model for the ball-vs-point decision: exponential moving
     // averages of heap pushes per query kind, and of how many candidates a
     // ball actually resolves (its own decision plus the cache hits its
@@ -402,9 +386,9 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         ema = ema == 0.0 ? sample : 0.75 * ema + 0.25 * sample;
     };
 
-    // --- Stage 1: the candidate feed paces the bucket loop (a sorted
-    // span or a chunk-driven stream -- the loop below only ever touches
-    // the current bucket's window, addressed bucket-locally). ---
+    // --- Stage 1: the chunk stream paces the bucket loop (the loop below
+    // only ever touches the current bucket's window, addressed
+    // bucket-locally). ---
     CandidateBucket bucket;
     while (feed.next(bucket)) {
         ++stats.buckets;
@@ -416,10 +400,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         }
         // The bucket's candidates, addressed from zero: everything below
         // (groups, bounds, verdict bits, the insertion loop) runs in
-        // bucket-local coordinates, so it is indifferent to whether the
-        // window is a slice of a full array or of a resident chunk.
+        // bucket-local coordinates, whatever the chunk layout.
         const std::span<const GreedyCandidate> bw = feed.window(bucket);
-        const CandidateBucket lbucket{0, bucket.size(), bucket.lo, bucket.hi};
 
         // Synchronize the adjacency view. With the incremental store this
         // is a full build exactly once per run (then a free no-op: the
@@ -437,7 +419,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         // shared ball slot, these survive the probe's early exit shrinking
         // the certified radius below a heavy member's threshold.
         if (group_probe) far_mark.assign(bucket.size(), 0);
-        if (parallel) prefilter_stage.begin_bucket(lbucket);
+        if (parallel) prefilter_stage.begin_bucket(bw.size());
         // Logical footprint, not vector capacities: capacities depend on
         // what earlier (possibly larger) runs left in a warm session, and
         // the handoff counter must be a pure function of this run.
@@ -458,11 +440,11 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         // keep the PR-1 shape: one batch == the bucket. Batch boundaries
         // are bucket-local, like every other index from here on.
         std::size_t batch_begin = 0;
-        while (batch_begin < lbucket.end) {
+        while (batch_begin < bw.size()) {
         const std::size_t batch_width =
             repair ? planner.next_width(last_accept_rate) : options_.parallel_batch;
         const std::size_t batch_end =
-            parallel ? std::min(batch_begin + batch_width, lbucket.end) : lbucket.end;
+            parallel ? std::min(batch_begin + batch_width, bw.size()) : bw.size();
         const CandidateBucket batch{batch_begin, batch_end, bucket.lo, bucket.hi};
         ++batch_seq;
 
@@ -488,7 +470,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             repair && sharing && accept_predicted && cert_mode_live;
         const bool run_stage2 =
             parallel && !gate.calibrating && (!accept_predicted || certificate_mode);
-        if (sharing) groups.rebuild(bw, batch, 0, n_, anchored);
+        if (sharing) groups.rebuild(bw, batch, n_, anchored);
         // Group-size-aware bootstrap threshold for the ball-vs-point gate:
         // a stream whose groups never reach ball_share_min_group (grid rep
         // windows are ~s^2 wide) still calibrates the cost model from its
@@ -502,10 +484,9 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         const std::uint64_t snapshot_epoch = insert_epoch;
         const std::size_t batch_accepts_before = stats.edges_added;
         // Truncate the repair feed at the snapshot boundary: entries from
-        // earlier batches are never read again (marks are per batch), so
-        // the log stays O(accepts per batch). The mark is then always 0.
+        // earlier batches are never read again, so the log stays
+        // O(accepts per batch) and always starts at the snapshot.
         if (repair) adapter.clear_insert_log();
-        const std::size_t batch_log_mark = 0;
 
         // --- Stage 2: parallel reject-only prefilter over the batch-start
         // view. Everything it records is sound regardless of what stage 3
@@ -514,7 +495,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             PrefilterContext ctx;
             ctx.candidates = bw;
             ctx.batch = batch;
-            ctx.base = 0;
             ctx.groups = sharing ? &groups : nullptr;
             ctx.stretch = t;
             ctx.bidirectional = options_.bidirectional;
@@ -646,134 +626,101 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     ++stats.snapshot_accepts;
                     accept = true;
                     decided = true;
-                } else if (repair &&
-                           certs.load(anchor, batch_seq, snapshot_epoch, threshold)) {
-                    // Phase B: certificate repair. The certificate proved
-                    // d(u, v) > threshold on the batch-start snapshot via a
-                    // drained ball, so any <= threshold path in the current
-                    // spanner must *enter* an edge inserted since -- and the
-                    // snapshot-only prefix up to that first inserted edge
-                    // must end inside the certified ball. Seed a bounded
-                    // probe at each inserted endpoint with (certified
-                    // snapshot distance + edge weight): every seed is a
-                    // realizable current path length (never too low), and
-                    // the first-inserted-edge decomposition of any shortest
-                    // improving path is dominated by some seed (never too
-                    // high), so the probe re-decides the candidate exactly.
-                    // No seeds at all means no insertion can have touched
-                    // the ball: the certificate stands with zero graph work.
-                    repair_seeds.clear();
-                    for (const LoggedInsert& e : adapter.inserts_since(batch_log_mark)) {
-                        const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
-                        if (via_u <= threshold) repair_seeds.push_back({e.v, via_u});
-                        const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
-                        if (via_v <= threshold) repair_seeds.push_back({e.u, via_v});
-                    }
-                    ++stats.repairs;
-                    if (repair_seeds.empty()) {
-                        accept = true;
-                    } else {
-                        ++stats.repair_reprobes;
-                        ++stats.dijkstra_runs;
-                        const Weight d = ws.distance_seeded(adapter.view(), repair_seeds,
-                                                            target, threshold);
-                        // d is the exact current distance when it beats the
-                        // threshold (the snapshot side already exceeded it).
-                        accept = d > threshold;
-                        if (!accept) sk_pair_exact(c.u, c.v, d);
-                    }
-                    decided = true;
-                } else if (repair &&
-                           certs.load(target, batch_seq, snapshot_epoch, threshold)) {
-                    // Mirror image: the *target's* certificate covers the
-                    // threshold (published when the target anchored another
-                    // group of the batch). Distances are symmetric, so the
-                    // same first-inserted-edge decomposition applies with
-                    // the roles swapped: seed at the certified snapshot
-                    // distances from the target and probe toward the anchor.
-                    repair_seeds.clear();
-                    for (const LoggedInsert& e : adapter.inserts_since(batch_log_mark)) {
-                        const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
-                        if (via_u <= threshold) repair_seeds.push_back({e.v, via_u});
-                        const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
-                        if (via_v <= threshold) repair_seeds.push_back({e.u, via_v});
-                    }
-                    ++stats.repairs;
-                    if (repair_seeds.empty()) {
-                        accept = true;
-                    } else {
-                        ++stats.repair_reprobes;
-                        ++stats.dijkstra_runs;
-                        const Weight d = ws.distance_seeded(adapter.view(), repair_seeds,
-                                                            anchor, threshold);
-                        accept = d > threshold;
-                        if (!accept) sk_pair_exact(c.u, c.v, d);
-                    }
-                    decided = true;
                 } else if (repair) {
-                    const Weight rf =
-                        certs.published_radius(anchor, batch_seq, snapshot_epoch);
-                    const Weight rb =
-                        certs.published_radius(target, batch_seq, snapshot_epoch);
-                    if (rf >= 0.0 && rb >= 0.0 &&
-                        threshold <= std::nextafter(rf + rb, 0.0)) {
-                        // Two-sided combine: neither frontier alone covers
-                        // the threshold, but together they do (strictly --
-                        // the one-ulp guard makes the float sum safe). Any
-                        // current improving path either *enters* its first
-                        // inserted edge within rf of the anchor (the
-                        // forward-seeded probe re-measures it) or *exits*
-                        // its last inserted edge within rb of the target
-                        // (the backward-seeded probe does) -- otherwise its
-                        // pure-snapshot prefix and suffix alone sum past
-                        // rf + rb > threshold. Each probe result is a
-                        // realizable current path length, so the min
-                        // re-decides the candidate exactly; two empty seed
-                        // sets mean no insertion touched either frontier
-                        // and the certificate stands with zero graph work.
-                        repair_seeds.clear();
-                        certs.load(anchor, batch_seq, snapshot_epoch, 0.0);
-                        for (const LoggedInsert& e :
-                             adapter.inserts_since(batch_log_mark)) {
-                            const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
-                            if (via_u <= threshold) repair_seeds.push_back({e.v, via_u});
-                            const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
-                            if (via_v <= threshold) repair_seeds.push_back({e.u, via_v});
-                        }
-                        repair_seeds_b.clear();
-                        certs.load(target, batch_seq, snapshot_epoch, 0.0);
-                        for (const LoggedInsert& e :
-                             adapter.inserts_since(batch_log_mark)) {
-                            const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
-                            if (via_u <= threshold) repair_seeds_b.push_back({e.v, via_u});
-                            const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
-                            if (via_v <= threshold) repair_seeds_b.push_back({e.u, via_v});
-                        }
+                    // Phase B: certificate repair. A certificate proves
+                    // d > threshold from its source on the batch-start
+                    // snapshot via a drained ball, so any <= threshold
+                    // path in the current spanner must *enter* an edge
+                    // inserted since -- and the snapshot-only prefix up
+                    // to that first inserted edge must end inside the
+                    // certified ball. Seeding a bounded probe at each
+                    // inserted endpoint with (certified snapshot distance
+                    // + edge weight) makes every seed a realizable current
+                    // path length (never too low), and the first-inserted-
+                    // edge decomposition of any shortest improving path
+                    // is dominated by some seed (never too high), so the
+                    // probe re-decides the candidate exactly. No seeds at
+                    // all means no insertion touched the ball: the
+                    // certificate stands with zero graph work. The
+                    // anchor's certificate probes toward the target; the
+                    // target's (published when it anchored another group
+                    // of the batch) is the mirror image -- distances are
+                    // symmetric.
+                    const bool from_anchor =
+                        certs.load(anchor, batch_seq, snapshot_epoch, threshold);
+                    if (from_anchor ||
+                        certs.load(target, batch_seq, snapshot_epoch, threshold)) {
+                        collect_repair_seeds(repair_seeds, threshold);
                         ++stats.repairs;
-                        ++stats.certs_two_sided;
-                        Weight d = kInfiniteWeight;
-                        if (!repair_seeds.empty() || !repair_seeds_b.empty()) {
+                        if (repair_seeds.empty()) {
+                            accept = true;
+                        } else {
                             ++stats.repair_reprobes;
-                            if (!repair_seeds.empty()) {
-                                ++stats.dijkstra_runs;
-                                d = ws.distance_seeded(adapter.view(), repair_seeds,
-                                                       target, threshold);
-                            }
-                            if (!repair_seeds_b.empty()) {
-                                ++stats.dijkstra_runs;
-                                d = std::min(
-                                    d, ws.distance_seeded(adapter.view(), repair_seeds_b,
-                                                          anchor, threshold));
-                            }
+                            ++stats.dijkstra_runs;
+                            const Weight d = ws.distance_seeded(
+                                adapter.view(), repair_seeds, from_anchor ? target : anchor,
+                                threshold);
+                            // d is the exact current distance when it beats
+                            // the threshold (the snapshot side already
+                            // exceeded it).
+                            accept = d > threshold;
+                            if (!accept) sk_pair_exact(c.u, c.v, d);
                         }
-                        accept = d > threshold;
-                        if (!accept) sk_pair_exact(c.u, c.v, d);
                         decided = true;
                     } else {
-                        // Tentative accept with no usable certificate (point
-                        // probe, sketch-decided, or over-cap frontier): the
-                        // exact machinery below re-decides it.
-                        ++stats.repair_fallbacks;
+                        const Weight rf =
+                            certs.published_radius(anchor, batch_seq, snapshot_epoch);
+                        const Weight rb =
+                            certs.published_radius(target, batch_seq, snapshot_epoch);
+                        if (rf >= 0.0 && rb >= 0.0 &&
+                            threshold <= std::nextafter(rf + rb, 0.0)) {
+                            // Two-sided combine: neither frontier alone
+                            // covers the threshold, but together they do
+                            // (strictly -- the one-ulp guard makes the float
+                            // sum safe). Any current improving path either
+                            // *enters* its first inserted edge within rf of
+                            // the anchor (the forward-seeded probe
+                            // re-measures it) or *exits* its last inserted
+                            // edge within rb of the target (the
+                            // backward-seeded probe does) -- otherwise its
+                            // pure-snapshot prefix and suffix alone sum past
+                            // rf + rb > threshold. Each probe result is a
+                            // realizable current path length, so the min
+                            // re-decides the candidate exactly; two empty
+                            // seed sets mean no insertion touched either
+                            // frontier and the certificate stands with zero
+                            // graph work.
+                            certs.load(anchor, batch_seq, snapshot_epoch, 0.0);
+                            collect_repair_seeds(repair_seeds, threshold);
+                            certs.load(target, batch_seq, snapshot_epoch, 0.0);
+                            collect_repair_seeds(repair_seeds_b, threshold);
+                            ++stats.repairs;
+                            ++stats.certs_two_sided;
+                            Weight d = kInfiniteWeight;
+                            if (!repair_seeds.empty() || !repair_seeds_b.empty()) {
+                                ++stats.repair_reprobes;
+                                if (!repair_seeds.empty()) {
+                                    ++stats.dijkstra_runs;
+                                    d = ws.distance_seeded(adapter.view(), repair_seeds,
+                                                           target, threshold);
+                                }
+                                if (!repair_seeds_b.empty()) {
+                                    ++stats.dijkstra_runs;
+                                    d = std::min(d, ws.distance_seeded(adapter.view(),
+                                                                       repair_seeds_b,
+                                                                       anchor, threshold));
+                                }
+                            }
+                            accept = d > threshold;
+                            if (!accept) sk_pair_exact(c.u, c.v, d);
+                            decided = true;
+                        } else {
+                            // Tentative accept with no usable certificate
+                            // (point probe, sketch-decided, or over-cap
+                            // frontier): the exact machinery below
+                            // re-decides it.
+                            ++stats.repair_fallbacks;
+                        }
                     }
                 }
             }
@@ -896,12 +843,11 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                         const PrefilterKernel::Outcome outcome =
                             probe_goal_metric != nullptr
                                 ? res.prefilter_kernel_.decide_group(
-                                      probe, adapter.view(), anchor, bw, 0, grp,
-                                      t, is_undecided, bound, mark_far,
-                                      kInfiniteWeight, probe_goal_oracle)
+                                      probe, adapter.view(), anchor, bw, grp, t,
+                                      is_undecided, bound, mark_far, probe_goal_oracle)
                                 : res.prefilter_kernel_.decide_group(
-                                      probe, adapter.view(), anchor, bw, 0, grp,
-                                      t, is_undecided, bound, mark_far);
+                                      probe, adapter.view(), anchor, bw, grp, t,
+                                      is_undecided, bound, mark_far);
                         ++stats.dijkstra_runs;
                         ++stats.balls_computed;
                         ++stats.group_probes;
@@ -911,13 +857,10 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                         // Value accounting mirrors the classic ball's
                         // `resolved` (settled rejects only) so the two
                         // paths bid against the point query on equal
-                        // terms: counting far members or cap
-                        // fall-throughs as value inflates the EMA and
-                        // flips the gate toward probes on inputs where
-                        // per-candidate queries genuinely win.
-                        const std::size_t resolved =
-                            outcome.probed - outcome.far_members -
-                            outcome.undecided_members;
+                        // terms: counting far members as value inflates
+                        // the EMA and flips the gate toward probes on
+                        // inputs where per-candidate queries genuinely win.
+                        const std::size_t resolved = outcome.probed - outcome.far_members;
                         update_ema(ball_value, static_cast<double>(
                                                    std::max<std::size_t>(resolved, 1)));
                         if (use_sketch) {
@@ -941,14 +884,10 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                         ball_bucket[anchor] = batch_seq;
                         ball_epoch[anchor] = insert_epoch;
                         ball_radius[anchor] = outcome.certified_radius;
-                        if (bound[li] <= threshold) {
-                            accept = false;  // settled (or salvaged) witness
-                        } else if (li_far) {
-                            accept = true;  // certified far at this view
-                        } else {
-                            // The cap left li undecided: probe it directly.
-                            need_point = true;
-                        }
+                        // li rode the probe, so it holds one of the two
+                        // verdicts: far at this view, or settled with a
+                        // witness within its threshold.
+                        accept = li_far;
                     } else if (want_ball) {
                         // Shared ball: one query answers every candidate of
                         // this anchor in the batch. The classic radius covers
@@ -1025,44 +964,19 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                         // bidirectionally, the target's) other candidates in
                         // the bucket.
                         ++stats.dijkstra_runs;
-                        Weight d;
-                        if (options_.goal_bound != nullptr) {
-                            // Goal-directed probe: the metric oracle focuses the
-                            // sweep into the pair's ellipse. One-sided, so only
-                            // the forward labels are harvestable.
-                            const MetricSpace& lb = *options_.goal_bound;
-                            d = ws.distance_goal_directed(
-                                adapter.view(), anchor, target, threshold,
-                                [&lb, target](VertexId x) { return lb.distance(x, target); });
-                            update_ema(point_cost, static_cast<double>(ws.last_work()));
-                            for (std::uint32_t idx : grp) {
-                                if (idx <= li) continue;
-                                const Weight b = ws.last_forward_bound(
-                                    SourceGroups::other_of(cand_at(idx), anchor));
-                                if (b < bound[idx]) bound[idx] = b;
-                            }
-                        } else if (options_.bidirectional) {
-                            d = ws.distance_bidirectional(adapter.view(), anchor, target, threshold);
-                            update_ema(point_cost, static_cast<double>(ws.last_work()));
-                            for (std::uint32_t idx : grp) {
-                                if (idx <= li) continue;
-                                const Weight b = ws.last_forward_bound(
-                                    SourceGroups::other_of(cand_at(idx), anchor));
-                                if (b < bound[idx]) bound[idx] = b;
-                            }
+                        const Weight d = point_query(anchor, target, threshold);
+                        update_ema(point_cost, static_cast<double>(ws.last_work()));
+                        for (std::uint32_t idx : grp) {
+                            if (idx <= li) continue;
+                            const Weight b = ws.last_forward_bound(
+                                SourceGroups::other_of(cand_at(idx), anchor));
+                            if (b < bound[idx]) bound[idx] = b;
+                        }
+                        if (options_.goal_bound == nullptr && options_.bidirectional) {
                             for (std::uint32_t idx : groups.of(target)) {
                                 if (idx <= li) continue;
                                 const Weight b = ws.last_backward_bound(
                                     SourceGroups::other_of(cand_at(idx), target));
-                                if (b < bound[idx]) bound[idx] = b;
-                            }
-                        } else {
-                            d = ws.distance(adapter.view(), anchor, target, threshold);
-                            update_ema(point_cost, static_cast<double>(ws.last_work()));
-                            for (std::uint32_t idx : grp) {
-                                if (idx <= li) continue;
-                                const Weight b = ws.last_forward_bound(
-                                    SourceGroups::other_of(cand_at(idx), anchor));
                                 if (b < bound[idx]) bound[idx] = b;
                             }
                         }
@@ -1072,17 +986,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                 }
             } else {
                 ++stats.dijkstra_runs;
-                Weight d;
-                if (options_.goal_bound != nullptr) {
-                    const MetricSpace& lb = *options_.goal_bound;
-                    d = ws.distance_goal_directed(
-                        adapter.view(), c.u, c.v, threshold,
-                        [&lb, v = c.v](VertexId x) { return lb.distance(x, v); });
-                } else if (options_.bidirectional) {
-                    d = ws.distance_bidirectional(adapter.view(), c.u, c.v, threshold);
-                } else {
-                    d = ws.distance(adapter.view(), c.u, c.v, threshold);
-                }
+                const Weight d = point_query(c.u, c.v, threshold);
                 accept = d > threshold;
                 if (!accept) sk_pair_exact(c.u, c.v, d);
             }
@@ -1173,9 +1077,11 @@ Graph greedy_spanner_with(const Graph& g, const GreedyEngineOptions& options,
         resolved.group_probing = EngineTuning::GroupProbing::kOn;
     }
     GreedyEngine engine(g.num_vertices(), resolved);
-    const auto candidates = sorted_graph_candidates(g);
+    WholeListChunkSource candidates(
+        [&g](std::vector<GreedyCandidate>& out) { append_sorted_graph_candidates(g, out); });
+    std::vector<GreedyCandidate> buffer;
     GreedyStats local;
-    Graph h = engine.run(Graph(g.num_vertices()), candidates, &local);
+    Graph h = engine.run(Graph(g.num_vertices()), candidates, buffer, &local);
     local.seconds = timer.seconds();
     if (stats != nullptr) *stats = local;
     return h;

@@ -9,10 +9,10 @@
 // into a CandidateSource plug-in; GreedyEngine runs the loop itself, as an
 // explicit three-phase pipeline per weight bucket (batched when parallel):
 //
-//   [1] candidate stream   (core/candidate_stream) -- materialize the
-//       bucket [w, bucket_ratio * w), group its candidates by source
-//       (bucket-local indices), and plan batch widths from the predicted
-//       accept rate (BatchPlanner);
+//   [1] candidate stream   (core/candidate_stream) -- pull the bucket
+//       [w, bucket_ratio * w) out of the resident candidate chunk, group
+//       its candidates by source (bucket-local indices), and plan batch
+//       widths from the predicted accept rate (BatchPlanner);
 //   [2] speculative probe  (core/prefilter_stage)  -- fan the groups out to
 //       a work-stealing worker pool; each worker owns a DijkstraWorkspace
 //       and runs exact probes against the batch-start incremental CSR
@@ -184,21 +184,15 @@ public:
     /// `resources` must outlive the engine.
     GreedyEngine(std::size_t n, GreedyEngineOptions options, EngineResources& resources);
 
-    /// Run the greedy loop: candidates must be sorted by non-decreasing
-    /// weight (the caller fixes tie order -- the engine preserves it).
-    /// Decisions are appended to `h`, which carries any pre-seeded edges
-    /// (the approximate-greedy E0 set); returns the final spanner.
-    /// `*stats` is overwritten with this run's counters (never additive).
-    GSP_SERIAL_ONLY Graph run(Graph h, std::span<const GreedyCandidate> candidates,
-                              GreedyStats* stats = nullptr);
-
-    /// The linear-space entry point: drain `source` chunk by chunk through
+    /// Run the greedy loop over `source`, drained chunk by chunk through
     /// `buffer` (the caller-owned reusable chunk buffer -- a session passes
-    /// its materialization buffer) instead of requiring the full sorted
-    /// array. The source must honor the CandidateChunkSource ordering
-    /// contract (validated as chunks arrive; violations throw). The edge
-    /// set is bit-identical to the materializing overload for the same
-    /// candidate sequence, at every chunk size and thread count.
+    /// its own). The source must honor the CandidateChunkSource ordering
+    /// contract (validated as chunks arrive; violations throw); the engine
+    /// preserves its tie order. Decisions are appended to `h`, which
+    /// carries any pre-seeded edges (the approximate-greedy E0 set);
+    /// returns the final spanner. The edge set is the same at every chunk
+    /// size and thread count. `*stats` is overwritten with this run's
+    /// counters (never additive).
     GSP_SERIAL_ONLY Graph run(Graph h, CandidateChunkSource& source,
                               std::vector<GreedyCandidate>& buffer,
                               GreedyStats* stats = nullptr);
@@ -212,8 +206,8 @@ public:
 private:
     void init();  ///< shared constructor tail: validation + pool acquisition
 
-    template <class Adapter, class Feed>
-    GSP_SERIAL_ONLY Graph run_impl(Adapter& adapter, Graph h, Feed& feed,
+    template <class Adapter>
+    GSP_SERIAL_ONLY Graph run_impl(Adapter& adapter, Graph h, CandidateStream& feed,
                                    GreedyStats& stats);
 
     [[nodiscard]] bool parallel_enabled() const { return pool_ != nullptr; }
@@ -238,8 +232,8 @@ private:
 /// The candidate list of a graph input: all edges of g sorted by
 /// (weight, min endpoint, max endpoint, edge id) -- the deterministic tie
 /// order the naive kernel has always used. The appending form writes into
-/// the caller's buffer (the session's reused materialization buffer: no
-/// per-build allocation on the warm path); the value form allocates.
+/// the caller's buffer (the session's reused chunk buffer: no per-build
+/// allocation on the warm path); the value form allocates.
 void append_sorted_graph_candidates(const Graph& g, std::vector<GreedyCandidate>& out);
 std::vector<GreedyCandidate> sorted_graph_candidates(const Graph& g);
 

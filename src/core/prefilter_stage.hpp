@@ -57,12 +57,11 @@ namespace gsp {
 /// Inputs of one batch's prefilter pass that are independent of the
 /// adjacency view type.
 struct PrefilterContext {
+    /// The owning bucket's candidates: every index below (batch, groups,
+    /// bounds, verdict bits) is bucket-local, i.e. an index into this span.
     std::span<const GreedyCandidate> candidates;
-    /// The batch to prefilter (global candidate indices).
+    /// The batch to prefilter.
     CandidateBucket batch;
-    /// Owning bucket's begin: the base every bucket-local index is
-    /// relative to (bounds, groups, verdict bits).
-    std::size_t base = 0;
     /// Grouping by source; null => ball sharing is off, partition the
     /// batch into fixed blocks and probe each candidate independently.
     const SourceGroups* groups = nullptr;
@@ -148,22 +147,22 @@ public:
         if (pending_.size() < workers) pending_.resize(workers);
     }
 
-    /// Size and zero the verdict bitsets for one bucket (bucket-local bit
-    /// per candidate; batches of the bucket write disjoint bit ranges).
-    GSP_SERIAL_ONLY void begin_bucket(const CandidateBucket& bucket) {
-        base_ = bucket.begin;
-        const std::size_t words = (bucket.size() + 63) / 64;
+    /// Size and zero the verdict bitsets for a bucket of `candidates`
+    /// candidates (bucket-local bit per candidate; batches of the bucket
+    /// write disjoint bit ranges).
+    GSP_SERIAL_ONLY void begin_bucket(std::size_t candidates) {
+        const std::size_t words = (candidates + 63) / 64;
         oracle_bits_.assign(words, 0);
         far_bits_.assign(words, 0);
     }
 
-    /// Verdict reads for the serialized insertion loop (global candidate
-    /// index; called strictly after the batch's fan-out joined).
-    [[nodiscard]] bool oracle_reject(std::size_t i) const {
-        return test(oracle_bits_, i - base_);
+    /// Verdict reads for the serialized insertion loop (bucket-local
+    /// candidate index; called strictly after the batch's fan-out joined).
+    [[nodiscard]] bool oracle_reject(std::size_t local) const {
+        return test(oracle_bits_, local);
     }
-    [[nodiscard]] bool far_at_snapshot(std::size_t i) const {
-        return test(far_bits_, i - base_);
+    [[nodiscard]] bool far_at_snapshot(std::size_t local) const {
+        return test(far_bits_, local);
     }
 
     /// Current verdict-bitset footprint (for the handoff byte accounting).
@@ -291,7 +290,6 @@ private:
         return false;
     }
 
-    std::size_t base_ = 0;                   ///< bucket begin of the bitsets
     std::vector<std::uint64_t> oracle_bits_; ///< oracle certified a witness path
     std::vector<std::uint64_t> far_bits_;    ///< probe exceeded threshold at snapshot
     std::vector<WorkerCounters> counters_;
@@ -321,8 +319,7 @@ GSP_SERIAL_ONLY void PrefilterStage::run_batch(
             const std::size_t first = ctx.batch.begin + task * kBlock;
             const std::size_t last = std::min(first + kBlock, ctx.batch.end);
             for (std::size_t i = first; i < last; ++i) {
-                probe_one(ws, wc, view, ctx, worker,
-                          static_cast<std::uint32_t>(i - ctx.base), bounds);
+                probe_one(ws, wc, view, ctx, worker, static_cast<std::uint32_t>(i), bounds);
             }
         }
     });
@@ -368,7 +365,7 @@ GSP_HOT_PATH void PrefilterStage::process_group(
     const auto& grp = ctx.groups->of(source);
     const std::span<const GreedyCandidate> cands = ctx.candidates;
     const auto cand_at = [&](std::uint32_t local) -> const GreedyCandidate& {
-        return cands[ctx.base + local];
+        return cands[local];
     };
 
     // Cheap certificate passes first (mirror the serial loop's
@@ -404,13 +401,11 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         BatchedProbe& probe = ws.batched();
         probe.set_kernels(ctx.simd);  // pin the run's resolved backend
         const auto is_undecided = [&](std::uint32_t local) {
-            if (oracle_reject(ctx.base + local) || far_at_snapshot(ctx.base + local)) {
-                return false;
-            }
+            if (oracle_reject(local) || far_at_snapshot(local)) return false;
             return bounds[local] > ctx.stretch * cand_at(local).weight;
         };
         const PrefilterKernel::Outcome outcome = kernels_[worker].decide_group(
-            probe, view, source, cands, ctx.base, grp, ctx.stretch, is_undecided,
+            probe, view, source, cands, grp, ctx.stretch, is_undecided,
             bounds, [&](std::uint32_t local) { set_bit(far_bits_, local); });
         ++wc.dijkstra_runs;
         ++wc.group_probes;
@@ -439,7 +434,7 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         ++wc.balls_computed;
         if (ctx.anchored) ++wc.cell_balls;
         for (std::uint32_t local : grp) {
-            if (oracle_reject(ctx.base + local)) continue;
+            if (oracle_reject(local)) continue;
             const GreedyCandidate& c = cand_at(local);
             // The drained ball decides every member at the snapshot:
             // settled targets get their exact distance as a bound,
@@ -493,7 +488,7 @@ GSP_HOT_PATH void PrefilterStage::process_group(
 
     for (std::size_t g = 0; g < grp.size(); ++g) {
         const std::uint32_t local = grp[g];
-        if (oracle_reject(ctx.base + local) || far_at_snapshot(ctx.base + local)) continue;
+        if (oracle_reject(local) || far_at_snapshot(local)) continue;
         const GreedyCandidate& c = cand_at(local);
         const VertexId other = SourceGroups::other_of(c, source);
         const Weight threshold = ctx.stretch * c.weight;
@@ -558,7 +553,7 @@ GSP_HOT_PATH void PrefilterStage::probe_one(
     DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
                                const PrefilterContext& ctx, std::size_t worker,
                                std::uint32_t local, std::vector<Weight>& bounds) {
-    const GreedyCandidate& c = ctx.candidates[ctx.base + local];
+    const GreedyCandidate& c = ctx.candidates[local];
     const Weight threshold = ctx.stretch * c.weight;
     if (sketch_decides(ctx, local, c, threshold, bounds, wc)) return;
     if (ctx.oracle != nullptr && (*ctx.oracle)(worker, c.u, c.v, threshold)) {

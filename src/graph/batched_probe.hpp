@@ -19,16 +19,11 @@
 //  * the relaxation limit is always the largest *undecided* radius, so
 //    the searched area shrinks as targets resolve, and the probe
 //    terminates the moment the last target is decided -- typically far
-//    inside the area a full ball at the group radius would drain;
-//  * an optional radius cap bounds the traversal below the largest
-//    radius (the kernel edition of the cell-ball reject-radius shave:
-//    Dijkstra cost grows with radius^2 but a reject's witness barely
-//    exceeds its candidate's weight). Targets whose radius exceeds the
-//    cap can still settle as rejects inside the capped region, but they
-//    are never certified far -- a far verdict needs the frontier to pass
-//    the full radius, and the cap prunes exactly those relaxations. Such
-//    targets come back in a third state, *undecided*, and the caller's
-//    per-candidate machinery finishes them: cost, never correctness;
+//    inside the area a full ball at the group radius would drain. Every
+//    target leaves with exactly one of two verdicts, settled (a reject
+//    with its exact distance) or far: the traversal always runs out to
+//    the largest undecided radius, so nothing is ever handed back
+//    undecided;
 //  * with a metric at hand (run_goal), the probe turns goal-directed
 //    once few targets remain undecided: a relaxation whose optimistic
 //    completion misses every live target's radius -- nd + lb(x, t_i) >
@@ -50,7 +45,7 @@
 // (util/bucket_queue.hpp) -- bounded nonnegative keys make the D-ary heap
 // overkill; bench_micro's queue ablation measures the swap.
 //
-// Soundness of the three verdicts (all relative to the probed view):
+// Soundness of the verdicts (all relative to the probed view):
 //  * settled => exact: the standard Dijkstra invariant, unharmed by the
 //    shrinking limit (a vertex within the FINAL limit has every prefix of
 //    its shortest path within every limit the run ever used, since the
@@ -66,7 +61,7 @@
 // is exactly the certificate contract the speculative repair path needs.
 // The far sweep, the relaxation drain, and the goal-oracle bound pass all
 // run through the vector kernel table (src/simd/simd.hpp): the sweep is
-// one lower-bound scan over the contiguous effective-radii array, the
+// one lower-bound scan over the contiguous radii array, the
 // drain computes a block of tentative distances and a <= limit lane mask
 // per kernel call (labels still update in scalar iteration order), and a
 // batch-capable goal oracle evaluates every live target's lower bound in
@@ -117,16 +112,15 @@ public:
     /// radii[i]. Radii must be nondecreasing (SourceGroups hands members
     /// out in bucket order, which is weight order -- the invariant is
     /// documented on SourceGroups); duplicate target vertices are fine
-    /// (each slot is decided independently). `cap` bounds the traversal:
-    /// slots with radii[i] <= cap get the full far/reject treatment,
-    /// heavier slots settle as rejects or stay undecided (see the header
-    /// note). After run(): target_far(i) / target_bound(i) /
-    /// target_undecided(i) hold the verdicts, settled() the exact
-    /// frontier, certified_radius() its completeness radius.
+    /// (each slot is decided independently). The radii array is the far
+    /// sweep's vector operand, read in place (the caller keeps it alive
+    /// through the run). After run(): target_far(i) / target_bound(i)
+    /// hold the verdicts, settled() the exact frontier,
+    /// certified_radius() its completeness radius.
     template <class View>
     GSP_DECISION_PURE GSP_HOT_PATH void run(const View& view, VertexId source, std::span<const VertexId> targets,
-             std::span<const Weight> radii, Weight cap = kInfiniteWeight) {
-        run_impl(view, source, targets, radii, cap, static_cast<const NoGoal*>(nullptr));
+             std::span<const Weight> radii) {
+        run_impl(view, source, targets, radii, static_cast<const NoGoal*>(nullptr));
     }
 
     /// run() with a goal-directed lower-bound oracle: `lb(x, t)` must
@@ -136,15 +130,15 @@ public:
     /// oracle only prunes traversal work (see the header note).
     template <class View, class GoalLb>
     GSP_DECISION_PURE GSP_HOT_PATH void run_goal(const View& view, VertexId source, std::span<const VertexId> targets,
-                  std::span<const Weight> radii, Weight cap, const GoalLb& lb) {
-        run_impl(view, source, targets, radii, cap, &lb);
+                  std::span<const Weight> radii, const GoalLb& lb) {
+        run_impl(view, source, targets, radii, &lb);
     }
 
     // Shared implementation; `lb == nullptr` disables goal-directed
     // pruning (public only because member templates cannot be split out).
     template <class View, class GoalLb>
     GSP_DECISION_PURE GSP_HOT_PATH void run_impl(const View& view, VertexId source, std::span<const VertexId> targets,
-                  std::span<const Weight> radii, Weight cap, const GoalLb* lb) {
+                  std::span<const Weight> radii, const GoalLb* lb) {
         const std::size_t n = view.num_vertices();
         const std::size_t k = targets.size();
         if (radii.size() != k) {
@@ -172,10 +166,6 @@ public:
                     "BatchedProbe::run: radii must be nondecreasing");
             }
         }
-        // Effective radii min(radii[i], cap) in a contiguous aligned array:
-        // the far sweep's kernel operand (still nondecreasing).
-        eff_.resize(k);
-        for (std::size_t i = 0; i < k; ++i) eff_[i] = std::min(radii[i], cap);
         // Does the goal oracle batch-evaluate lower bounds? (The metric
         // oracle the engine passes does; ad-hoc lambdas and NoGoal don't.)
         constexpr bool kBatchGoal =
@@ -198,14 +188,7 @@ public:
         std::size_t undecided = k;
         std::size_t asc = 0;  // far-sweep cursor over sorted radii
         std::size_t top = k;  // 1 + index of the largest undecided radius
-        // Slots past `eligible` have radii above the cap: far would be
-        // unsound for them (the cap pruned the relaxations a full-radius
-        // certificate needs). Effective radii min(radii[i], cap) drive the
-        // sweep and the limit -- still nondecreasing, so the cursor logic
-        // is untouched.
-        const std::size_t eligible = static_cast<std::size_t>(
-            std::upper_bound(radii.begin(), radii.end(), cap) - radii.begin());
-        Weight limit = std::min(radii[k - 1], cap);  // shrinks as targets resolve
+        Weight limit = radii[k - 1];  // shrinks as targets resolve
 
         // Goal-directed pruning flips on the first time the live set
         // shrinks to kGoalLiveMax -- from then on settles above the
@@ -242,19 +225,15 @@ public:
             const Weight d = item.key;
             if (d > dist_[v]) continue;  // stale entry
 
-            // The batched bound evaluation: every undecided effective
-            // radius below the frontier minimum is unreachable in time --
-            // decide the whole prefix in one contiguous sweep. Cap-covered
-            // slots are certified far; over-cap slots merely lost their
-            // last chance to settle (monotone pops: no future settle below
-            // d, and the cap pruned everything beyond) and close as
-            // undecided fall-throughs.
+            // The batched bound evaluation: every undecided radius below
+            // the frontier minimum is unreachable in time -- decide the
+            // whole prefix far in one contiguous sweep.
             for (const std::size_t stop =
-                     simd_->sweep_lower_bound(eff_.data(), asc, k, d);
+                     simd_->sweep_lower_bound(radii.data(), asc, k, d);
                  asc < stop; ++asc) {
                 if (!decided_[asc]) {
                     decided_[asc] = 1;
-                    if (asc < eligible) far_[asc] = 1;
+                    far_[asc] = 1;
                     --undecided;
                 }
             }
@@ -286,7 +265,7 @@ public:
                 // Early termination's other half: shrink the relaxation
                 // limit to the largest radius still undecided.
                 while (top > 0 && decided_[top - 1]) --top;
-                limit = std::min(radii[top - 1], cap);
+                limit = radii[top - 1];
             }
 
             maybe_engage(d, undecided);
@@ -355,13 +334,11 @@ public:
         }
 
         // Queue exhausted with targets still open: nothing within their
-        // radii is reachable (see the soundness note above) -- for
-        // cap-covered slots. Over-cap slots could still have a witness in
-        // the pruned shell (cap, radius]; they close undecided.
+        // radii is reachable (see the soundness note above).
         for (std::size_t i = 0; i < k; ++i) {
             if (!decided_[i]) {
                 decided_[i] = 1;
-                if (i < eligible) far_[i] = 1;
+                far_[i] = 1;
             }
         }
         certified_radius_ = limit;
@@ -374,15 +351,8 @@ public:
     [[nodiscard]] bool target_far(std::size_t i) const { return far_[i] != 0; }
 
     /// Exact distance for a settled (rejected) slot; +infinity for a far
-    /// or undecided slot.
+    /// slot.
     [[nodiscard]] Weight target_bound(std::size_t i) const { return result_[i]; }
-
-    /// True iff the radius cap left slot i with no verdict: not settled
-    /// inside the capped region, radius beyond what the traversal could
-    /// certify. The caller's per-candidate machinery decides it.
-    [[nodiscard]] bool target_undecided(std::size_t i) const {
-        return far_[i] == 0 && result_[i] == kInfiniteWeight;
-    }
 
     /// The settled frontier of the last run, in nondecreasing distance
     /// order: exact distances, complete out to certified_radius().
@@ -408,13 +378,6 @@ public:
     /// Queue pushes of the last run -- the same work proxy
     /// DijkstraWorkspace::last_work() feeds the engine's cost model.
     [[nodiscard]] std::size_t last_work() const { return work_; }
-
-    /// Realizable-path upper bound on d(source, x) from the last run's
-    /// labels (+infinity if untouched) -- the harvest mirror of
-    /// DijkstraWorkspace::last_forward_bound().
-    [[nodiscard]] GSP_DECISION_PURE GSP_HOT_PATH Weight label_bound(VertexId x) const {
-        return stamp_[x] == current_ ? dist_[x] : kInfiniteWeight;
-    }
 
 private:
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -462,7 +425,6 @@ private:
     std::vector<std::uint8_t> far_;
     std::vector<std::uint8_t> decided_;
     std::vector<Weight> result_;
-    simd::AlignedVector<Weight> eff_;  ///< min(radii[i], cap): the sweep operand
 
     std::uint64_t current_ = 0;
     BucketQueue queue_;

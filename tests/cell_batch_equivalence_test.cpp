@@ -3,8 +3,8 @@
 // deciding that cell's candidates at once, plus via-landmark coarse
 // rejects) must return the same edge set and the same decision stats as
 // the per-candidate path (kOff), across {uniform, clustered} point sets,
-// thread counts {1, 2, 4, hardware}, and chunking {auto-streamed,
-// materialized}. Every shortcut the batched path takes is a sound upper
+// thread counts {1, 2, 4, hardware}, and chunk sizes {the source's
+// default, small}. Every shortcut the batched path takes is a sound upper
 // or lower bound compared against the same exact threshold, so decisions
 // -- not just the spanner -- must be preserved bit for bit.
 #include "api/session.hpp"
@@ -24,12 +24,9 @@ namespace gsp {
 namespace {
 
 const std::size_t kThreadCounts[] = {1, 2, 4, 0};
-const BuildOptions::Chunking kChunkings[] = {BuildOptions::Chunking::kChunked,
-                                             BuildOptions::Chunking::kMaterialize};
-
-const char* chunking_name(BuildOptions::Chunking c) {
-    return c == BuildOptions::Chunking::kChunked ? "chunked" : "materialize";
-}
+/// Chunk soft caps: the default (which the grid source widens) and a
+/// small cap that splits weight classes across many chunks.
+const std::size_t kChunkCaps[] = {EngineTuning{}.chunk_soft_cap, 4096};
 
 /// Schedule-independent decision counters must match exactly between the
 /// batched and per-candidate paths; probe-strategy counters (dijkstra
@@ -42,11 +39,10 @@ void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
 }
 
 /// Reference build: per-candidate rejection (kOff), single thread,
-/// materialized. Every batched variant must reproduce its decisions.
+/// default chunking. Every batched variant must reproduce its decisions.
 void check_points(const EuclideanMetric& pts, double separation, const std::string& what) {
     BuildOptions options;
     options.stretch = 2.0;
-    options.chunking = BuildOptions::Chunking::kMaterialize;
     options.engine.cell_batching = EngineTuning::CellBatching::kOff;
 
     GridCandidateSource reference_source(pts, separation);
@@ -56,11 +52,11 @@ void check_points(const EuclideanMetric& pts, double separation, const std::stri
         reference_session.build(reference_source, options, &reference_report);
 
     for (const std::size_t threads : kThreadCounts) {
-        for (const BuildOptions::Chunking chunking : kChunkings) {
+        for (const std::size_t cap : kChunkCaps) {
             const std::string label = what + " threads=" + std::to_string(threads) +
-                                      " chunking=" + chunking_name(chunking);
+                                      " cap=" + std::to_string(cap);
             BuildOptions batched = options;
-            batched.chunking = chunking;
+            batched.engine.chunk_soft_cap = cap;
             batched.engine.num_threads = threads;
             batched.engine.cell_batching = EngineTuning::CellBatching::kOn;
             GridCandidateSource source(pts, separation);

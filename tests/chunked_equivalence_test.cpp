@@ -1,17 +1,22 @@
-// Chunked-vs-materialized bit-identity: a build routed through the
-// streaming candidate path (BuildOptions::Chunking::kChunked) must return
-// the same edge set and the same decision stats as the materializing path
-// (kMaterialize), across every source family {graph, metric, wspd, grid},
-// thread counts {1, 2, 4, hardware}, and chunk sizes down to a single
-// candidate per pull. Chunk boundaries only ever split weight buckets,
-// which the engine's bucketing makes decision preserving -- this suite is
-// that claim, property-tested.
+// Chunk-size bit-identity: every build reaches the engine as a chunk
+// stream, and chunk boundaries only ever split weight buckets, which the
+// engine's bucketing makes decision preserving. A build must return the
+// same edge set and decision stats at every chunk size -- down to a single
+// candidate per pull -- as the coarsest chunking, across every source
+// family {graph, metric, wspd, grid} and thread counts {1, 2, 4, hardware}.
+// Whole-list sources (graph, metric) hand their sorted list over as one
+// chunk, so the suite slices their sequence through a test-local wrapper;
+// the streaming sources (wspd, grid) slice natively.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/build_options.hpp"
@@ -21,15 +26,63 @@
 #include "gen/points.hpp"
 #include "graph/graph.hpp"
 #include "util/random.hpp"
+#include "wspd/quadtree.hpp"
+#include "wspd/wspd.hpp"
 
 namespace gsp {
 namespace {
 
 const std::size_t kThreadCounts[] = {1, 2, 4, 0};
 const std::size_t kChunkCaps[] = {1, 64, 1 << 16};
+constexpr std::size_t kOneChunk = std::numeric_limits<std::size_t>::max();
+
+/// Serves another source's candidate sequence in soft_cap-sized slices,
+/// so a whole-list source's sequence crosses chunk boundaries too.
+class SlicedSource final : public CandidateSource {
+public:
+    explicit SlicedSource(CandidateSource& inner) : inner_(inner) {}
+
+    [[nodiscard]] const char* kind() const override { return inner_.kind(); }
+    [[nodiscard]] std::size_t num_vertices() const override { return inner_.num_vertices(); }
+    [[nodiscard]] std::unique_ptr<CandidateChunkSource> chunks() override {
+        all_.clear();
+        inner_.materialize(all_);
+        return std::make_unique<Slices>(all_);
+    }
+    void seed(Graph& h) override { inner_.seed(h); }
+    void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override {
+        inner_.configure_engine(options, session);
+    }
+    [[nodiscard]] double stretch_target(double t) const override {
+        return inner_.stretch_target(t);
+    }
+
+private:
+    class Slices final : public CandidateChunkSource {
+    public:
+        explicit Slices(const std::vector<GreedyCandidate>& all) : all_(all) {}
+
+        bool next_chunk(std::size_t soft_cap, std::vector<GreedyCandidate>& out) override {
+            if (cursor_ >= all_.size()) return false;
+            const std::size_t end = cursor_ + std::min(soft_cap, all_.size() - cursor_);
+            out.insert(out.end(), all_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+                       all_.begin() + static_cast<std::ptrdiff_t>(end));
+            cursor_ = end;
+            return true;
+        }
+
+    private:
+        const std::vector<GreedyCandidate>& all_;
+        std::size_t cursor_ = 0;
+    };
+
+    CandidateSource& inner_;
+    std::vector<GreedyCandidate> all_;
+};
 
 /// Decision stats (schedule-independent counters) must match exactly;
-/// wall clock and the memory counters legitimately differ between paths.
+/// wall clock and the memory counters legitimately differ between chunk
+/// sizes.
 void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
                             const std::string& label) {
     EXPECT_EQ(a.edges_examined, b.edges_examined) << label;
@@ -37,55 +90,60 @@ void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.candidates_streamed, b.candidates_streamed) << label;
 }
 
-/// Build twice -- materializing reference vs chunked at every chunk cap --
-/// and compare edge sets and decision stats.
-void check_source(CandidateSource& source, BuildOptions options, const std::string& what) {
-    options.chunking = BuildOptions::Chunking::kMaterialize;
+/// Build the coarsest-chunk reference through `source`, then every thread
+/// count x chunk cap through `sliced` (the same sequence, sliced), and
+/// compare edge sets and decision stats.
+void check_source(CandidateSource& source, CandidateSource& sliced, BuildOptions options,
+                  const std::string& what) {
+    options.engine.chunk_soft_cap = kOneChunk;
     SpannerSession reference_session;
     BuildReport reference_report;
-    const Graph reference =
-        reference_session.build(source, options, &reference_report);
+    const Graph reference = reference_session.build(source, options, &reference_report);
 
     for (const std::size_t threads : kThreadCounts) {
         for (const std::size_t cap : kChunkCaps) {
             const std::string label =
                 what + " threads=" + std::to_string(threads) + " cap=" + std::to_string(cap);
             BuildOptions chunked = options;
-            chunked.chunking = BuildOptions::Chunking::kChunked;
             chunked.engine.num_threads = threads;
             chunked.engine.chunk_soft_cap = cap;
             SpannerSession session;
             BuildReport report;
-            const Graph h = session.build(source, chunked, &report);
+            const Graph h = session.build(sliced, chunked, &report);
             EXPECT_TRUE(same_edge_set(h, reference)) << label;
             expect_decisions_equal(report.stats, reference_report.stats, label);
             EXPECT_EQ(report.candidates, reference_report.candidates) << label;
             EXPECT_EQ(report.edges, reference_report.edges) << label;
             EXPECT_EQ(report.weight, reference_report.weight) << label;
+            EXPECT_LE(report.stats.candidate_buffer_peak_bytes,
+                      reference_report.stats.candidate_buffer_peak_bytes)
+                << label;
         }
     }
 }
 
 class ChunkedEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ChunkedEquivalenceTest, GraphSourceFallbackChunking) {
+TEST_P(ChunkedEquivalenceTest, GraphSourceDecidesIdenticallyAtEveryChunkSize) {
     Rng rng(GetParam());
     const Graph g = erdos_renyi(60, 0.25, {.lo = 0.5, .hi = 3.0}, rng);
     GraphCandidateSource source(g);
-    ASSERT_EQ(source.chunk_support(), ChunkSupport::kFallback);
+    ASSERT_EQ(source.chunk_support(), ChunkSupport::kWholeList);
+    SlicedSource sliced(source);
     BuildOptions options;
     options.stretch = 1.8;
-    check_source(source, options, "graph");
+    check_source(source, sliced, options, "graph");
 }
 
-TEST_P(ChunkedEquivalenceTest, MetricSourceFallbackChunking) {
+TEST_P(ChunkedEquivalenceTest, MetricSourceDecidesIdenticallyAtEveryChunkSize) {
     Rng rng(GetParam() ^ 0x9e1);
     const EuclideanMetric pts = uniform_points(42, 2, 50.0, rng);
     MetricCandidateSource source(pts);
-    ASSERT_EQ(source.chunk_support(), ChunkSupport::kFallback);
+    ASSERT_EQ(source.chunk_support(), ChunkSupport::kWholeList);
+    SlicedSource sliced(source);
     BuildOptions options;
     options.stretch = 1.4;
-    check_source(source, options, "metric");
+    check_source(source, sliced, options, "metric");
 }
 
 TEST_P(ChunkedEquivalenceTest, WspdSourceStreamsIdentically) {
@@ -95,7 +153,7 @@ TEST_P(ChunkedEquivalenceTest, WspdSourceStreamsIdentically) {
     ASSERT_EQ(source.chunk_support(), ChunkSupport::kStreaming);
     BuildOptions options;
     options.stretch = 1.5;
-    check_source(source, options, "wspd");
+    check_source(source, source, options, "wspd");
 }
 
 TEST_P(ChunkedEquivalenceTest, GridSourceStreamsIdentically) {
@@ -105,61 +163,105 @@ TEST_P(ChunkedEquivalenceTest, GridSourceStreamsIdentically) {
     ASSERT_EQ(source.chunk_support(), ChunkSupport::kStreaming);
     BuildOptions options;
     options.stretch = 1.6;
-    check_source(source, options, "grid");
+    check_source(source, source, options, "grid");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChunkedEquivalenceTest, ::testing::Values(2u, 83u, 641u));
 
-TEST(ChunkedEquivalenceTest, StreamedChunksMatchMaterializeForStreamingSources) {
-    // The raw chunk sequence (not just the resulting spanner) must be the
-    // materialized sequence, for both streaming generators.
-    Rng rng(19);
-    const EuclideanMetric pts = clustered_points(90, 2, 3, 40.0, 0.8, rng);
-    const auto check_sequence = [](CandidateSource& source, const char* what) {
-        std::vector<GreedyCandidate> full;
-        source.materialize(full);
-        for (const std::size_t cap : {std::size_t{1}, std::size_t{17}, std::size_t{4096}}) {
-            const auto chunks = source.chunks();
-            std::vector<GreedyCandidate> streamed;
-            std::vector<GreedyCandidate> buf;
-            while (chunks->next_chunk(cap, buf)) {
-                streamed.insert(streamed.end(), buf.begin(), buf.end());
-                buf.clear();
-            }
-            ASSERT_EQ(streamed.size(), full.size()) << what << " cap=" << cap;
-            for (std::size_t i = 0; i < full.size(); ++i) {
-                EXPECT_EQ(streamed[i].u, full[i].u) << what << " cap=" << cap << " " << i;
-                EXPECT_EQ(streamed[i].v, full[i].v) << what << " cap=" << cap << " " << i;
-                EXPECT_EQ(streamed[i].weight, full[i].weight)
-                    << what << " cap=" << cap << " " << i;
-            }
-        }
-    };
-    WspdCandidateSource wspd(pts, 8.0);
-    GridCandidateSource grid(pts, 8.0);
-    check_sequence(wspd, "wspd");
-    check_sequence(grid, "grid");
+std::vector<GreedyCandidate> drain(CandidateSource& source, std::size_t cap) {
+    const auto chunks = source.chunks();
+    std::vector<GreedyCandidate> streamed;
+    std::vector<GreedyCandidate> buf;
+    while (chunks->next_chunk(cap, buf)) {
+        EXPECT_FALSE(buf.empty()) << "true return must mean appended candidates";
+        streamed.insert(streamed.end(), buf.begin(), buf.end());
+        buf.clear();
+    }
+    EXPECT_FALSE(chunks->next_chunk(cap, buf)) << "an exhausted stream stays exhausted";
+    return streamed;
 }
 
-TEST(ChunkedEquivalenceTest, AutoChunksExactlyTheStreamingSources) {
+void expect_same_sequence(const std::vector<GreedyCandidate>& got,
+                          const std::vector<GreedyCandidate>& want, const std::string& label) {
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].u, want[i].u) << label << " " << i;
+        EXPECT_EQ(got[i].v, want[i].v) << label << " " << i;
+        EXPECT_EQ(got[i].weight, want[i].weight) << label << " " << i;
+    }
+}
+
+TEST(ChunkedEquivalenceTest, StreamingSourcesEmitTheSortedSequenceAtEveryCap) {
+    // The raw chunk sequence (not just the resulting spanner) is cap
+    // invariant. For WSPD it is checked against an independent reference:
+    // every dumbbell's representative pair, globally sorted by the
+    // source's (weight, u, v) tie rule.
+    Rng rng(19);
+    const EuclideanMetric pts = clustered_points(90, 2, 3, 40.0, 0.8, rng);
+    WspdCandidateSource wspd(pts, 8.0);
+    GridCandidateSource grid(pts, 8.0);
+
+    std::vector<GreedyCandidate> wspd_reference;
+    const QuadTree tree(pts);
+    for (const WspdPair& p : well_separated_pairs(tree, 8.0)) {
+        const VertexId a = tree.node(p.a).representative;
+        const VertexId b = tree.node(p.b).representative;
+        const VertexId u = std::min(a, b);
+        const VertexId v = std::max(a, b);
+        wspd_reference.push_back(GreedyCandidate{u, v, pts.distance(u, v)});
+    }
+    std::sort(wspd_reference.begin(), wspd_reference.end(),
+              [](const GreedyCandidate& a, const GreedyCandidate& b) {
+                  return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
+              });
+    std::vector<GreedyCandidate> grid_reference;
+    grid.materialize(grid_reference);
+
+    for (const std::size_t cap : {std::size_t{1}, std::size_t{17}, std::size_t{4096}}) {
+        expect_same_sequence(drain(wspd, cap), wspd_reference, "wspd cap=" + std::to_string(cap));
+        expect_same_sequence(drain(grid, cap), grid_reference, "grid cap=" + std::to_string(cap));
+    }
+}
+
+TEST(ChunkedEquivalenceTest, WholeListSourcesHandOverOneChunk) {
+    // A whole-list source appends its sorted list in one pull, whatever
+    // the cap, straight into the caller's buffer; materialize() drains
+    // the same sequence.
+    Rng rng(23);
+    const Graph g = erdos_renyi(30, 0.4, {.lo = 1.0, .hi = 2.0}, rng);
+    GraphCandidateSource source(g);
+    std::vector<GreedyCandidate> full;
+    source.materialize(full);
+    ASSERT_EQ(full.size(), g.num_edges());
+
+    const auto chunks = source.chunks();
+    std::vector<GreedyCandidate> buf;
+    ASSERT_TRUE(chunks->next_chunk(1, buf));
+    expect_same_sequence(buf, full, "one chunk");
+    buf.clear();
+    EXPECT_FALSE(chunks->next_chunk(1, buf));
+    EXPECT_TRUE(buf.empty());
+}
+
+TEST(ChunkedEquivalenceTest, OnlyStreamingSourcesStayBelowTheFullList) {
     Rng rng(7);
     const EuclideanMetric pts = uniform_points(60, 2, 30.0, rng);
     const Graph g = erdos_renyi(40, 0.3, {.lo = 1.0, .hi = 2.0}, rng);
     BuildOptions options;
     options.stretch = 1.7;
+    options.engine.chunk_soft_cap = 64;
     SpannerSession session;
 
-    // kAuto + streaming source: the buffer peak must stay strictly below
-    // the full candidate list (the source really streamed).
+    // Streaming source: the buffer peak stays below the full candidate
+    // list (the source really streamed).
     GridCandidateSource grid(pts, 8.0);
     BuildReport report;
     (void)session.build(grid, options, &report);
-    ASSERT_GT(report.candidates, 0u);
-    EXPECT_LE(report.stats.candidate_buffer_peak_bytes,
+    ASSERT_GT(report.candidates, 64u);
+    EXPECT_LT(report.stats.candidate_buffer_peak_bytes,
               report.candidates * sizeof(GreedyCandidate));
 
-    // kAuto + fallback source: the materializing path reports the full
-    // list as its peak.
+    // Whole-list source: its one chunk is the full list.
     GraphCandidateSource graph_source(g);
     (void)session.build(graph_source, options, &report);
     EXPECT_EQ(report.stats.candidate_buffer_peak_bytes,

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/greedy.hpp"
@@ -40,13 +41,23 @@ std::string mask_name(unsigned mask) {
     return s.empty() ? "naive" : s;
 }
 
+/// Run `engine` over a candidate list handed over as one chunk.
+Graph run_list(GreedyEngine& engine, Graph h, const std::vector<GreedyCandidate>& cands,
+               GreedyStats* stats = nullptr) {
+    WholeListChunkSource source([&cands](std::vector<GreedyCandidate>& out) {
+        out.insert(out.end(), cands.begin(), cands.end());
+    });
+    std::vector<GreedyCandidate> buffer;
+    return engine.run(std::move(h), source, buffer, stats);
+}
+
 /// Run a configured engine over a graph's sorted edge candidates -- the
 /// engine-layer equivalent of the deprecated greedy_spanner_with wrapper
 /// (this suite tests the engine itself, not the front doors).
 Graph run_with(const Graph& g, const GreedyEngineOptions& options,
                GreedyStats* stats = nullptr) {
     GreedyEngine engine(g.num_vertices(), options);
-    return engine.run(Graph(g.num_vertices()), sorted_graph_candidates(g), stats);
+    return run_list(engine, Graph(g.num_vertices()), sorted_graph_candidates(g), stats);
 }
 
 /// The instance families named by the issue: Erdos-Renyi, grid, Euclidean
@@ -125,8 +136,8 @@ TEST(GreedyEngineTest, ReusedEngineInstanceIsStateless) {
     // Same vertex count keeps one engine valid for both.
     ASSERT_EQ(g1.num_vertices(), g2.num_vertices());
     GreedyEngine engine(g1.num_vertices(), options);
-    const Graph a1 = engine.run(Graph(g1.num_vertices()), sorted_graph_candidates(g1));
-    const Graph a2 = engine.run(Graph(g2.num_vertices()), sorted_graph_candidates(g2));
+    const Graph a1 = run_list(engine, Graph(g1.num_vertices()), sorted_graph_candidates(g1));
+    const Graph a2 = run_list(engine, Graph(g2.num_vertices()), sorted_graph_candidates(g2));
     EXPECT_TRUE(same_edge_set(a1, greedy_spanner(g1, 1.5)));
     EXPECT_TRUE(same_edge_set(a2, greedy_spanner(g2, 1.5)));
 }
@@ -136,7 +147,7 @@ TEST(GreedyEngineTest, RejectsUnsortedCandidates) {
     opts.stretch = 2.0;
     GreedyEngine engine(3, opts);
     const std::vector<GreedyCandidate> unsorted = {{0, 1, 2.0}, {1, 2, 1.0}};
-    EXPECT_THROW(engine.run(Graph(3), unsorted), std::invalid_argument);
+    EXPECT_THROW(run_list(engine, Graph(3), unsorted), std::invalid_argument);
 }
 
 TEST(GreedyEngineTest, RejectsBadOptions) {
@@ -404,7 +415,7 @@ TEST(ParallelEngineTest, BallsNeverLeakAcrossBatchBoundaries) {
     naive_options.ball_sharing = false;
     naive_options.csr_snapshot = false;
     GreedyEngine naive(4, naive_options);
-    const Graph want = naive.run(seeded(), cands);
+    const Graph want = run_list(naive, seeded(), cands);
     ASSERT_EQ(want.num_edges(), 3u);  // seed + 0-1 + 1-2; both (3,1) and (3,0) reject
 
     GreedyEngineOptions options;
@@ -414,7 +425,7 @@ TEST(ParallelEngineTest, BallsNeverLeakAcrossBatchBoundaries) {
     options.parallel_accept_gate = 0.25;
     options.ball_share_min_group = 2;
     GreedyEngine parallel(4, options);
-    const Graph got = parallel.run(seeded(), cands);
+    const Graph got = run_list(parallel, seeded(), cands);
     EXPECT_TRUE(same_edge_set(got, want));
 
     // Broader randomized sweep over the same hazard: unit weights (one
@@ -512,7 +523,7 @@ TEST(GreedyEngineTest, SeededSpannerEdgesAreRespected) {
     GreedyEngine engine(4, opts);
     // Candidate (0, 2) has witness path 0-1-2 of weight 2 <= 2 * 1.5.
     const std::vector<GreedyCandidate> cands = {{0, 2, 1.5}, {2, 3, 2.0}};
-    const Graph h = engine.run(std::move(seed), cands);
+    const Graph h = run_list(engine, std::move(seed), cands);
     EXPECT_EQ(h.num_edges(), 3u);
     EXPECT_FALSE(h.has_edge(0, 2));
     EXPECT_TRUE(h.has_edge(2, 3));

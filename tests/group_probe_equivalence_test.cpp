@@ -3,7 +3,7 @@
 // deciding a whole source group against per-member radii) must return the
 // same edge set and the same decision stats as the per-candidate path
 // (kOff), across the sources that opt in ({graph, metric, wspd}), thread
-// counts {1, 2, 4, hardware}, and chunking {chunked, materialized}. Every
+// counts {1, 2, 4, hardware}, and chunk sizes {default, small}. Every
 // kernel verdict is an exact distance or a sound far certificate against
 // the same view the point probes query, so decisions -- not just the
 // spanner -- must be preserved bit for bit.
@@ -31,12 +31,9 @@ namespace gsp {
 namespace {
 
 const std::size_t kThreadCounts[] = {1, 2, 4, 0};
-const BuildOptions::Chunking kChunkings[] = {BuildOptions::Chunking::kChunked,
-                                             BuildOptions::Chunking::kMaterialize};
-
-const char* chunking_name(BuildOptions::Chunking c) {
-    return c == BuildOptions::Chunking::kChunked ? "chunked" : "materialize";
-}
+/// Chunk soft caps: the default, and a small cap that splits the
+/// streaming WSPD source's weight classes across chunks.
+const std::size_t kChunkCaps[] = {EngineTuning{}.chunk_soft_cap, 512};
 
 /// Schedule-independent decision counters must match exactly between the
 /// batched-probe and per-candidate paths; probe-strategy counters
@@ -48,13 +45,12 @@ void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.candidates_streamed, b.candidates_streamed) << label;
 }
 
-/// Reference build: per-candidate probing (kOff), single thread,
-/// materialized. Every group-probe variant must reproduce its decisions.
+/// Reference build: per-candidate probing (kOff), single thread, default
+/// chunking. Every group-probe variant must reproduce its decisions.
 void check_source(const std::function<std::unique_ptr<CandidateSource>()>& make_source,
                   double stretch, const std::string& what) {
     BuildOptions options;
     options.stretch = stretch;
-    options.chunking = BuildOptions::Chunking::kMaterialize;
     options.engine.group_probing = EngineTuning::GroupProbing::kOff;
 
     SpannerSession reference_session;
@@ -65,11 +61,11 @@ void check_source(const std::function<std::unique_ptr<CandidateSource>()>& make_
     EXPECT_EQ(reference_report.stats.group_probes, 0u) << what;
 
     for (const std::size_t threads : kThreadCounts) {
-        for (const BuildOptions::Chunking chunking : kChunkings) {
+        for (const std::size_t cap : kChunkCaps) {
             const std::string label = what + " threads=" + std::to_string(threads) +
-                                      " chunking=" + chunking_name(chunking);
+                                      " cap=" + std::to_string(cap);
             BuildOptions probed = options;
-            probed.chunking = chunking;
+            probed.engine.chunk_soft_cap = cap;
             probed.engine.num_threads = threads;
             probed.engine.group_probing = EngineTuning::GroupProbing::kOn;
             const auto source = make_source();
@@ -186,6 +182,8 @@ TEST(GroupProbeEquivalenceTest, GoalDirectedRunMatchesPlainVerdicts) {
     // test -- so far bits and settled target distances must be identical
     // to the plain run, while the certified/exact radii may only shrink
     // and the surviving exact prefix must agree with the plain frontier.
+    // Both runs give every slot exactly one of the two verdicts: far, or
+    // settled at its exact distance within its radius.
     Rng rng(1717);
     const EuclideanMetric pts = uniform_points(120, 2, 60.0, rng);
 
@@ -212,23 +210,33 @@ TEST(GroupProbeEquivalenceTest, GoalDirectedRunMatchesPlainVerdicts) {
             radii.push_back(0.4 * static_cast<Weight>(targets.size()));
         }
         plain.run(g, source_v, targets, radii);
-        goal.run_goal(g, source_v, targets, radii, kInfiniteWeight, lb);
+        goal.run_goal(g, source_v, targets, radii, lb);
 
         EXPECT_EQ(plain.settled_exact_radius(), kInfiniteWeight);
         EXPECT_LE(goal.certified_radius(), plain.certified_radius());
+        std::size_t far = 0;
         for (std::size_t i = 0; i < targets.size(); ++i) {
             EXPECT_EQ(goal.target_far(i), plain.target_far(i)) << i;
-            EXPECT_EQ(goal.target_undecided(i), plain.target_undecided(i)) << i;
             EXPECT_EQ(goal.target_bound(i), plain.target_bound(i)) << i;
+            if (plain.target_far(i)) {
+                ++far;
+                EXPECT_EQ(plain.target_bound(i), kInfiniteWeight) << i;
+            } else {
+                EXPECT_LE(plain.target_bound(i), radii[i]) << i;
+            }
         }
+        EXPECT_GT(far, 0u);
+        EXPECT_LT(far, targets.size());
         // The goal run's exact prefix must match the plain frontier
         // distance for distance; beyond it entries are upper bounds.
+        std::vector<Weight> plain_dist(g.num_vertices(), kInfiniteWeight);
+        for (const auto& [x, d] : plain.settled()) plain_dist[x] = d;
         const Weight exact_r = goal.settled_exact_radius();
         for (const auto& [x, d] : goal.settled()) {
             if (d <= exact_r) {
-                EXPECT_EQ(d, plain.label_bound(x)) << "vertex " << x;
-            } else {
-                EXPECT_GE(d, plain.label_bound(x)) << "vertex " << x;
+                EXPECT_EQ(d, plain_dist[x]) << "vertex " << x;
+            } else if (plain_dist[x] != kInfiniteWeight) {
+                EXPECT_GE(d, plain_dist[x]) << "vertex " << x;
             }
         }
     }

@@ -43,6 +43,7 @@
 #include "simd/radix_sort.hpp"
 #include "util/json.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gsp {
 namespace {
@@ -325,10 +326,11 @@ void check_forced_equals_scalar(
         EXPECT_EQ(report.simd_backend,
                   simd::backend_name(simd::detect()))
             << label;
-        if (threads <= 1) {
+        if (ThreadPool::resolve_workers(threads) == 1) {
             // Serial runs have fully deterministic counters; parallel
             // decision counters are covered by the edge set + the
-            // schedule-free subset below.
+            // schedule-free subset below. (threads = 0 is serial only on
+            // a one-core host.)
             EXPECT_EQ(stats_fingerprint(report.stats),
                       stats_fingerprint(scalar_report.stats))
                 << label;
