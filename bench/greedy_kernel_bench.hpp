@@ -3,12 +3,12 @@
 //
 // Both bench_runtime (full-size sweep, the perf-trajectory source of truth)
 // and bench_micro (CI smoke that validates the schema) emit the same JSON
-// shape, version-tagged "gsp.bench_greedy.v8", built on the library's
+// shape, version-tagged "gsp.bench_greedy.v9", built on the library's
 // shared JsonWriter + append_greedy_stats serializer (src/api/build_report)
 // instead of hand-rolled streams:
 //
 //   {
-//     "schema": "gsp.bench_greedy.v5",
+//     "schema": "gsp.bench_greedy.v9",
 //     "source": "<bench binary>",
 //     "stretch": <t>,
 //     "instance": {"kind": ..., "n": ..., "m": ...},
@@ -71,6 +71,11 @@
 // builds executed ("simd_backend") -- the validator refuses history
 // comparisons of rows whose backends differ, so a machine change can
 // never masquerade as a kernel regression.
+//
+// v9 (bucket-wide stage 2) retires the speculative repair path: the stats
+// blocks, the metric probe and the accept probe drop the repair counters,
+// and the accept probe keeps its serial/mt2 timings, snapshot accepts and
+// the mt == serial edge-set check.
 //
 // The output path defaults to BENCH_greedy.json in the working directory;
 // override with the GSP_BENCH_JSON environment variable.
@@ -209,9 +214,6 @@ struct MetricProbeResult {
     double bytes_per_candidate = 0.0;
     /// The PR-2 handoff layout's flat cost on the same run.
     double pr2_bytes_per_candidate = 9.0;
-    /// Two-phase accept-path counters of the mt2 run.
-    std::size_t repairs = 0;
-    std::size_t repair_fallbacks = 0;
     GreedyStats stats;  ///< serial cached-engine run
     std::size_t rss_before_kb = 0;  ///< ru_maxrss sampled around the probe
     std::size_t rss_after_kb = 0;
@@ -244,8 +246,6 @@ inline MetricProbeResult run_metric_probe(std::size_t n, double t) {
     const Graph mt = session.build(source, options, &mt_report);
     probe.mt2_seconds = mt_report.seconds;
     probe.matches_serial = same_edge_set(mt, serial);
-    probe.repairs = mt_report.stats.repairs;
-    probe.repair_fallbacks = mt_report.stats.repair_fallbacks;
     // The parallel handoff adds the verdict bitsets; report the larger of
     // the two runs so the column upper-bounds both paths.
     probe.handoff_bytes = std::max(serial_report.stats.handoff_peak_bytes,
@@ -257,13 +257,13 @@ inline MetricProbeResult run_metric_probe(std::size_t n, double t) {
     return probe;
 }
 
-/// The accept-heavy probe of the speculative two-phase accept path: a
-/// clustered-euclidean geometric graph (dense intra-cluster candidate
-/// sets with near-parallel alternatives) at moderate stretch, tuned so
-/// the greedy keeps > 30% of all candidates -- the regime PR 2/PR 3
-/// serialized entirely. Reports how the parallel run's tentative accepts
-/// resolved: still-current snapshot certificates, phase-B repairs, or
-/// full-query fallbacks. The acceptance criterion is repair_share >= 0.7.
+/// The accept-heavy probe: a clustered-euclidean geometric graph (dense
+/// intra-cluster candidate sets with near-parallel alternatives) at
+/// moderate stretch, tuned so the greedy keeps > 30% of all candidates --
+/// the regime where stage 2's far bits go stale fastest. Times the serial
+/// and the 2-worker build, checks their edge sets agree, and reports how
+/// many accepts the parallel run took straight from a still-current
+/// stage-2 far bit.
 struct AcceptProbeResult {
     std::size_t n = 0;
     std::size_t m = 0;  ///< candidate edges
@@ -274,15 +274,6 @@ struct AcceptProbeResult {
     std::size_t edges = 0;
     bool matches_serial = false;
     std::size_t snapshot_accepts = 0;
-    std::size_t repairs = 0;
-    std::size_t repair_reprobes = 0;
-    std::size_t repair_fallbacks = 0;
-    std::size_t certs_published = 0;
-    std::size_t cert_ball_aborts = 0;
-    /// (snapshot_accepts + repairs) / (snapshot_accepts + repairs +
-    /// repair_fallbacks): the share of tentative accepts resolved without
-    /// a full exact query.
-    double repair_share = 0.0;
     std::size_t rss_before_kb = 0;  ///< ru_maxrss sampled around the probe
     std::size_t rss_after_kb = 0;
 };
@@ -314,14 +305,6 @@ inline AcceptProbeResult run_accept_probe(std::size_t n, double t) {
     probe.mt2_seconds = mt.seconds;
     probe.matches_serial = same_edge_set(parallel, serial);
     probe.snapshot_accepts = mt.stats.snapshot_accepts;
-    probe.repairs = mt.stats.repairs;
-    probe.repair_reprobes = mt.stats.repair_reprobes;
-    probe.repair_fallbacks = mt.stats.repair_fallbacks;
-    probe.certs_published = mt.stats.certs_published;
-    probe.cert_ball_aborts = mt.stats.cert_ball_aborts;
-    const double resolved = static_cast<double>(probe.snapshot_accepts + probe.repairs);
-    const double tentative = resolved + static_cast<double>(probe.repair_fallbacks);
-    probe.repair_share = tentative > 0.0 ? resolved / tentative : 1.0;
     probe.rss_after_kb = process_peak_rss_kb();
     return probe;
 }
@@ -996,7 +979,7 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
                                     const SimdProbeResult* simd_probe = nullptr) {
     JsonWriter w;
     w.begin_object();
-    w.member("schema", "gsp.bench_greedy.v8");
+    w.member("schema", "gsp.bench_greedy.v9");
     w.member("source", source);
     w.member("stretch", t);
     w.key("instance").begin_object();
@@ -1044,8 +1027,6 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("bytes_per_candidate", p.bytes_per_candidate);
         w.member("pr2_bytes_per_candidate", p.pr2_bytes_per_candidate);
         w.member("sketch_hits", p.stats.sketch_hits);
-        w.member("repairs", p.repairs);
-        w.member("repair_fallbacks", p.repair_fallbacks);
         w.member("dijkstra_runs", p.stats.dijkstra_runs);
         w.member("rss_delta_kb", p.rss_after_kb - p.rss_before_kb);
         w.end_object();
@@ -1063,12 +1044,6 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("edges", p.edges);
         w.member("matches_serial", p.matches_serial);
         w.member("snapshot_accepts", p.snapshot_accepts);
-        w.member("repairs", p.repairs);
-        w.member("repair_reprobes", p.repair_reprobes);
-        w.member("repair_fallbacks", p.repair_fallbacks);
-        w.member("certs_published", p.certs_published);
-        w.member("cert_ball_aborts", p.cert_ball_aborts);
-        w.member("repair_share", p.repair_share);
         w.member("rss_delta_kb", p.rss_after_kb - p.rss_before_kb);
         w.end_object();
     }

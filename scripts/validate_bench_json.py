@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v8)
+"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v9)
 and diff them against the tracked bench history.
 
 Usage:
@@ -11,7 +11,7 @@ Usage:
         stage-2/stage-3 handoff grew more than 20% in bytes-per-candidate
         are flagged alongside. The metric-workload probe's time and
         bytes-per-candidate, (v3) the accept-heavy probe's time and
-        full-query-fallback share, and (v5) the memory probe's RSS
+        (v3-v8) full-query-fallback share, and (v5) the memory probe's RSS
         high-water delta and per-instance candidates-streamed counts are
         diffed the same way. Flags are warnings by default (bench timings
         on shared CI runners are noisy); --strict turns them into a
@@ -72,8 +72,14 @@ vector backend at least two of the four rows must beat the 1.3x floor.
 History diffs of the time/group probes are backend-honest: when the two
 entries ran on different dispatch-selected backends their timings are
 not comparable, so the diff is refused (skipped with a notice) rather
-than flagged as a regression or an improvement. Older entries are still
-accepted and diffed on the fields they carry.
+than flagged as a regression or an improvement. Schema v9 (bucket-wide
+stage 2) retires the speculative repair path: the stats blocks drop
+"repair_reprobes", "certs_published", "cert_ball_aborts" and
+"certs_two_sided" (and the always-zero "repairs" / "repair_fallbacks"),
+the metric probe drops its repair counters, and the accept probe keeps
+its serial and mt2 timings, "snapshot_accepts" and the "matches_serial"
+check but drops the repair counters and the "repair_share" floor. Older
+entries are still accepted and diffed on the fields they carry.
 
 Exits non-zero if a file is missing, malformed, or violates the schema --
 including the engine's core contract that every configuration matched the
@@ -84,7 +90,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 9)}
+SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 10)}
 REQUIRED_TOP = {"schema", "source", "stretch", "instance", "configs",
                 "speedup_full_vs_naive"}
 REQUIRED_CONFIG = {"name", "bidirectional", "ball_sharing", "csr_snapshot",
@@ -105,13 +111,14 @@ REQUIRED_METRIC_PROBE = {"kind", "n", "candidates", "stretch", "serial_seconds",
                          "mt2_seconds", "edges", "matches_serial",
                          "handoff_bytes", "bytes_per_candidate",
                          "pr2_bytes_per_candidate"}
-REQUIRED_ACCEPT_PROBE = {"kind", "n", "m", "stretch", "accept_rate",
-                         "serial_seconds", "mt2_seconds", "edges",
-                         "matches_serial", "snapshot_accepts", "repairs",
-                         "repair_reprobes", "repair_fallbacks",
-                         "certs_published", "cert_ball_aborts", "repair_share"}
-# The tentpole's acceptance criterion: on the accept-heavy probe, at least
-# this share of tentative accepts must resolve without a full exact query.
+REQUIRED_ACCEPT_PROBE_V9 = {"kind", "n", "m", "stretch", "accept_rate",
+                            "serial_seconds", "mt2_seconds", "edges",
+                            "matches_serial", "snapshot_accepts"}
+REQUIRED_ACCEPT_PROBE = REQUIRED_ACCEPT_PROBE_V9 | {
+    "repairs", "repair_reprobes", "repair_fallbacks", "certs_published",
+    "cert_ball_aborts", "repair_share"}
+# The v3-v8 acceptance criterion: on the accept-heavy probe, at least this
+# share of tentative accepts had to resolve without a full exact query.
 ACCEPT_PROBE_MIN_REPAIR_SHARE = 0.70
 
 # v4 additions: the session-reuse probe of the unified API.
@@ -186,6 +193,11 @@ REQUIRED_SIMD_KERNEL_KEYS = {"scalar_seconds", "simd_seconds", "speedup",
 SIMD_PROBE_MIN_SPEEDUP = 1.30
 SIMD_PROBE_MIN_KERNELS_OVER_FLOOR = 2
 
+# v9: the speculative repair path is gone, and with it its counters.
+RETIRED_REPAIR_STATS = {"repairs", "repair_reprobes", "repair_fallbacks",
+                        "certs_published", "cert_ball_aborts", "certs_two_sided"}
+REQUIRED_STATS_V9 = REQUIRED_STATS_V7 - RETIRED_REPAIR_STATS
+
 REGRESSION_THRESHOLD = 1.20  # >20% worse than the previous entry
 
 
@@ -212,10 +224,12 @@ def validate(doc: dict, path) -> None:
     version = int(schema.rsplit("v", 1)[1])
     v2, v3, v4 = version >= 2, version >= 3, version >= 4
     v5, v6, v7, v8 = version >= 5, version >= 6, version >= 7, version >= 8
+    v9 = version >= 9
     required_top = REQUIRED_TOP_V2 if v2 else REQUIRED_TOP
     required_config = (REQUIRED_CONFIG_V5 if v5 else
                        REQUIRED_CONFIG_V2 if v2 else REQUIRED_CONFIG)
-    required_stats = (REQUIRED_STATS_V7 if v7 else
+    required_stats = (REQUIRED_STATS_V9 if v9 else
+                      REQUIRED_STATS_V7 if v7 else
                       REQUIRED_STATS_V6 if v6 else
                       REQUIRED_STATS_V5 if v5 else
                       REQUIRED_STATS_V3 if v3 else
@@ -430,14 +444,15 @@ def validate(doc: dict, path) -> None:
 
     accept_probe = doc.get("accept_probe")
     if accept_probe is not None:
-        if missing := REQUIRED_ACCEPT_PROBE - accept_probe.keys():
+        required_accept = REQUIRED_ACCEPT_PROBE_V9 if v9 else REQUIRED_ACCEPT_PROBE
+        if missing := required_accept - accept_probe.keys():
             fail(f"{path}: accept_probe missing keys: {sorted(missing)}")
         if not accept_probe["matches_serial"]:
             fail(f"{path}: accept_probe parallel edge set diverged from serial")
         if accept_probe["accept_rate"] <= 0.30:
             fail(f"{path}: accept_probe is not accept-heavy "
                  f"(accept_rate {accept_probe['accept_rate']:.3f} <= 0.30)")
-        if accept_probe["repair_share"] < ACCEPT_PROBE_MIN_REPAIR_SHARE:
+        if not v9 and accept_probe["repair_share"] < ACCEPT_PROBE_MIN_REPAIR_SHARE:
             fail(f"{path}: accept_probe repair_share "
                  f"{accept_probe['repair_share']:.3f} below the "
                  f"{ACCEPT_PROBE_MIN_REPAIR_SHARE:.2f} acceptance floor")
@@ -447,10 +462,15 @@ def validate(doc: dict, path) -> None:
         extras.append(f"metric probe {probe['bytes_per_candidate']:.2f} B/cand "
                       f"(PR2 baseline {probe['pr2_bytes_per_candidate']:.1f})")
     if accept_probe is not None:
-        extras.append(f"accept probe repair share "
-                      f"{accept_probe['repair_share']:.2f} "
-                      f"({accept_probe['repairs']} repairs, "
-                      f"{accept_probe['repair_fallbacks']} fallbacks)")
+        if v9:
+            extras.append(f"accept probe serial/mt2 "
+                          f"{accept_probe['serial_seconds']:.3f}s/"
+                          f"{accept_probe['mt2_seconds']:.3f}s")
+        else:
+            extras.append(f"accept probe repair share "
+                          f"{accept_probe['repair_share']:.2f} "
+                          f"({accept_probe['repairs']} repairs, "
+                          f"{accept_probe['repair_fallbacks']} fallbacks)")
     if session_probe is not None:
         extras.append(
             f"session probe warm/cold {session_probe['warm_seconds']:.3f}s/"
@@ -548,7 +568,8 @@ def diff_history(history_dir: Path, strict: bool) -> int:
 
     def fallback_share(probe):
         """Share of tentative accepts that fell back to a full exact query
-        (smaller is better, so diff_metric applies directly)."""
+        (smaller is better, so diff_metric applies directly). v3-v8 only:
+        v9 entries carry no repair counters and diff as not comparable."""
         if probe is None or "repair_fallbacks" not in probe:
             return None
         tentative = (probe.get("snapshot_accepts", 0) + probe.get("repairs", 0) +

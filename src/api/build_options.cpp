@@ -5,14 +5,11 @@
 namespace gsp {
 
 void BuildOptions::validate() const {
-    if (stretch < 1.0) {
+    if (!(stretch >= 1.0)) {  // NaN-proof: NaN fails every comparison
         throw std::invalid_argument("BuildOptions: stretch must be >= 1");
     }
     if (!(engine.bucket_ratio > 1.0)) {
         throw std::invalid_argument("BuildOptions: engine.bucket_ratio must be > 1");
-    }
-    if (engine.parallel_batch == 0) {
-        throw std::invalid_argument("BuildOptions: engine.parallel_batch must be >= 1");
     }
     if (engine.sketch_ways == 0 ||
         (engine.sketch_ways & (engine.sketch_ways - 1)) != 0) {

@@ -19,12 +19,6 @@ void append_greedy_stats(JsonWriter& w, const GreedyStats& stats) {
     w.member("prefilter_rejects", stats.prefilter_rejects);
     w.member("prefilter_gated_off", stats.prefilter_gated_off);
     w.member("snapshot_accepts", stats.snapshot_accepts);
-    w.member("repairs", stats.repairs);
-    w.member("repair_reprobes", stats.repair_reprobes);
-    w.member("repair_fallbacks", stats.repair_fallbacks);
-    w.member("certs_published", stats.certs_published);
-    w.member("cert_ball_aborts", stats.cert_ball_aborts);
-    w.member("certs_two_sided", stats.certs_two_sided);
     w.member("group_probes", stats.group_probes);
     w.member("group_probe_decisions", stats.group_probe_decisions);
     w.member("group_probe_early_exits", stats.group_probe_early_exits);

@@ -108,78 +108,4 @@ GSP_DECISION_PURE GSP_HOT_PATH Weight BoundSketch::lower_bound_at(
     return best;
 }
 
-void CertificateStore::reset(std::size_t n, std::size_t cap) {
-    cap_ = cap;
-    if (certs_.size() != n) {
-        certs_.assign(n, Cert{});
-        lookup_stamp_.assign(n, 0);
-        lookup_dist_.assign(n, kInfiniteWeight);
-        lookup_current_ = 0;
-    } else {
-        // Keep the per-source settled buffers warm; a zero scope can never
-        // match (the engine's batch sequence starts at 1).
-        for (Cert& c : certs_) c.scope = 0;
-    }
-    loaded_ = kNoVertex;
-    loaded_scope_ = 0;
-}
-
-bool CertificateStore::publish(VertexId source, std::uint64_t scope, std::uint64_t epoch,
-                               Weight radius,
-                               std::span<const std::pair<VertexId, Weight>> settled) {
-    Cert& c = certs_[source];
-    if (c.scope == scope && c.epoch == epoch && c.radius >= radius) {
-        // Keep-larger: an already-stored same-scope certificate with at
-        // least this radius answers every query this one could. Also what
-        // makes the serial flush of worker-buffered frontier publishes
-        // independent of flush order.
-        return false;
-    }
-    if (settled.size() > cap_) {
-        // Too big to be worth keeping (reject-heavy regime): leave the
-        // slot invalid so phase B falls back to the exact query -- unless
-        // it already holds a live same-scope certificate, which an
-        // oversized publish must not clobber.
-        if (c.scope != scope || c.epoch != epoch) c.scope = 0;
-        return false;
-    }
-    c.scope = scope;
-    c.epoch = epoch;
-    c.radius = radius;
-    c.settled.assign(settled.begin(), settled.end());
-    return true;
-}
-
-GSP_SERIAL_ONLY bool CertificateStore::load(VertexId source, std::uint64_t scope,
-                                            std::uint64_t epoch,
-                                            Weight radius_needed) {
-    const Cert& c = certs_[source];
-    if (c.scope != scope || c.epoch != epoch || c.radius < radius_needed) return false;
-    if (loaded_ == source && loaded_scope_ == scope) return true;  // already active
-    ++lookup_current_;
-    for (const auto& [x, d] : c.settled) {
-        lookup_stamp_[x] = lookup_current_;
-        lookup_dist_[x] = d;
-    }
-    loaded_ = source;
-    loaded_scope_ = scope;
-    return true;
-}
-
-std::size_t CertificateStore::bytes() const {
-    // Logical bytes, and only scope-live settled sets: reset() keeps the
-    // per-source buffers warm across runs (scope = 0 marks them stale),
-    // so counting capacities or stale frontiers would make the handoff
-    // stats depend on what a previous run in the same session published.
-    std::size_t total = certs_.size() * sizeof(Cert) +
-                        (lookup_stamp_.size() * sizeof(std::uint64_t)) +
-                        (lookup_dist_.size() * sizeof(Weight));
-    for (const Cert& c : certs_) {
-        if (c.scope != 0) {
-            total += c.settled.size() * sizeof(std::pair<VertexId, Weight>);
-        }
-    }
-    return total;
-}
-
 }  // namespace gsp

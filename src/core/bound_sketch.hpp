@@ -1,5 +1,4 @@
-// Cross-bucket bound persistence: a compact per-vertex distance sketch,
-// and the certificate store of the speculative two-phase accept path.
+// Cross-bucket bound persistence: a compact per-vertex distance sketch.
 //
 // The engine's per-candidate bounds are bucket-local (they live in the
 // stage-2/stage-3 handoff and die with their bucket), while the classic
@@ -26,26 +25,10 @@
 // is a runtime parameter (power of two): kWays = 4 was PR 3's first cut,
 // and bench_micro measures the hit-rate curve at 2/4/8 ways.
 //
-// CertificateStore is the sketch's epoch-tagged-lower-bound idea taken to
-// its limit for the two-phase accept path: phase A's drained snapshot
-// balls don't just certify "d(src, v) > threshold", they know the *entire*
-// settled frontier -- the exact snapshot distance to every vertex within
-// the radius, and (implicitly) "further than the radius" for every vertex
-// outside it. That settled set is exactly what phase-B repair needs: an
-// edge inserted after the snapshot can only create a <= threshold path if
-// its first use is reachable within the threshold *at the snapshot*, i.e.
-// if its entry endpoint is in the certificate's settled set. The store
-// keeps one certificate per source vertex (scope- and epoch-tagged, lazily
-// invalidated like the engine's shared balls) and activates one at a time
-// into a stamped lookup table for O(1) snapshot-distance queries.
+// Concurrency contract: the sketch is written only by the engine's serial
+// insertion loop, while stage-2 workers consult it read-only strictly
+// between fan-out and join.
 //
-// Concurrency contract: both structures are written on a fan-out/join
-// schedule. The sketch is written only by the engine's serial insertion
-// loop while stage-2 workers consult it read-only. The certificate store
-// is written by stage-2 workers -- but each worker publishes only the
-// sources of its own task's group, and groups partition the batch's
-// sources, so writes land in disjoint per-source slots; the serial loop
-// reads strictly after the join.
 // Storage is SoA (per-field arrays indexed slot = x * ways + way) rather
 // than an array of Entry structs: the hot consult, via_upper_bound, then
 // reads the two vertices' way-contiguous source arrays with ONE vector
@@ -56,9 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <utility>
-#include <vector>
 
 #include "graph/types.hpp"
 #include "simd/aligned.hpp"
@@ -144,88 +124,6 @@ private:
     GSP_EPOCH_GUARDED simd::AlignedVector<Weight> lo_;
     GSP_EPOCH_GUARDED simd::AlignedVector<std::uint64_t> lo_epoch_;
     const simd::Kernels* simd_ = &simd::auto_kernels();
-};
-
-/// Phase-A distance certificates for the speculative accept path: one per
-/// source vertex, holding the settled frontier of a drained snapshot ball
-/// -- (vertex, exact snapshot distance) for everything within `radius`,
-/// with the guarantee that everything absent is *further* than `radius`.
-class CertificateStore {
-public:
-    /// Size for n vertices and clear every certificate (once per run).
-    /// `cap` bounds the settled entries one certificate may hold; larger
-    /// frontiers are not published (phase B falls back to the exact
-    /// query), keeping the store's footprint proportional to the small
-    /// balls of accept-heavy phases rather than the big balls of
-    /// reject-heavy ones.
-    void reset(std::size_t n, std::size_t cap);
-
-    /// Publish the certificate for `source`: the settled set of a drained
-    /// snapshot ball of radius `radius`, measured at insertion epoch
-    /// `epoch`, scoped to the engine's batch sequence number `scope`
-    /// (lazy invalidation -- stale scopes are simply never matched).
-    /// Called from stage-2 workers; each source is owned by exactly one
-    /// task, so writes are race-free (frontiers keyed by a *target* vertex
-    /// are instead buffered per worker and flushed serially after the
-    /// join). Returns false (and stores nothing) when the frontier exceeds
-    /// the cap, or when a same-scope certificate with radius >= `radius`
-    /// is already stored -- keep-larger makes the flushed state
-    /// independent of flush order, and a wider certificate serves every
-    /// query a narrower one could.
-    bool publish(VertexId source, std::uint64_t scope, std::uint64_t epoch, Weight radius,
-                 std::span<const std::pair<VertexId, Weight>> settled);
-
-    /// Radius of the certificate stored for `source` under (scope, epoch),
-    /// or a negative value when none is. The peek the two-sided repair
-    /// combine uses to test rf + rb >= threshold before paying two loads.
-    [[nodiscard]] Weight published_radius(VertexId source, std::uint64_t scope,
-                                          std::uint64_t epoch) const {
-        const Cert& c = certs_[source];
-        return (c.scope == scope && c.epoch == epoch) ? c.radius : -1.0;
-    }
-
-    /// Activate the certificate of `source` for snapshot-distance queries,
-    /// iff one was published under `scope` at `epoch` with radius >=
-    /// `radius_needed`. Serial-side only.
-    GSP_SERIAL_ONLY bool load(VertexId source, std::uint64_t scope,
-                              std::uint64_t epoch, Weight radius_needed);
-
-    /// After a successful load: the exact snapshot distance from the
-    /// loaded source to x, or +infinity when x was outside the ball
-    /// (equivalently: certified further than the certificate's radius).
-    [[nodiscard]] GSP_DECISION_PURE GSP_HOT_PATH Weight snapshot_distance(
-        VertexId x) const {
-        return lookup_stamp_[x] == lookup_current_ ? lookup_dist_[x] : kInfiniteWeight;
-    }
-
-    /// Radius of the loaded certificate.
-    [[nodiscard]] Weight loaded_radius() const { return certs_[loaded_].radius; }
-
-    [[nodiscard]] std::size_t cap() const { return cap_; }
-
-    /// Logical bytes of the store and its scope-live settled sets (handoff
-    /// accounting) -- a pure function of the current run's publishes, so
-    /// warm-session stats match fresh-session stats exactly.
-    [[nodiscard]] std::size_t bytes() const;
-
-private:
-    struct Cert {
-        std::uint64_t scope = 0;  ///< batch sequence the certificate belongs to
-        std::uint64_t epoch = 0;  ///< insertion epoch of the snapshot it measured
-        Weight radius = 0.0;
-        std::vector<std::pair<VertexId, Weight>> settled;
-    };
-
-    GSP_EPOCH_GUARDED std::vector<Cert> certs_;  ///< per-source slots, lazily invalidated by scope
-    std::size_t cap_ = 0;
-
-    // The activated certificate, expanded into a stamped O(1) lookup
-    // table (timestamp reset, like DijkstraWorkspace scratch).
-    GSP_EPOCH_GUARDED std::vector<std::uint64_t> lookup_stamp_;
-    GSP_EPOCH_GUARDED std::vector<Weight> lookup_dist_;
-    std::uint64_t lookup_current_ = 0;
-    VertexId loaded_ = kNoVertex;
-    std::uint64_t loaded_scope_ = 0;
 };
 
 }  // namespace gsp

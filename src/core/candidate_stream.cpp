@@ -49,7 +49,6 @@ bool CandidateStream::next(CandidateBucket& out) {
 }
 
 GSP_DECISION_PURE void SourceGroups::rebuild(std::span<const GreedyCandidate> candidates,
-                                             const CandidateBucket& range,
                                              std::size_t num_vertices, bool anchored) {
     if (groups_.size() < num_vertices) {
         groups_.resize(num_vertices);
@@ -63,24 +62,24 @@ GSP_DECISION_PURE void SourceGroups::rebuild(std::span<const GreedyCandidate> ca
     }
     sources_.clear();
     max_group_size_ = 0;
-    if (anchor_.size() < range.end) anchor_.resize(range.end);
+    if (anchor_.size() < candidates.size()) anchor_.resize(candidates.size());
 
     if (anchored) {
-        // Pass 1: endpoint incidences over the range (lazily cleared
-        // through touched_, so the rebuild stays O(range), never O(n)).
+        // Pass 1: endpoint incidences over the bucket (lazily cleared
+        // through touched_, so the rebuild stays O(bucket), never O(n)).
         for (VertexId x : touched_) {
             degree_[x] = 0;
             is_hub_[x] = 0;
         }
         touched_.clear();
-        for (std::size_t i = range.begin; i < range.end; ++i) {
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
             const GreedyCandidate& c = candidates[i];
             if (degree_[c.u]++ == 0) touched_.push_back(c.u);
             if (degree_[c.v]++ == 0) touched_.push_back(c.v);
         }
     }
 
-    for (std::size_t i = range.begin; i < range.end; ++i) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
         const GreedyCandidate& c = candidates[i];
         VertexId a = c.u;
         if (anchored) {

@@ -144,53 +144,6 @@ private:
     std::size_t peak_bytes_ = 0;
 };
 
-/// Chooses stage-2 batch widths from the *predicted* accept rate (the
-/// previous batch's measured rate -- a pure function of the greedy
-/// decisions, hence identical at every thread count and schedule).
-///
-/// PR 2 used one fixed width for every batch. With the speculative accept
-/// path the right width depends on the regime: a reject-heavy batch wants
-/// to be wide (stage-2 facts rarely go stale, and wider batches amortize
-/// the fan-out), while an accept-heavy batch wants to be narrow -- every
-/// insertion staled the certificates of all later candidates in the
-/// batch, so phase-B repair work per candidate grows with the number of
-/// in-batch insertions before it. The planner sizes batches so the
-/// *expected insertions per batch* stay near `target_accepts`:
-///
-///     width = clamp(target_accepts / predicted_rate, min_width, max_batch)
-///
-/// which degenerates to max_batch whenever the predicted rate is at or
-/// below target_accepts / max_batch (the reject-heavy regime).
-class BatchPlanner {
-public:
-    /// `max_batch` is the configured stage-2 batch width (the PR-2
-    /// constant, still the ceiling); `target_accepts` the insertion budget
-    /// a batch should stay near when accepts dominate.
-    BatchPlanner(std::size_t max_batch, std::size_t target_accepts)
-        : max_batch_(max_batch),
-          target_accepts_(target_accepts == 0 ? 1 : target_accepts),
-          // Never plan below the fan-out's break-even width (or max_batch
-          // itself when the caller configured something tiny).
-          min_width_(max_batch < kMinWidth ? max_batch : kMinWidth) {}
-
-    [[nodiscard]] GSP_DECISION_PURE std::size_t next_width(
-        double predicted_accept_rate) const {
-        if (predicted_accept_rate <= 0.0) return max_batch_;
-        const double ideal =
-            static_cast<double>(target_accepts_) / predicted_accept_rate;
-        if (ideal >= static_cast<double>(max_batch_)) return max_batch_;
-        const auto width = static_cast<std::size_t>(ideal);
-        return width < min_width_ ? min_width_ : width;
-    }
-
-private:
-    static constexpr std::size_t kMinWidth = 64;
-
-    std::size_t max_batch_;
-    std::size_t target_accepts_;
-    std::size_t min_width_;
-};
-
 /// A bucket's candidates grouped by a per-candidate *anchor* endpoint,
 /// with lazy O(bucket) clearing (a bucket costs O(its candidates), never
 /// O(n)). Groups list *bucket-local* candidate indices (global index minus
@@ -201,7 +154,7 @@ private:
 /// insertion stages both rely on (bounds harvested by an earlier
 /// candidate's query may only be consumed by later ones).
 ///
-/// Because the candidate range is sorted by non-decreasing weight and
+/// Because the bucket is sorted by non-decreasing weight and
 /// group members are listed in ascending index order, a group's member
 /// *weights* -- and therefore its decision radii (stretch * weight) -- are
 /// nondecreasing along the list. BatchedProbe's contiguous far-sweep is
@@ -219,36 +172,34 @@ private:
 ///    its v side -- u-keyed groups are half the size the geometry offers,
 ///    which starves ball sharing. The anchored rebuild assigns each
 ///    candidate to ONE of its endpoints by a two-pass hub heuristic: pass
-///    1 counts endpoint incidences over the range; pass 2, in candidate
+///    1 counts endpoint incidences over the bucket; pass 2, in candidate
 ///    order, anchors a candidate to an endpoint already serving as a hub
 ///    when exactly one is (stickiness -- this is what re-merges a cell
 ///    rep's two sides), otherwise to the higher-incidence endpoint
-///    (tie: min id), marking it a hub. O(range), deterministic, and a
-///    pure function of the range's contents -- identical for the serial
+///    (tie: min id), marking it a hub. O(bucket), deterministic, and a
+///    pure function of the bucket's contents -- identical for the serial
 ///    and parallel paths at any thread count. Distances are symmetric, so
 ///    a ball seeded at either endpoint decides the candidate; everything
 ///    downstream asks anchor_of()/other_of() instead of assuming `u`.
 class SourceGroups {
 public:
-    /// Rebuild the grouping for the bucket-local candidate range `range`
-    /// of the bucket window `candidates` (a stage-2 batch, or the whole
-    /// bucket when serial).
+    /// Rebuild the grouping for the bucket window `candidates` (the whole
+    /// bucket, in serial and parallel runs alike).
     GSP_DECISION_PURE void rebuild(std::span<const GreedyCandidate> candidates,
-                                   const CandidateBucket& range, std::size_t num_vertices,
-                                   bool anchored = false);
+                                   std::size_t num_vertices, bool anchored = false);
 
-    /// Anchors that have at least one candidate in the current range, in
+    /// Anchors that have at least one candidate in the current bucket, in
     /// first-appearance order.
     [[nodiscard]] const std::vector<VertexId>& sources() const { return sources_; }
 
     /// Bucket-local candidate indices anchored at s (ascending). Empty for
-    /// vertices that anchor nothing in the current range.
+    /// vertices that anchor nothing in the current bucket.
     [[nodiscard]] const std::vector<std::uint32_t>& of(VertexId s) const {
         return groups_[s];
     }
 
     /// The anchor endpoint of bucket-local candidate `local` (valid for
-    /// the range of the last rebuild). Classic mode: the candidate's u.
+    /// the bucket of the last rebuild). Classic mode: the candidate's u.
     [[nodiscard]] VertexId anchor_of(std::uint32_t local) const { return anchor_[local]; }
 
     /// The non-anchor endpoint of candidate c, given its anchor.

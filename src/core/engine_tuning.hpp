@@ -2,7 +2,7 @@
 //
 // Before the unified API every greedy front door re-declared the same
 // knobs: GreedyEngineOptions, MetricGreedyOptions and ApproxGreedyOptions
-// each carried their own num_threads / sketch_ways / speculative_repair
+// each carried their own num_threads and sketch_ways
 // (and drifted -- the metric path never exposed bound_sketch at all).
 // EngineTuning is that block declared once: GreedyEngineOptions derives
 // from it (so `options.bidirectional` keeps reading as before), the
@@ -11,6 +11,10 @@
 //
 // Every field here is *decision preserving*: the greedy edge set is
 // bit-identical at every setting (the knobs trade work, not output).
+//
+// Parallelism has three knobs: num_threads, parallel_prefilter and
+// parallel_accept_gate. Stage 2 always probes a whole weight bucket
+// against the bucket-start spanner, so there is no batch width to tune.
 #pragma once
 
 #include <cstddef>
@@ -35,40 +39,18 @@ struct EngineTuning {
 
     /// Master switch for stage 2. With it off (or num_threads resolving to
     /// 1) buckets flow straight from the candidate stream into the
-    /// serialized insertion loop.
+    /// serialized insertion loop. When on, stage 2 probes each whole
+    /// weight bucket against the bucket-start spanner, one task per
+    /// source group.
     bool parallel_prefilter = true;
 
-    /// Stage-2 batch width ceiling: when the parallel stage is active,
-    /// buckets are processed in sub-batches of at most this many
-    /// candidates, probed against the batch-start incremental view.
-    /// Constant across thread counts, so stage-2 decisions (and stats)
-    /// depend only on the input. Ignored when serial.
-    std::size_t parallel_batch = 2048;
-
-    /// Accept-rate boundary for stage 2, keyed on the previous batch's
+    /// Accept-rate boundary for stage 2, keyed on the previous bucket's
     /// measured accept rate (a pure function of the greedy decisions,
-    /// hence identical at every thread count). With speculative_repair
-    /// *off*, a batch above the gate skips stage 2 entirely; with repair
-    /// *on*, the gate instead switches stage 2 into certificate mode.
-    /// 1.0 = never predict accept-heavy.
+    /// hence identical at every thread count): a bucket predicted above
+    /// the gate skips stage 2 and goes straight to the serial insertion
+    /// loop, because its stage-2 far facts would die on the first
+    /// insertion. 1.0 = never predict accept-heavy.
     double parallel_accept_gate = 0.25;
-
-    /// The speculative two-phase accept path: phase-A certificate balls in
-    /// stage 2, phase-B bounded repair probes in the insertion loop.
-    /// Decisions are exact either way. No effect on serial runs.
-    bool speculative_repair = true;
-
-    /// Largest settled frontier a phase-A certificate may store (and the
-    /// settled-count abort of a certificate-mode ball attempt).
-    std::size_t repair_cert_cap = 128;
-
-    /// Work budget (heap pushes) of a certificate-mode ball attempt while
-    /// the serial point-query cost model is still uncalibrated.
-    std::size_t repair_ball_fallback_work = 8192;
-
-    /// Insertion budget per batch for the accept-rate batch planner; only
-    /// consulted when speculative_repair is on.
-    std::size_t parallel_target_accepts = 128;
 
     /// Bound-sketch associativity: slots per vertex (power of two).
     std::size_t sketch_ways = BoundSketch::kDefaultWays;
@@ -81,14 +63,14 @@ struct EngineTuning {
     /// Until the first ball of a run calibrates the ball-vs-point cost
     /// model, a shared ball is attempted only for groups with at least
     /// this many undecided candidates. The effective bootstrap threshold
-    /// is min(this, the batch's largest group): a stream whose groups all
+    /// is min(this, the bucket's largest group): a stream whose groups all
     /// sit below the knob (grid-pruned rep windows are ~s^2 wide) still
     /// seeds the cost model from its first full-size ball instead of
     /// never calibrating.
     std::size_t ball_share_min_group = 16;
 
     /// Cell-batched candidate grouping (the grid-streamed reject
-    /// amortizer). kOff groups a batch's candidates by their min-id
+    /// amortizer). kOff groups a bucket's candidates by their min-id
     /// endpoint (the PR-1 rule); kOn groups them by a deterministic
     /// two-sided *anchor* endpoint (SourceGroups' hub heuristic), so one
     /// drained ball per grid cell decides every rep candidate the cell

@@ -22,7 +22,11 @@
 namespace gsp {
 
 /// Counters describing one greedy run (for the runtime experiments and the
-/// BENCH_greedy.json kernel-ablation artifact).
+/// BENCH_greedy.json kernel-ablation artifact). Stage-2 work is decided
+/// per whole-bucket source group against the bucket-start spanner, so a
+/// parallel build reports the same counters at every worker count and
+/// schedule (`seconds`, and runs whose prefilter hook the timed
+/// kAdaptive gate calibrates, excepted).
 struct GreedyStats {
     std::size_t edges_examined = 0;  ///< candidate edges processed
     std::size_t edges_added = 0;     ///< edges kept in the spanner
@@ -42,27 +46,15 @@ struct GreedyStats {
 
     // Pipeline counters (zero when the parallel prefilter stage is off).
     std::size_t snapshot_accepts = 0;   ///< accepts certified by the bucket-start probe
+                                        ///< (stage-2 far bit, no insertion since)
     std::size_t prefilter_gated_off = 0;  ///< 1 if the measured-cost gate disabled the prefilter
 
-    // Speculative-accept counters (zero when speculative_repair is off or
-    // the run is serial). A "tentative accept" is a candidate phase A
-    // certified far-at-snapshot; when insertions staled the certificate,
-    // phase B either repairs it (inspecting only paths through the edges
-    // inserted since the snapshot) or falls back to the full exact query.
-    std::size_t repairs = 0;            ///< stale certificates resolved by repair alone
-    std::size_t repair_reprobes = 0;    ///< repairs that needed the seeded probe
-                                        ///< (the rest stood with zero graph work)
-    std::size_t repair_fallbacks = 0;   ///< stale tentative accepts with no usable
-                                        ///< certificate -> full exact query
-    std::size_t certs_published = 0;    ///< phase-A certificates recorded
-    std::size_t cert_ball_aborts = 0;   ///< certificate balls that blew the cap
-                                        ///< (expander-like neighborhoods)
-    std::size_t certs_two_sided = 0;    ///< stale tentative accepts resolved by the
-                                        ///< two-sided combine (forward + backward
-                                        ///< frontier certificates whose radii sum
-                                        ///< past the threshold) -- candidates that
-                                        ///< were repair_fallbacks before two-sided
-                                        ///< frontier publishing
+    // Retired speculative-repair counters: parallel builds no longer
+    // repair stale stage-2 certificates (a stale far bit simply falls
+    // through to the exact machinery), so both always read zero. Kept so
+    // existing readers of the counters still compile.
+    std::size_t repairs = 0;           ///< always 0
+    std::size_t repair_fallbacks = 0;  ///< always 0
 
     // Group-probe counters (zero unless group_probing resolved to kOn).
     // All three are per-group facts of deterministic probes, so they are

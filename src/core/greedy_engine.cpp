@@ -1,7 +1,6 @@
 #include "core/greedy_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -63,47 +62,26 @@ struct ProbeGoalOracle {
 /// ~1.4 the extra drained area buys no further decisions.
 constexpr double kCellRejectRadiusFactor = 1.3;
 
-/// Queries run directly on the growing Graph (csr_snapshot off). The
-/// adapter still keeps the insertion log phase-B repair iterates (the
-/// live graph is always fresh, so repair works on either adapter).
+/// Queries run directly on the growing Graph (csr_snapshot off).
 struct LiveAdapter {
     const Graph* h = nullptr;
-    std::vector<LoggedInsert> log;
-    bool log_inserts = false;
     void snapshot(const Graph& g) { h = &g; }
-    void add_edge(VertexId a, VertexId b, Weight w, EdgeId) {
-        if (log_inserts) log.push_back(LoggedInsert{a, b, w});
-    }
+    static void add_edge(VertexId, VertexId, Weight, EdgeId) {}
     [[nodiscard]] const Graph& view() const { return *h; }
-    void set_log_inserts(bool on) {
-        log_inserts = on;
-        if (!on) log.clear();
-    }
-    void clear_insert_log() { log.clear(); }
-    [[nodiscard]] std::size_t insert_log_size() const { return log.size(); }
-    [[nodiscard]] std::span<const LoggedInsert> inserts_since(std::size_t mark) const {
-        return {log.data() + mark, log.size() - mark};
-    }
     [[nodiscard]] static std::size_t rebuilds() { return 0; }
     [[nodiscard]] static std::size_t compactions() { return 0; }
 };
 
 /// Queries run on the gap-buffered incremental CSR mirror (csr_snapshot
 /// on): contiguous per-vertex scans, kept exact at O(degree) per insertion
-/// -- "snapshots" after the first build are free no-ops, so stage-2
-/// certificates never pay a refreeze and accept-heavy batches cost no
+/// -- "snapshots" after the first build are free no-ops, so a bucket's
+/// stage-2 fan-out never pays a refreeze and accept-heavy buckets cost no
 /// O(n + m) rebuilds.
 struct IncrementalAdapter {
     IncrementalCsrView v;
     void snapshot(const Graph& g) { v.refresh(g); }
     void add_edge(VertexId a, VertexId b, Weight w, EdgeId id) { v.add_edge(a, b, w, id); }
     [[nodiscard]] const IncrementalCsrView& view() const { return v; }
-    void set_log_inserts(bool on) { v.set_log_inserts(on); }
-    void clear_insert_log() { v.clear_insert_log(); }
-    [[nodiscard]] std::size_t insert_log_size() const { return v.insert_log_size(); }
-    [[nodiscard]] std::span<const LoggedInsert> inserts_since(std::size_t mark) const {
-        return v.inserts_since(mark);
-    }
     [[nodiscard]] std::size_t rebuilds() const { return v.rebuilds(); }
     [[nodiscard]] std::size_t compactions() const { return v.compactions(); }
 };
@@ -166,14 +144,11 @@ GreedyEngine::GreedyEngine(std::size_t n, GreedyEngineOptions options,
 }
 
 void GreedyEngine::init() {
-    if (options_.stretch < 1.0) {
+    if (!(options_.stretch >= 1.0)) {  // NaN-proof: NaN fails every comparison
         throw std::invalid_argument("GreedyEngine: stretch must be >= 1");
     }
     if (!(options_.bucket_ratio > 1.0)) {
         throw std::invalid_argument("GreedyEngine: bucket_ratio must be > 1");
-    }
-    if (options_.parallel_batch == 0) {
-        throw std::invalid_argument("GreedyEngine: parallel_batch must be >= 1");
     }
     if (options_.sketch_ways == 0 ||
         (options_.sketch_ways & (options_.sketch_ways - 1)) != 0) {
@@ -230,10 +205,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     PrefilterStage& prefilter_stage = res.prefilter_stage_;
     SourceGroups& groups = res.groups_;
     BoundSketch& sketch = res.sketch_;
-    // gsp-lint: allow(gsp-epoch-guarded) EngineResources::certs_ member,
-    CertificateStore& certs = res.certs_;  // not BoundSketch's tagged field
-    std::vector<RepairSeed>& repair_seeds = res.repair_seeds_;
-    std::vector<RepairSeed>& repair_seeds_b = res.repair_seeds_b_;
     std::vector<Weight>& bound = res.bound_;
     std::vector<std::uint64_t>& far_mark = res.far_mark_;
     std::vector<std::uint64_t>& ball_bucket = res.ball_bucket_;
@@ -286,22 +257,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     }
     if (parallel) prefilter_stage.begin_run(workers_);
     if (use_sketch) sketch.reset(n_, options_.sketch_ways);
-    // The speculative accept path needs stage 2 (its phase A) to record
-    // certificates; serial runs have nothing to repair.
-    const bool repair = parallel && options_.speculative_repair;
-    if (repair) certs.reset(n_, options_.repair_cert_cap);
-    // The insertion log is the phase-B repair feed; runs that never
-    // repair must not pay for it.
-    adapter.set_log_inserts(repair);
-    // Batch widths follow the predicted accept rate when repair is on
-    // (accept-heavy batches shrink so certificates stay shallowly stale);
-    // the PR-2 fixed width otherwise.
-    const BatchPlanner planner(options_.parallel_batch, options_.parallel_target_accepts);
-    // Certificate-mode economics: sticky off once a certificate-mode
-    // batch aborts more balls than it publishes (expander-like
-    // neighborhoods, where the certificates can never pay). A pure
-    // function of the greedy decisions -- identical at every thread count.
-    bool cert_mode_live = true;
 
     PrefilterGateState gate;
     const bool have_serial_pf = static_cast<bool>(options_.prefilter);
@@ -318,42 +273,19 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
         options_.prefilter_gate == GreedyEngineOptions::PrefilterGate::kAdaptive;
 
     std::uint64_t insert_epoch = 1;  // bumped on every accepted edge
-    // Ball-reuse scope marker. Balls may only answer candidates whose
-    // bounds the ball's harvest actually wrote, and harvests cover one
-    // *batch*-scoped group -- so reuse is keyed per batch, not per bucket
-    // (a bucket-keyed ball could accept a later batch's tie-weight
-    // candidate whose bound was never harvested: unsound). Serial runs
-    // have one batch per bucket, so this degenerates to the PR-1 rule.
-    std::uint64_t batch_seq = 0;
-    // Stage-2 accept-rate gate state: optimistic start (the first batch is
-    // prefiltered; probes on a near-empty spanner are near-free).
+    // Stage-2 accept-rate gate state: optimistic start (a first bucket
+    // with a pre-seeded spanner is prefiltered).
     double last_accept_rate = 0.0;
 
     // Cross-bucket sketch recorder (serial-only writer; stage 2 reads
-    // the sketch strictly between batches' fan-outs). Accept paths record
+    // the sketch strictly between buckets' fan-outs). Accept paths record
     // nothing here: the insertion that follows bumps the epoch and writes
     // the now-exact pair distance, which would overwrite any far record
-    // one statement later. (record_far stays in the sketch API for the
-    // ROADMAP's incremental certificate repair, where far facts survive.)
+    // one statement later.
     const auto sk_pair_exact = [&](VertexId a, VertexId b, Weight d) {
         if (!use_sketch) return;
         sketch.record_exact(a, b, d, insert_epoch);
         sketch.record_exact(b, a, d, insert_epoch);
-    };
-
-    // Phase-B repair seeds from the loaded certificate: every endpoint of
-    // an edge inserted since the batch snapshot, at (certified snapshot
-    // distance of the other endpoint + edge weight), when that fits the
-    // threshold. The insertion log is truncated per batch, so mark 0 is
-    // always the snapshot boundary.
-    const auto collect_repair_seeds = [&](std::vector<RepairSeed>& out, Weight threshold) {
-        out.clear();
-        for (const LoggedInsert& e : adapter.inserts_since(0)) {
-            const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
-            if (via_u <= threshold) out.push_back({e.v, via_u});
-            const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
-            if (via_v <= threshold) out.push_back({e.u, via_v});
-        }
     };
 
     // One early-exit point query by the configured strategy. The
@@ -392,6 +324,12 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     CandidateBucket bucket;
     while (feed.next(bucket)) {
         ++stats.buckets;
+        // Ball-reuse scope marker. A ball may only answer candidates whose
+        // bounds its harvest wrote, and a harvest covers one bucket's
+        // group -- so reuse is keyed per bucket. A chunk boundary can cut
+        // one weight class into two buckets, and a ball of the first must
+        // not accept a tie-weight candidate of the second.
+        const std::uint64_t bucket_seq = stats.buckets;
         if (bucket.size() > std::numeric_limits<std::uint32_t>::max()) {
             // Bucket-local indices (bounds, verdict bits, groups) are u32.
             throw std::length_error(
@@ -425,108 +363,68 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
         // the handoff counter must be a pure function of this run.
         const std::size_t handoff_bytes =
             (track_bounds ? bound.size() * sizeof(Weight) : 0) +
-            (parallel ? prefilter_stage.verdict_bytes() : 0) +
-            (repair ? certs.bytes() : 0);
+            (parallel ? prefilter_stage.verdict_bytes() : 0);
         stats.handoff_peak_bytes = std::max(stats.handoff_peak_bytes, handoff_bytes);
 
         const auto cand_at = [&](std::uint32_t local) -> const GreedyCandidate& {
             return bw[local];
         };
 
-        // When stage 2 is active, a bucket is consumed in fixed-width
-        // batches (uniform-ish weights collapse the whole input into one
-        // geometric class, and stage-2 facts probed against a spanner that
-        // is thousands of insertions stale are worthless). Serial runs
-        // keep the PR-1 shape: one batch == the bucket. Batch boundaries
-        // are bucket-local, like every other index from here on.
-        std::size_t batch_begin = 0;
-        while (batch_begin < bw.size()) {
-        const std::size_t batch_width =
-            repair ? planner.next_width(last_accept_rate) : options_.parallel_batch;
-        const std::size_t batch_end =
-            parallel ? std::min(batch_begin + batch_width, bw.size()) : bw.size();
-        const CandidateBucket batch{batch_begin, batch_end, bucket.lo, bucket.hi};
-        ++batch_seq;
-
-        // Whether (and how) stage 2 runs is keyed on the previous batch's
-        // accept rate, and never during the prefilter gate's calibration
-        // window (calibration times the *serial* economics; stage-2 probes
-        // would hollow out the exact decisions it measures and
-        // double-consult the oracle). Without repair, accept-predicted
-        // batches skip stage 2 entirely -- their certificates would die on
-        // the first insertion. With repair, they run it in *certificate
-        // mode* instead: every group grows a drained snapshot ball whose
-        // settled frontier phase B can repair through later insertions.
-        // Both decisions are pure functions of the greedy decisions, hence
-        // identical at every thread count. The incremental view is exact
-        // right now either way -- there is no refreeze to pay, only the
-        // probe work itself to gate.
-        const bool accept_predicted = last_accept_rate > options_.parallel_accept_gate;
-        // Certificates ride on source-group balls, so without ball
-        // sharing there is nothing to publish -- accept-predicted batches
-        // then skip stage 2 outright (the PR-2 rule) instead of burning
-        // probes whose facts die on the first insertion.
-        const bool certificate_mode =
-            repair && sharing && accept_predicted && cert_mode_live;
-        const bool run_stage2 =
-            parallel && !gate.calibrating && (!accept_predicted || certificate_mode);
-        if (sharing) groups.rebuild(bw, batch, n_, anchored);
+        // Stage 2 runs over the whole bucket or not at all. It is keyed on
+        // the previous bucket's accept rate -- a pure function of the
+        // greedy decisions, hence identical at every thread count -- and
+        // never runs during the prefilter gate's calibration window
+        // (calibration times the *serial* economics; stage-2 probes would
+        // hollow out the exact decisions it measures and double-consult
+        // the oracle). An accept-predicted bucket goes straight to the
+        // insertion loop: its far bits would die on the first insertion.
+        // So does a bucket that starts on an edgeless spanner (the first
+        // bucket of an unseeded run): every probe there reports far, and
+        // the bucket's first accept stales all of it.
+        const bool run_stage2 = parallel && !gate.calibrating &&
+                                last_accept_rate <= options_.parallel_accept_gate &&
+                                h.num_edges() > 0;
+        if (sharing) groups.rebuild(bw, n_, anchored);
         // Group-size-aware bootstrap threshold for the ball-vs-point gate:
         // a stream whose groups never reach ball_share_min_group (grid rep
         // windows are ~s^2 wide) still calibrates the cost model from its
         // first full-size group, instead of staying on point queries for
         // the whole run. The floor of 2 keeps degenerate all-singleton
-        // batches from bootstrapping a ball that can amortize nothing.
+        // buckets from bootstrapping a ball that can amortize nothing.
         const std::size_t bootstrap_min_group =
             sharing ? std::min(options_.ball_share_min_group,
                                std::max<std::size_t>(groups.max_group_size(), 2))
                     : options_.ball_share_min_group;
         const std::uint64_t snapshot_epoch = insert_epoch;
-        const std::size_t batch_accepts_before = stats.edges_added;
-        // Truncate the repair feed at the snapshot boundary: entries from
-        // earlier batches are never read again, so the log stays
-        // O(accepts per batch) and always starts at the snapshot.
-        if (repair) adapter.clear_insert_log();
+        const std::size_t accepts_before = stats.edges_added;
 
-        // --- Stage 2: parallel reject-only prefilter over the batch-start
-        // view. Everything it records is sound regardless of what stage 3
-        // inserts later. ---
+        // --- Stage 2: parallel reject-only prefilter of the whole bucket,
+        // one task per source group, against the bucket-start view. Its
+        // bounds stay sound whatever stage 3 inserts later; its far bits
+        // hold only while nothing has been inserted. ---
         if (run_stage2) {
             PrefilterContext ctx;
             ctx.candidates = bw;
-            ctx.batch = batch;
             ctx.groups = sharing ? &groups : nullptr;
             ctx.stretch = t;
             ctx.bidirectional = options_.bidirectional;
             ctx.ball_share_min_group = bootstrap_min_group;
             ctx.anchored = anchored;
             ctx.group_probe = group_probe;
-            ctx.ball_scope = batch_seq;
+            ctx.ball_scope = bucket_seq;
             ctx.snapshot_epoch = snapshot_epoch;
             ctx.sketch = use_sketch ? &sketch : nullptr;
             ctx.oracle = (have_concurrent_pf && gate.live && !gate.calibrating)
                              ? &options_.concurrent_prefilter
                              : nullptr;
-            ctx.certificates = (repair && sharing) ? &certs : nullptr;
-            ctx.certificate_mode = certificate_mode;
-            ctx.cert_ball_fallback_work = options_.repair_ball_fallback_work;
-            ctx.point_cost_hint = point_cost;
-            ctx.cert_ball_cap = options_.repair_cert_cap;
             ctx.simd = &simd_k;
-            const std::size_t published_before = stats.certs_published;
-            const std::size_t aborts_before = stats.cert_ball_aborts;
-            prefilter_stage.run_batch(*pool_, ws_pool, adapter.view(), ctx, bound,
-                                      ball_bucket, ball_epoch, ball_radius, stats);
-            if (ctx.certificate_mode &&
-                stats.cert_ball_aborts - aborts_before >
-                    stats.certs_published - published_before) {
-                cert_mode_live = false;
-            }
+            prefilter_stage.run_bucket(*pool_, ws_pool, adapter.view(), ctx, bound,
+                                       ball_bucket, ball_epoch, ball_radius, stats);
         }
 
-        // --- Stage 3: the serialized insertion loop re-walks the batch in
+        // --- Stage 3: the serialized insertion loop walks the bucket in
         // deterministic tie order and re-verifies every surviving accept. ---
-        for (std::size_t i = batch.begin; i < batch.end; ++i) {
+        for (std::size_t i = 0; i < bw.size(); ++i) {
             const GreedyCandidate& c = bw[i];
             const auto li = static_cast<std::uint32_t>(i);
             const Weight threshold = t * c.weight;
@@ -576,7 +474,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
             };
 
             bool accept = false;
-            bool decided = false;
             if (track_bounds && bound[li] <= threshold) {
                 // A realizable witness path no heavier than the threshold
                 // is already known (harvested serially or by stage 2); the
@@ -618,113 +515,14 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                     continue;
                 }
             }
-            if (parallel && prefilter_stage.far_at_snapshot(i)) {
-                if (insert_epoch == snapshot_epoch) {
-                    // The stage-2 probe was exact on the batch-start view
-                    // and nothing has been inserted since: the certificate
-                    // stands.
-                    ++stats.snapshot_accepts;
-                    accept = true;
-                    decided = true;
-                } else if (repair) {
-                    // Phase B: certificate repair. A certificate proves
-                    // d > threshold from its source on the batch-start
-                    // snapshot via a drained ball, so any <= threshold
-                    // path in the current spanner must *enter* an edge
-                    // inserted since -- and the snapshot-only prefix up
-                    // to that first inserted edge must end inside the
-                    // certified ball. Seeding a bounded probe at each
-                    // inserted endpoint with (certified snapshot distance
-                    // + edge weight) makes every seed a realizable current
-                    // path length (never too low), and the first-inserted-
-                    // edge decomposition of any shortest improving path
-                    // is dominated by some seed (never too high), so the
-                    // probe re-decides the candidate exactly. No seeds at
-                    // all means no insertion touched the ball: the
-                    // certificate stands with zero graph work. The
-                    // anchor's certificate probes toward the target; the
-                    // target's (published when it anchored another group
-                    // of the batch) is the mirror image -- distances are
-                    // symmetric.
-                    const bool from_anchor =
-                        certs.load(anchor, batch_seq, snapshot_epoch, threshold);
-                    if (from_anchor ||
-                        certs.load(target, batch_seq, snapshot_epoch, threshold)) {
-                        collect_repair_seeds(repair_seeds, threshold);
-                        ++stats.repairs;
-                        if (repair_seeds.empty()) {
-                            accept = true;
-                        } else {
-                            ++stats.repair_reprobes;
-                            ++stats.dijkstra_runs;
-                            const Weight d = ws.distance_seeded(
-                                adapter.view(), repair_seeds, from_anchor ? target : anchor,
-                                threshold);
-                            // d is the exact current distance when it beats
-                            // the threshold (the snapshot side already
-                            // exceeded it).
-                            accept = d > threshold;
-                            if (!accept) sk_pair_exact(c.u, c.v, d);
-                        }
-                        decided = true;
-                    } else {
-                        const Weight rf =
-                            certs.published_radius(anchor, batch_seq, snapshot_epoch);
-                        const Weight rb =
-                            certs.published_radius(target, batch_seq, snapshot_epoch);
-                        if (rf >= 0.0 && rb >= 0.0 &&
-                            threshold <= std::nextafter(rf + rb, 0.0)) {
-                            // Two-sided combine: neither frontier alone
-                            // covers the threshold, but together they do
-                            // (strictly -- the one-ulp guard makes the float
-                            // sum safe). Any current improving path either
-                            // *enters* its first inserted edge within rf of
-                            // the anchor (the forward-seeded probe
-                            // re-measures it) or *exits* its last inserted
-                            // edge within rb of the target (the
-                            // backward-seeded probe does) -- otherwise its
-                            // pure-snapshot prefix and suffix alone sum past
-                            // rf + rb > threshold. Each probe result is a
-                            // realizable current path length, so the min
-                            // re-decides the candidate exactly; two empty
-                            // seed sets mean no insertion touched either
-                            // frontier and the certificate stands with zero
-                            // graph work.
-                            certs.load(anchor, batch_seq, snapshot_epoch, 0.0);
-                            collect_repair_seeds(repair_seeds, threshold);
-                            certs.load(target, batch_seq, snapshot_epoch, 0.0);
-                            collect_repair_seeds(repair_seeds_b, threshold);
-                            ++stats.repairs;
-                            ++stats.certs_two_sided;
-                            Weight d = kInfiniteWeight;
-                            if (!repair_seeds.empty() || !repair_seeds_b.empty()) {
-                                ++stats.repair_reprobes;
-                                if (!repair_seeds.empty()) {
-                                    ++stats.dijkstra_runs;
-                                    d = ws.distance_seeded(adapter.view(), repair_seeds,
-                                                           target, threshold);
-                                }
-                                if (!repair_seeds_b.empty()) {
-                                    ++stats.dijkstra_runs;
-                                    d = std::min(d, ws.distance_seeded(adapter.view(),
-                                                                       repair_seeds_b,
-                                                                       anchor, threshold));
-                                }
-                            }
-                            accept = d > threshold;
-                            if (!accept) sk_pair_exact(c.u, c.v, d);
-                            decided = true;
-                        } else {
-                            // Tentative accept with no usable certificate
-                            // (point probe, sketch-decided, or over-cap
-                            // frontier): the exact machinery below
-                            // re-decides it.
-                            ++stats.repair_fallbacks;
-                        }
-                    }
-                }
-            }
-            if (decided) {
+            if (parallel && prefilter_stage.far_at_snapshot(i) &&
+                insert_epoch == snapshot_epoch) {
+                // The stage-2 probe was exact on the bucket-start view and
+                // nothing has been inserted since: the far bit stands. A
+                // stale far bit is simply ignored -- the exact machinery
+                // below re-decides the candidate on the current view.
+                ++stats.snapshot_accepts;
+                accept = true;
             } else if (group_probe && far_mark[li] == insert_epoch) {
                 // A group probe certified this member far on the current
                 // view and nothing was inserted since: d(u, v) > threshold
@@ -748,7 +546,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                 // amortizes below the point-query work of the candidates it
                 // realistically resolves (accept-heavy phases make balls
                 // near-worthless -- harvested bounds reject nothing).
-                // Bootstrap: one ball for the batch's largest group class
+                // Bootstrap: one ball for the bucket's largest group class
                 // calibrates the ball side, then one point query
                 // calibrates the other.
                 bool want_ball = false;
@@ -758,18 +556,18 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         // window, structurally. Its value is mostly
                         // *outside* the group -- the settled frontier
                         // persists in the sketch, so the anchor's later
-                        // batches hit the direct consult and neighboring
+                        // buckets hit the direct consult and neighboring
                         // cells' candidates hit the via-landmark reject --
                         // which per-group cost accounting cannot see. The
-                        // previous batch's accept rate vetoes accept-heavy
+                        // previous bucket's accept rate vetoes accept-heavy
                         // phases instead (the stage-2 gate's signal, kept
                         // fresh for serial runs too): there, harvests
                         // resolve nearly nothing and every insertion
                         // stales the sketch facts the ball just paid for.
-                        // At most one drained ball per anchor per batch:
+                        // At most one drained ball per anchor per bucket:
                         // its harvested bounds are upper bounds -- sound
                         // forever -- so the group's rejects stay decided
-                        // across the batch's insertions, and the few
+                        // across the bucket's insertions, and the few
                         // members an insertion un-certifies (the accept
                         // side needs the epoch) are exactly the ones a
                         // cheap early-exit point query handles best.
@@ -778,14 +576,14 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         want_ball = grp.size() >= std::min<std::size_t>(
                                                       bootstrap_min_group, 4) &&
                                     last_accept_rate <= options_.parallel_accept_gate &&
-                                    ball_bucket[anchor] != batch_seq;
+                                    ball_bucket[anchor] != bucket_seq;
                     } else if (ball_cost == 0.0) {
                         want_ball = grp.size() >= bootstrap_min_group;
                     } else if (point_cost != 0.0) {
                         want_ball = 2.0 * ball_cost <= std::max(ball_value, 1.0) * point_cost;
                     }
                 }
-                if (ball_bucket[anchor] == batch_seq && ball_epoch[anchor] == insert_epoch &&
+                if (ball_bucket[anchor] == bucket_seq && ball_epoch[anchor] == insert_epoch &&
                     ball_radius[anchor] >= threshold) {
                     // Lazy revalidation pay-off: the last ball from this
                     // anchor (grown serially or by stage 2) is still exact
@@ -881,7 +679,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                                 }
                             }
                         }
-                        ball_bucket[anchor] = batch_seq;
+                        ball_bucket[anchor] = bucket_seq;
                         ball_epoch[anchor] = insert_epoch;
                         ball_radius[anchor] = outcome.certified_radius;
                         // li rode the probe, so it holds one of the two
@@ -890,7 +688,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         accept = li_far;
                     } else if (want_ball) {
                         // Shared ball: one query answers every candidate of
-                        // this anchor in the batch. The classic radius covers
+                        // this anchor in the bucket. The classic radius covers
                         // the heaviest member's threshold, so unsettled means
                         // far for the whole group -- but Dijkstra cost grows
                         // with radius^2, and in the reject-heavy regime a
@@ -943,7 +741,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         }
                         update_ema(ball_value, static_cast<double>(resolved));
                         if (anchored) stats.cell_ball_decisions += resolved;
-                        ball_bucket[anchor] = batch_seq;
+                        ball_bucket[anchor] = bucket_seq;
                         ball_epoch[anchor] = insert_epoch;
                         ball_radius[anchor] = radius;
                         if (bound[li] <= threshold) {
@@ -1020,14 +818,11 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
             }
         }
         // Tracked for serial runs too since the cell-batched ball rule
-        // reads it; parallel behavior is unchanged (same value as before).
-        if (batch.size() > 0) {
-            last_accept_rate =
-                static_cast<double>(stats.edges_added - batch_accepts_before) /
-                static_cast<double>(batch.size());
+        // reads it.
+        if (!bw.empty()) {
+            last_accept_rate = static_cast<double>(stats.edges_added - accepts_before) /
+                               static_cast<double>(bw.size());
         }
-        batch_begin = batch_end;
-        }  // batch loop
     }
     stats.bidirectional_meets =
         ws.meet_events() + ws_pool.total_meet_events() - meets_before;

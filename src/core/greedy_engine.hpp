@@ -7,36 +7,31 @@
 // edge iff the growing spanner's distance between its endpoints exceeds
 // t * w(e). The api layer (src/api) turns "where the candidates come from"
 // into a CandidateSource plug-in; GreedyEngine runs the loop itself, as an
-// explicit three-phase pipeline per weight bucket (batched when parallel):
+// explicit three-stage pipeline per weight bucket:
 //
 //   [1] candidate stream   (core/candidate_stream) -- pull the bucket
-//       [w, bucket_ratio * w) out of the resident candidate chunk, group
-//       its candidates by source (bucket-local indices), and plan batch
-//       widths from the predicted accept rate (BatchPlanner);
-//   [2] speculative probe  (core/prefilter_stage)  -- fan the groups out to
-//       a work-stealing worker pool; each worker owns a DijkstraWorkspace
-//       and runs exact probes against the batch-start incremental CSR
-//       view, recording sound per-candidate facts in a thin handoff
-//       (packed verdict bitsets + a bucket-local bound slot per
-//       candidate): permanent witness-bound rejects, and epoch-tagged
-//       "far at snapshot" distance certificates. In accept-predicted
-//       batches the probes are drained certificate balls whose settled
-//       frontiers are published to the CertificateStore -- the phase-A
-//       half of the speculative accept path;
-//   [3] repair sweep       -- the serialized insertion loop re-walks the
-//       batch in deterministic tie order and consumes the recorded facts.
-//       A "far" certificate whose epoch is still current accepts
-//       outright; one staled by insertions is *repaired* (phase B): only
-//       paths entering an edge inserted since the snapshot can have
-//       invalidated it, so a bounded probe seeded from those edges'
-//       endpoints (at their certified snapshot distances) re-decides the
-//       candidate exactly, falling back to the full exact query only when
-//       no usable certificate exists.
+//       [w, bucket_ratio * w) out of the resident candidate chunk and
+//       group its candidates by source (bucket-local indices);
+//   [2] bucket-wide probe  (core/prefilter_stage)  -- parallel runs only,
+//       and only for buckets predicted reject-heavy (the previous
+//       bucket's accept rate at or below parallel_accept_gate): fan the
+//       whole bucket's source groups out to a work-stealing worker pool.
+//       Each worker owns a DijkstraWorkspace and probes the bucket-start
+//       incremental CSR view, recording per-candidate facts in a thin
+//       handoff (packed verdict bitsets + a bucket-local bound slot per
+//       candidate): witness-bound rejects and "far at bucket start" bits;
+//   [3] insertion loop     -- walks the bucket in deterministic tie order,
+//       consumes the recorded facts, and decides everything else with the
+//       serial exact machinery (shared balls, group probes, point queries).
 //
-// Because stage-2 facts are sound upper bounds / exact snapshot distances,
-// certificate repair is exact (see the repair block in run_impl), and
-// stage 3 re-verifies every surviving accept, the edge set is
-// bit-identical to the naive kernel at every thread count.
+// Soundness rests on two facts. A stage-2 bound is the length of a
+// realizable path in the bucket-start spanner, which is a subgraph of
+// every later spanner, so a bound within the threshold rejects for good.
+// A far bit is exact on the bucket-start view only, so stage 3 accepts on
+// it alone only while insert_epoch == snapshot_epoch (no insertion since
+// the bucket began) and re-decides the candidate otherwise. Every accept
+// is therefore exact, and the edge set is bit-identical to the naive
+// kernel at every thread count.
 //
 // The serial kernel's stacked optimisations (bidirectional, ball_sharing,
 // csr_snapshot, bound_sketch -- see core/engine_tuning.hpp) are
@@ -44,7 +39,7 @@
 // preserving*: every configuration returns the same edge set.
 //
 // Resource model: the thread pool, the per-worker workspace pool, and the
-// sketch/certificate arenas are the expensive part of an engine. They live
+// sketch arena are the expensive part of an engine. They live
 // in an EngineResources, which a GreedyEngine either owns privately (the
 // one-shot entry points) or borrows from a SpannerSession (src/api/session)
 // that keeps them warm across many build() calls -- the request-serving
@@ -116,7 +111,7 @@ struct GreedyEngineOptions : EngineTuning {
 
 /// The heavy, reusable half of a greedy engine: thread pools (cached per
 /// worker count), the serial-loop Dijkstra workspace, the per-worker
-/// workspace pool, the sketch/certificate arenas, and every per-run
+/// workspace pool, the sketch arena, and every per-run
 /// scratch vector. Construction counters certify the warm path: a
 /// SpannerSession owns one EngineResources across builds, and repeat
 /// builds construct zero pools and zero workspaces.
@@ -156,17 +151,13 @@ private:
     PrefilterStage prefilter_stage_;   ///< stage-2 verdict bitsets + counters
     SourceGroups groups_;              ///< stage-1 per-bucket grouping
     BoundSketch sketch_;               ///< cross-bucket bound persistence
-    CertificateStore certs_;           ///< phase-A certificates for phase-B repair
     PrefilterKernel prefilter_kernel_; ///< serial-loop group-probe marshalling scratch
-    std::vector<RepairSeed> repair_seeds_;    ///< phase-B scratch (forward seeds)
-    std::vector<RepairSeed> repair_seeds_b_;  ///< phase-B scratch (backward seeds of the
-                                              ///< two-sided combine)
 
     // Ball-sharing / prefilter scratch, reused across runs. Groups are
     // cleared lazily so a bucket costs O(its candidates), not O(n).
     std::vector<Weight> bound_;              ///< bucket-local candidate upper bounds
     std::vector<std::uint64_t> far_mark_;    ///< bucket-local per-member far epoch (group probes)
-    std::vector<std::uint64_t> ball_bucket_; ///< ball-reuse scope (batch seq) per source
+    std::vector<std::uint64_t> ball_bucket_; ///< ball-reuse scope (bucket seq) per source
     std::vector<std::uint64_t> ball_epoch_;  ///< insert epoch of last ball
     std::vector<Weight> ball_radius_;        ///< radius of last ball
 };

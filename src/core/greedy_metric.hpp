@@ -38,7 +38,7 @@ Graph greedy_spanner_metric(const MetricSpace& m, double t,
 
 #ifndef GSP_NO_DEPRECATED
 /// Legacy option struct. The engine knobs it used to re-declare
-/// (num_threads, speculative_repair, sketch_ways) live in the embedded
+/// (num_threads, sketch_ways) live in the embedded
 /// shared `engine` block now -- which also gives the metric path the
 /// bound_sketch on/off toggle it historically lacked.
 struct MetricGreedyOptions {

@@ -19,7 +19,7 @@
 //     while nothing was inserted since, re-verify otherwise);
 //   * the settled list is exact and complete out to certified_radius
 //     (absence certifies distance > radius) -- what makes the frontier
-//     publishable as a phase-A repair certificate.
+//     publishable as a lazily revalidated ball.
 // Verdicts must be pure functions of (view, source, targets, radii):
 // the stage's determinism argument (schedule-independent edge sets and
 // decision stats) rests on it. Nothing in the contract requires a

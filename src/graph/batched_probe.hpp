@@ -58,7 +58,8 @@
 //
 // certified_radius() extends the same argument to *every* vertex: the
 // settled list is complete out to that radius (absent => farther), which
-// is exactly the certificate contract the speculative repair path needs.
+// is what lets the engine revalidate a probe's far verdicts lazily (its
+// published ball) and harvest its settles into the sketch.
 // The far sweep, the relaxation drain, and the goal-oracle bound pass all
 // run through the vector kernel table (src/simd/simd.hpp): the sweep is
 // one lower-bound scan over the contiguous radii array, the

@@ -19,11 +19,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -33,14 +30,6 @@
 #include "util/dary_heap.hpp"
 
 namespace gsp {
-
-/// One seed of a repair-scoped probe (`DijkstraWorkspace::distance_seeded`):
-/// vertex `v` starts labeled with `key`, the length of an already-known
-/// realizable path ending at v.
-struct RepairSeed {
-    VertexId v = kNoVertex;
-    Weight key = 0.0;
-};
 
 /// Reusable state for repeated Dijkstra runs over graphs with the same
 /// vertex count. Not thread-safe; use one workspace per thread (the
@@ -66,21 +55,8 @@ public:
     /// Caveat: the returned value sums the two half-path lengths, which may
     /// reassociate floating-point addition relative to the one-sided sweep
     /// (differences are confined to the last ulp).
-    ///
-    /// With `collect_frontiers` set, the query additionally records BOTH
-    /// settled frontiers -- settled_forward() around s and
-    /// settled_backward() around target, each with a completeness radius
-    /// (forward_settled_radius() / backward_settled_radius()): every
-    /// vertex within a side's radius appears in that side's list with its
-    /// exact distance, absence certifies distance > radius. That is the
-    /// certificate contract of the speculative repair path, published
-    /// two-sided: neither half-frontier alone covers the threshold, but
-    /// their radii sum to (just short of) the exit bound, which is what
-    /// the engine's two-sided repair combine needs. Off by default -- the
-    /// pushes are free but the frontier copies are not.
     template <class G>
-    Weight distance_bidirectional(const G& g, VertexId s, VertexId target, Weight limit,
-                                  bool collect_frontiers = false);
+    Weight distance_bidirectional(const G& g, VertexId s, VertexId target, Weight limit);
 
     /// As `distance`, but goal-directed (A*): the heap is keyed by
     /// g(v) + h(v) where `h(v)` must lower-bound the graph distance from v
@@ -98,21 +74,6 @@ public:
     template <class G, class H>
     Weight distance_goal_directed(const G& g, VertexId s, VertexId target, Weight limit,
                                   H&& h);
-
-    /// The repair-scoped bounded probe of the speculative accept path: a
-    /// one-sided limited Dijkstra whose frontier starts from `seeds`
-    /// instead of one source. Each seed's key must be the length of a
-    /// realizable path (from some implicit origin) ending at the seed
-    /// vertex; the returned value is then the exact minimum, over all
-    /// origin paths passing through a seed, of the path length to
-    /// `target` -- or +infinity if it exceeds `limit`. The greedy engine
-    /// seeds the endpoints of edges inserted since a certificate's
-    /// snapshot with (certified snapshot distance + edge weight), so the
-    /// probe explores only the region those insertions can have improved,
-    /// not the whole ball around the origin.
-    template <class G>
-    Weight distance_seeded(const G& g, std::span<const RepairSeed> seeds, VertexId target,
-                           Weight limit);
 
     /// Single-source distances to every vertex within `limit`; entries beyond
     /// the limit (or unreachable) are +infinity. The result is valid until
@@ -133,20 +94,6 @@ public:
     template <class G>
     const std::vector<std::pair<VertexId, Weight>>& ball(const G& g, VertexId s,
                                                          Weight limit);
-
-    /// As `ball`, but abandons the query (returning nullptr) once it has
-    /// performed more than `max_work` heap pushes or settled more than
-    /// `max_settled` vertices. Both abort conditions depend only on
-    /// (g, s, limit, max_work, max_settled), so callers that must be
-    /// schedule-independent (the certificate-mode prefilter) can rely on
-    /// them. After an abort the workspace holds partial state: do not
-    /// consult settled_distance()/last_forward_bound() until the next
-    /// query.
-    template <class G>
-    const std::vector<std::pair<VertexId, Weight>>* ball_bounded(const G& g, VertexId s,
-                                                                 Weight limit,
-                                                                 std::size_t max_work,
-                                                                 std::size_t max_settled);
 
     /// Valid immediately after ball() or all_distances(): the exact distance
     /// to v from that query's source if v was settled, +infinity otherwise.
@@ -170,20 +117,6 @@ public:
     [[nodiscard]] Weight last_backward_bound(VertexId x) const {
         return stamp_b_[x] == current_ ? dist_b_[x] : kInfiniteWeight;
     }
-
-    /// After distance_bidirectional(collect_frontiers=true): the settled
-    /// forward frontier (exact distances from s, complete out to
-    /// forward_settled_radius()).
-    [[nodiscard]] const std::vector<std::pair<VertexId, Weight>>& settled_forward() const {
-        return ball_;
-    }
-    /// The backward counterpart: exact distances from the target, complete
-    /// out to backward_settled_radius().
-    [[nodiscard]] const std::vector<std::pair<VertexId, Weight>>& settled_backward() const {
-        return ball_b_;
-    }
-    [[nodiscard]] Weight forward_settled_radius() const { return fwd_settled_radius_; }
-    [[nodiscard]] Weight backward_settled_radius() const { return bwd_settled_radius_; }
 
     /// The multi-target group-probe kernel riding on this workspace (one
     /// per worker, like the rest of the scratch). State is independent of
@@ -244,9 +177,6 @@ private:
     std::size_t meets_ = 0;
     std::size_t last_work_ = 0;
     std::vector<std::pair<VertexId, Weight>> ball_;
-    std::vector<std::pair<VertexId, Weight>> ball_b_;  ///< backward frontier
-    Weight fwd_settled_radius_ = 0.0;
-    Weight bwd_settled_radius_ = 0.0;
     BatchedProbe batched_;
 };
 
@@ -314,7 +244,7 @@ Weight DijkstraWorkspace::distance(const G& g, VertexId s, VertexId target,
 
 template <class G>
 Weight DijkstraWorkspace::distance_bidirectional(const G& g, VertexId s, VertexId target,
-                                                 Weight limit, bool collect_frontiers) {
+                                                 Weight limit) {
     resize(g.num_vertices());
     if (s >= g.num_vertices() || target >= g.num_vertices()) {
         throw std::out_of_range(
@@ -341,7 +271,6 @@ Weight DijkstraWorkspace::distance_bidirectional(const G& g, VertexId s, VertexI
         if (tf <= tb) {
             const QueueItem top = heap_.pop_min();
             if (top.dist > dist_[top.vertex]) continue;  // stale
-            if (collect_frontiers) ball_.push_back({top.vertex, top.dist});
             if (seen_b(top.vertex)) {
                 const Weight through = top.dist + dist_b_[top.vertex];
                 if (through < best) {
@@ -371,7 +300,6 @@ Weight DijkstraWorkspace::distance_bidirectional(const G& g, VertexId s, VertexI
         } else {
             const QueueItem top = heap_b_.pop_min();
             if (top.dist > dist_b_[top.vertex]) continue;  // stale
-            if (collect_frontiers) ball_b_.push_back({top.vertex, top.dist});
             if (seen(top.vertex)) {
                 const Weight through = top.dist + dist_[top.vertex];
                 if (through < best) {
@@ -399,22 +327,6 @@ Weight DijkstraWorkspace::distance_bidirectional(const G& g, VertexId s, VertexI
                 }
             }
         }
-    }
-    if (collect_frontiers) {
-        // A side's settled set is complete below its heap's minimum key:
-        // pops are monotone per side, so every vertex with true distance
-        // under the (possibly stale) minimum was already popped non-stale.
-        // An exhausted side drained its whole <= limit ball. Keys never
-        // exceed the limit (relaxation prunes above it), so the nextafter
-        // stays within [0, limit].
-        const auto side_radius = [limit](const DaryHeap<QueueItem, 4>& heap) {
-            if (heap.empty()) return limit;
-            const Weight r = std::nextafter(
-                heap.min().dist, -std::numeric_limits<Weight>::infinity());
-            return r < 0.0 ? 0.0 : r;
-        };
-        fwd_settled_radius_ = side_radius(heap_);
-        bwd_settled_radius_ = side_radius(heap_b_);
     }
     return best <= limit ? best : kInfiniteWeight;
 }
@@ -467,49 +379,6 @@ Weight DijkstraWorkspace::distance_goal_directed(const G& g, VertexId s, VertexI
 }
 
 template <class G>
-Weight DijkstraWorkspace::distance_seeded(const G& g, std::span<const RepairSeed> seeds,
-                                          VertexId target, Weight limit) {
-    resize(g.num_vertices());
-    if (target >= g.num_vertices()) {
-        throw std::out_of_range("DijkstraWorkspace::distance_seeded: vertex out of range");
-    }
-    begin_query();
-
-    for (const RepairSeed& s : seeds) {
-        if (s.v >= g.num_vertices()) {
-            throw std::out_of_range(
-                "DijkstraWorkspace::distance_seeded: seed out of range");
-        }
-        if (s.key > limit) continue;
-        const bool fresh = !seen(s.v);
-        if (fresh || s.key < dist_[s.v]) {
-            if (fresh) stamp_[s.v] = current_;
-            dist_[s.v] = s.key;
-            push_fwd(s.key, s.v);
-        }
-    }
-
-    while (!heap_.empty()) {
-        const QueueItem top = heap_.pop_min();
-        if (top.dist > dist_[top.vertex]) continue;  // stale entry
-        if (top.vertex == target) return top.dist;
-        for (const HalfEdge& h : g.neighbors(top.vertex)) {
-            const Weight nd = top.dist + h.weight;
-            if (nd > limit) continue;
-            const bool fresh = !seen(h.to);
-            if (fresh || nd < dist_[h.to]) {
-                if (fresh) {
-                    stamp_[h.to] = current_;
-                }
-                dist_[h.to] = nd;
-                push_fwd(nd, h.to);
-            }
-        }
-    }
-    return kInfiniteWeight;
-}
-
-template <class G>
 const std::vector<std::pair<VertexId, Weight>>& DijkstraWorkspace::ball(const G& g,
                                                                         VertexId s,
                                                                         Weight limit) {
@@ -541,43 +410,6 @@ const std::vector<std::pair<VertexId, Weight>>& DijkstraWorkspace::ball(const G&
         }
     }
     return ball_;
-}
-
-template <class G>
-const std::vector<std::pair<VertexId, Weight>>* DijkstraWorkspace::ball_bounded(
-    const G& g, VertexId s, Weight limit, std::size_t max_work,
-    std::size_t max_settled) {
-    resize(g.num_vertices());
-    if (s >= g.num_vertices()) {
-        throw std::out_of_range("DijkstraWorkspace::ball_bounded: vertex out of range");
-    }
-    begin_query();
-
-    dist_[s] = 0.0;
-    stamp_[s] = current_;
-    push_fwd(0.0, s);
-
-    while (!heap_.empty()) {
-        const QueueItem top = heap_.pop_min();
-        if (top.dist > dist_[top.vertex]) continue;  // stale
-        if (last_work_ > max_work || ball_.size() >= max_settled) {
-            return nullptr;  // the frontier blew its budget
-        }
-        ball_.push_back({top.vertex, top.dist});  // settled: distance is final
-        for (const HalfEdge& h : g.neighbors(top.vertex)) {
-            const Weight nd = top.dist + h.weight;
-            if (nd > limit) continue;
-            const bool fresh = !seen(h.to);
-            if (fresh || nd < dist_[h.to]) {
-                if (fresh) {
-                    stamp_[h.to] = current_;
-                }
-                dist_[h.to] = nd;
-                push_fwd(nd, h.to);
-            }
-        }
-    }
-    return &ball_;
 }
 
 /// Convenience wrappers (allocate a fresh workspace; fine for one-off use).

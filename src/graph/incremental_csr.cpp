@@ -11,7 +11,7 @@ bool IncrementalCsrView::refresh(const Graph& g) {
          g.edge(static_cast<EdgeId>(mirrored_edges_ - 1)) == last_edge_)) {
         // The mirror already reflects every insertion (the engine feeds
         // each accepted edge through add_edge): the explicit no-op fast
-        // path that makes per-batch "snapshots" free. The last-edge
+        // path that makes per-bucket "snapshots" free. The last-edge
         // fingerprint catches the stale-mirror trap of refreshing against
         // a *different* graph whose counts coincide.
         return false;
@@ -34,7 +34,6 @@ bool IncrementalCsrView::refresh(const Graph& g) {
         for (const HalfEdge& h : g.neighbors(v)) out[len_[v]++] = h;
     }
     dead_ = 0;
-    insert_log_.clear();
     live_half_edges_ = 2 * g.num_edges();
     mirrored_edges_ = g.num_edges();
     last_edge_ = g.num_edges() > 0
@@ -51,7 +50,6 @@ void IncrementalCsrView::add_edge(VertexId u, VertexId v, Weight w, EdgeId id) {
     live_half_edges_ += 2;
     ++mirrored_edges_;
     last_edge_ = Edge{u, v, w};
-    if (log_inserts_) insert_log_.push_back(LoggedInsert{u, v, w});
     // Merge-on-threshold: relocations abandon their old run; once dead
     // slots occupy a third of the arena, fold everything back into one
     // contiguous layout with fresh slack. Amortized against the

@@ -28,18 +28,17 @@
 //                      [checkers: gsp-decision-pure, gsp-no-fma]
 //
 //   GSP_SERIAL_ONLY    The function mutates state owned by the serialized
-//                      insertion loop (sketch records, certificate
-//                      activation, session buffers) and must never be
-//                      reached from a ThreadPool task body.
+//                      insertion loop (sketch records, session buffers)
+//                      and must never be reached from a ThreadPool task
+//                      body.
 //                      [checker: gsp-serial-only]
 //
 //   GSP_EPOCH_GUARDED  The field is epoch- or scope-tagged: its raw value
 //                      is meaningless without the tag check its accessor
-//                      performs (BoundSketch::lower_bound_at,
-//                      CertificateStore::snapshot_distance / load /
-//                      published_radius). Readable only inside the
-//                      declaring class's own translation units; everyone
-//                      else goes through the checked accessors.
+//                      performs (BoundSketch::lower_bound_at). Readable
+//                      only inside the declaring class's own translation
+//                      units; everyone else goes through the checked
+//                      accessors.
 //                      [checker: gsp-epoch-guarded]
 //
 // Under clang (and libclang, which is how gsp_lint.py's clang engine sees

@@ -52,11 +52,6 @@ void expect_stats_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.prefilter_rejects, b.prefilter_rejects) << label;
     EXPECT_EQ(a.buckets, b.buckets) << label;
     EXPECT_EQ(a.snapshot_accepts, b.snapshot_accepts) << label;
-    EXPECT_EQ(a.repairs, b.repairs) << label;
-    EXPECT_EQ(a.repair_reprobes, b.repair_reprobes) << label;
-    EXPECT_EQ(a.repair_fallbacks, b.repair_fallbacks) << label;
-    EXPECT_EQ(a.certs_published, b.certs_published) << label;
-    EXPECT_EQ(a.cert_ball_aborts, b.cert_ball_aborts) << label;
     EXPECT_EQ(a.sketch_hits, b.sketch_hits) << label;
     EXPECT_EQ(a.sketch_accepts, b.sketch_accepts) << label;
     EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes) << label;

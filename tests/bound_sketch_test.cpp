@@ -120,65 +120,5 @@ TEST(BoundSketchTest, ResetClearsEverything) {
     EXPECT_EQ(sk.lower_bound_at(1, 2, 3), 0.0);
 }
 
-using Settled = std::vector<std::pair<VertexId, Weight>>;
-
-TEST(CertificateStoreTest, LoadMatchesScopeEpochAndRadius) {
-    CertificateStore store;
-    store.reset(8, /*cap=*/16);
-    const Settled settled = {{3, 0.0}, {1, 1.5}, {5, 2.0}};
-    EXPECT_TRUE(store.publish(/*source=*/3, /*scope=*/7, /*epoch=*/4, /*radius=*/2.5,
-                              settled));
-    // Wrong scope (another batch), wrong epoch (another snapshot), or a
-    // radius the ball does not cover: all refuse.
-    EXPECT_FALSE(store.load(3, 6, 4, 2.5));
-    EXPECT_FALSE(store.load(3, 7, 5, 2.5));
-    EXPECT_FALSE(store.load(3, 7, 4, 3.0));
-    EXPECT_FALSE(store.load(4, 7, 4, 2.5));  // never published
-    ASSERT_TRUE(store.load(3, 7, 4, 2.5));
-    EXPECT_DOUBLE_EQ(store.snapshot_distance(3), 0.0);
-    EXPECT_DOUBLE_EQ(store.snapshot_distance(1), 1.5);
-    EXPECT_DOUBLE_EQ(store.snapshot_distance(5), 2.0);
-    // Outside the settled frontier: certified further than the radius.
-    EXPECT_EQ(store.snapshot_distance(0), kInfiniteWeight);
-    EXPECT_DOUBLE_EQ(store.loaded_radius(), 2.5);
-}
-
-TEST(CertificateStoreTest, LoadingAnotherSourceInvalidatesTheFirstLookup) {
-    CertificateStore store;
-    store.reset(8, 16);
-    EXPECT_TRUE(store.publish(1, 2, 1, 4.0, Settled{{1, 0.0}, {6, 3.0}}));
-    EXPECT_TRUE(store.publish(2, 2, 1, 4.0, Settled{{2, 0.0}, {7, 1.0}}));
-    ASSERT_TRUE(store.load(1, 2, 1, 4.0));
-    EXPECT_DOUBLE_EQ(store.snapshot_distance(6), 3.0);
-    ASSERT_TRUE(store.load(2, 2, 1, 4.0));
-    EXPECT_DOUBLE_EQ(store.snapshot_distance(7), 1.0);
-    // Source 1's frontier must not bleed through.
-    EXPECT_EQ(store.snapshot_distance(6), kInfiniteWeight);
-    // Re-loading the active source is a no-op fast path, not a reset.
-    ASSERT_TRUE(store.load(2, 2, 1, 4.0));
-    EXPECT_DOUBLE_EQ(store.snapshot_distance(7), 1.0);
-}
-
-TEST(CertificateStoreTest, OverCapFrontiersAreDropped) {
-    CertificateStore store;
-    store.reset(8, /*cap=*/2);
-    const Settled big = {{0, 0.0}, {1, 1.0}, {2, 2.0}};
-    EXPECT_FALSE(store.publish(0, 1, 1, 5.0, big));
-    EXPECT_FALSE(store.load(0, 1, 1, 5.0));
-    // A previously valid certificate is invalidated by an over-cap
-    // publish for the same source (it describes a newer batch).
-    EXPECT_TRUE(store.publish(1, 1, 1, 5.0, Settled{{1, 0.0}}));
-    EXPECT_FALSE(store.publish(1, 2, 2, 5.0, big));
-    EXPECT_FALSE(store.load(1, 1, 1, 5.0));
-}
-
-TEST(CertificateStoreTest, ResetInvalidatesAllScopes) {
-    CertificateStore store;
-    store.reset(4, 8);
-    EXPECT_TRUE(store.publish(0, 3, 2, 1.0, Settled{{0, 0.0}}));
-    store.reset(4, 8);
-    EXPECT_FALSE(store.load(0, 3, 2, 1.0));
-}
-
 }  // namespace
 }  // namespace gsp

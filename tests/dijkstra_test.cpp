@@ -184,60 +184,6 @@ TEST(BidirectionalTest, MeetEventsAccumulate) {
     EXPECT_GT(ws.meet_events(), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Repair-scoped seeded probe (phase B of the speculative accept path).
-
-TEST(SeededProbeTest, MinimizesOverSeedsAndRespectsLimit) {
-    // 0-1-2-3 path; seeds carry externally-known prefix lengths.
-    Graph g(4);
-    g.add_edge(0, 1, 1.0);
-    g.add_edge(1, 2, 1.0);
-    g.add_edge(2, 3, 1.0);
-    DijkstraWorkspace ws(4);
-    const std::vector<RepairSeed> seeds = {{1, 5.0}, {2, 5.5}};
-    // Best route to 3: through seed at 2 (5.5 + 1.0), not seed at 1 (5 + 2).
-    EXPECT_DOUBLE_EQ(ws.distance_seeded(g, seeds, 3, 10.0), 6.5);
-    // A seeded target returns its own key when nothing beats it.
-    EXPECT_DOUBLE_EQ(ws.distance_seeded(g, seeds, 2, 10.0), 5.5);
-    // Seeds above the limit are discarded; unreachable within it.
-    EXPECT_EQ(ws.distance_seeded(g, seeds, 3, 6.0), kInfiniteWeight);
-    const std::vector<RepairSeed> none;
-    EXPECT_EQ(ws.distance_seeded(g, none, 3, 10.0), kInfiniteWeight);
-    const std::vector<RepairSeed> bad = {{9, 0.0}};
-    EXPECT_THROW(ws.distance_seeded(g, bad, 3, 1.0), std::out_of_range);
-}
-
-TEST(SeededProbeTest, MatchesPlainDijkstraWithVirtualSource) {
-    // Seeding {(v, key_v)} is the same as one-sided Dijkstra from a
-    // virtual source wired to each seed by an edge of weight key_v.
-    Rng rng(17);
-    const Graph g = random_graph(40, 0.15, rng);
-    Graph aug(41);  // vertex 40 is the virtual source
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        const Edge& ed = g.edge(e);
-        aug.add_edge(ed.u, ed.v, ed.weight);
-    }
-    std::vector<RepairSeed> seeds;
-    for (VertexId v : {3u, 11u, 27u}) {
-        const Weight key = 0.5 + 0.25 * v;
-        seeds.push_back({v, key});
-        aug.add_edge(40, v, key);
-    }
-    DijkstraWorkspace seeded(40);
-    DijkstraWorkspace plain(41);
-    for (VertexId t = 0; t < 40; ++t) {
-        for (const Weight limit : {2.0, 5.0, kInfiniteWeight}) {
-            const Weight want = plain.distance(aug, 40, t, limit);
-            const Weight got = seeded.distance_seeded(g, seeds, t, limit);
-            if (want == kInfiniteWeight) {
-                EXPECT_EQ(got, kInfiniteWeight) << "t=" << t << " limit=" << limit;
-            } else {
-                EXPECT_NEAR(got, want, 1e-12) << "t=" << t << " limit=" << limit;
-            }
-        }
-    }
-}
-
 class BidirectionalPropertyTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t, double>> {};
 

@@ -7,16 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "api/build_options.hpp"
+#include "api/candidate_source.hpp"
+#include "api/session.hpp"
 #include "core/greedy.hpp"
 #include "gen/graphs.hpp"
+#include "gen/points.hpp"
 #include "graph/graph.hpp"
+#include "metric/euclidean.hpp"
 #include "util/random.hpp"
 
 namespace gsp {
@@ -49,6 +56,35 @@ Graph run_list(GreedyEngine& engine, Graph h, const std::vector<GreedyCandidate>
     });
     std::vector<GreedyCandidate> buffer;
     return engine.run(std::move(h), source, buffer, stats);
+}
+
+/// Run `engine` over a candidate list handed over in fixed slices of
+/// `slice` candidates. A weight class cut by a slice boundary becomes two
+/// buckets, so this places bucket boundaries between tie-weight
+/// candidates at will.
+Graph run_sliced(GreedyEngine& engine, Graph h, const std::vector<GreedyCandidate>& cands,
+                 std::size_t slice) {
+    class Slices final : public CandidateChunkSource {
+    public:
+        Slices(const std::vector<GreedyCandidate>& all, std::size_t width)
+            : all_(&all), width_(width) {}
+        bool next_chunk(std::size_t, std::vector<GreedyCandidate>& out) override {
+            if (next_ >= all_->size()) return false;
+            const std::size_t end = std::min(next_ + width_, all_->size());
+            out.insert(out.end(), all_->begin() + static_cast<std::ptrdiff_t>(next_),
+                       all_->begin() + static_cast<std::ptrdiff_t>(end));
+            next_ = end;
+            return true;
+        }
+
+    private:
+        const std::vector<GreedyCandidate>* all_;
+        std::size_t width_;
+        std::size_t next_ = 0;
+    };
+    Slices source(cands, slice);
+    std::vector<GreedyCandidate> buffer;
+    return engine.run(std::move(h), source, buffer);
 }
 
 /// Run a configured engine over a graph's sorted edge candidates -- the
@@ -154,6 +190,10 @@ TEST(GreedyEngineTest, RejectsBadOptions) {
     GreedyEngineOptions bad_stretch;
     bad_stretch.stretch = 0.5;
     EXPECT_THROW(GreedyEngine(3, bad_stretch), std::invalid_argument);
+    // NaN fails every comparison, so only a NaN-proof check catches it.
+    GreedyEngineOptions nan_stretch;
+    nan_stretch.stretch = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(GreedyEngine(3, nan_stretch), std::invalid_argument);
     GreedyEngineOptions bad_ratio;
     bad_ratio.bucket_ratio = 1.0;
     EXPECT_THROW(GreedyEngine(3, bad_ratio), std::invalid_argument);
@@ -204,29 +244,21 @@ TEST(ParallelEngineTest, EdgeSetMatchesNaiveAtEveryThreadCount) {
                 for (const bool sharing : {true, false}) {
                     for (const bool sketch : {true, false}) {
                         for (const double accept_gate : {0.25, 1.0}) {
-                            for (const bool repair : {true, false}) {
-                                GreedyEngineOptions options;
-                                options.stretch = 2.0;
-                                options.ball_sharing = sharing;
-                                options.bound_sketch = sketch;
-                                options.num_threads = threads;
-                                options.parallel_accept_gate = accept_gate;
-                                options.speculative_repair = repair;
-                                GreedyStats stats;
-                                const Graph h = run_with(g, options, &stats);
-                                EXPECT_TRUE(same_edge_set(h, naive))
-                                    << name << " diverges at num_threads=" << threads
-                                    << " sharing=" << sharing << " sketch=" << sketch
-                                    << " gate=" << accept_gate << " repair=" << repair;
-                                EXPECT_EQ(stats.edges_examined, g.num_edges());
-                                if (!sharing) {
-                                    EXPECT_EQ(stats.balls_computed, 0u);
-                                }
-                                if (!repair) {
-                                    EXPECT_EQ(stats.repairs, 0u);
-                                    EXPECT_EQ(stats.repair_fallbacks, 0u);
-                                    EXPECT_EQ(stats.certs_published, 0u);
-                                }
+                            GreedyEngineOptions options;
+                            options.stretch = 2.0;
+                            options.ball_sharing = sharing;
+                            options.bound_sketch = sketch;
+                            options.num_threads = threads;
+                            options.parallel_accept_gate = accept_gate;
+                            GreedyStats stats;
+                            const Graph h = run_with(g, options, &stats);
+                            EXPECT_TRUE(same_edge_set(h, naive))
+                                << name << " diverges at num_threads=" << threads
+                                << " sharing=" << sharing << " sketch=" << sketch
+                                << " gate=" << accept_gate;
+                            EXPECT_EQ(stats.edges_examined, g.num_edges());
+                            if (!sharing) {
+                                EXPECT_EQ(stats.balls_computed, 0u);
                             }
                         }
                     }
@@ -260,111 +292,104 @@ TEST(ParallelEngineTest, StatsAreScheduleIndependent) {
     EXPECT_EQ(a.csr_compactions, b.csr_compactions);
     EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes);
     EXPECT_EQ(a.edges_added, b.edges_added);
-    EXPECT_EQ(a.repairs, b.repairs);
-    EXPECT_EQ(a.repair_reprobes, b.repair_reprobes);
-    EXPECT_EQ(a.repair_fallbacks, b.repair_fallbacks);
-    EXPECT_EQ(a.certs_published, b.certs_published);
-    EXPECT_EQ(a.cert_ball_aborts, b.cert_ball_aborts);
 }
 
-TEST(ParallelEngineTest, RepairCountersAreWorkerCountIndependent) {
-    // The two-phase path's decisions (certificate mode, ball budgets and
-    // aborts, which candidates repair vs fall back) are pure functions of
-    // the greedy decisions -- so the counters must agree between 2- and
-    // 4-worker runs, not just between repeated runs at one width.
-    Rng rng(81);
-    const Graph g = clustered_geometric(500, 8, 40.0, 1.0, 0.7, rng);
-    GreedyStats by_threads[2];
-    Graph results[2] = {Graph(0), Graph(0)};
-    const std::size_t counts[2] = {2, 4};
-    for (int i = 0; i < 2; ++i) {
-        GreedyEngineOptions options;
-        options.stretch = 1.5;
-        options.num_threads = counts[i];
-        results[i] = run_with(g, options, &by_threads[i]);
-    }
-    EXPECT_TRUE(same_edge_set(results[0], results[1]));
-    EXPECT_EQ(by_threads[0].repairs, by_threads[1].repairs);
-    EXPECT_EQ(by_threads[0].repair_reprobes, by_threads[1].repair_reprobes);
-    EXPECT_EQ(by_threads[0].repair_fallbacks, by_threads[1].repair_fallbacks);
-    EXPECT_EQ(by_threads[0].certs_published, by_threads[1].certs_published);
-    EXPECT_EQ(by_threads[0].cert_ball_aborts, by_threads[1].cert_ball_aborts);
-    EXPECT_EQ(by_threads[0].dijkstra_runs, by_threads[1].dijkstra_runs);
-    EXPECT_EQ(by_threads[0].snapshot_accepts, by_threads[1].snapshot_accepts);
+/// Field-by-field counter equality, seconds excluded.
+void expect_counters_equal(const GreedyStats& a, const GreedyStats& b) {
+    EXPECT_EQ(a.edges_examined, b.edges_examined);
+    EXPECT_EQ(a.edges_added, b.edges_added);
+    EXPECT_EQ(a.dijkstra_runs, b.dijkstra_runs);
+    EXPECT_EQ(a.balls_computed, b.balls_computed);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.snapshot_accepts, b.snapshot_accepts);
+    EXPECT_EQ(a.sketch_hits, b.sketch_hits);
+    EXPECT_EQ(a.sketch_accepts, b.sketch_accepts);
+    EXPECT_EQ(a.group_probes, b.group_probes);
+    EXPECT_EQ(a.group_probe_decisions, b.group_probe_decisions);
+    EXPECT_EQ(a.group_probe_early_exits, b.group_probe_early_exits);
+    EXPECT_EQ(a.bidirectional_meets, b.bidirectional_meets);
+    EXPECT_EQ(a.buckets, b.buckets);
+    EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes);
 }
 
-TEST(ParallelEngineTest, AcceptHeavyRunsResolveTentativeAcceptsByRepair) {
-    // The tentpole's acceptance shape: on an accept-heavy clustered
-    // instance (accept rate > 30%), the two-phase path must resolve the
-    // bulk of tentative accepts by certificate repair -- not by falling
-    // back to full exact queries -- while staying bit-identical to naive.
-    Rng rng(7);
-    const Graph g = clustered_geometric(1u << 10, 12, 60.0, 1.0, 0.6, rng);
-    GreedyEngineOptions options;
+TEST(ParallelEngineTest, WholeBucketStageTwoRunsNoMoreProbesThanSerial) {
+    // The multi-core pathology this stage shape fixes: slicing an all-pairs
+    // weight bucket into fixed-width batches shrank each source group to a
+    // few members and multiplied the Dijkstra count ~7x at 4 workers. With
+    // stage 2 fanning out whole-bucket source groups, a parallel build
+    // runs about the serial number of probes. Every stage-2 decision is a
+    // pure function of the bucket-start spanner, so the counters are
+    // exact, not timing-dependent, and agree across worker counts.
+    Rng rng(2026);
+    const EuclideanMetric points = uniform_points(512, 2, 100.0, rng);
+    BuildOptions options;
     options.stretch = 1.5;
-    options.num_threads = 2;
-    GreedyStats stats;
-    const Graph h = run_with(g, options, &stats);
-    EXPECT_TRUE(same_edge_set(h, greedy_spanner(g, 1.5)));
-    const double accept_rate =
-        static_cast<double>(h.num_edges()) / static_cast<double>(g.num_edges());
-    EXPECT_GT(accept_rate, 0.30);
-    EXPECT_GT(stats.repairs, 0u);
-    EXPECT_GT(stats.certs_published, 0u);
-    // Most repairs stand without even the seeded probe (no insertion
-    // touched the certified ball).
-    EXPECT_GT(stats.repairs, stats.repair_reprobes);
-    const double resolved = static_cast<double>(stats.snapshot_accepts + stats.repairs);
-    const double tentative = resolved + static_cast<double>(stats.repair_fallbacks);
-    EXPECT_GE(resolved / tentative, 0.70)
-        << "repairs=" << stats.repairs << " fallbacks=" << stats.repair_fallbacks;
+    const auto build = [&](std::size_t threads, GreedyStats& stats) {
+        BuildOptions o = options;
+        o.engine.num_threads = threads;
+        MetricCandidateSource source(points);
+        SpannerSession session;
+        BuildReport report;
+        Graph h = session.build(source, o, &report);
+        stats = report.stats;
+        return h;
+    };
+    GreedyStats serial, mt2, mt4;
+    const Graph h1 = build(1, serial);
+    const Graph h2 = build(2, mt2);
+    const Graph h4 = build(4, mt4);
+    EXPECT_TRUE(same_edge_set(h4, h1));
+    EXPECT_TRUE(same_edge_set(h2, h1));
+    EXPECT_LE(static_cast<double>(mt4.dijkstra_runs),
+              1.3 * static_cast<double>(serial.dijkstra_runs))
+        << "mt4 " << mt4.dijkstra_runs << " vs serial " << serial.dijkstra_runs;
+    expect_counters_equal(mt2, mt4);
 }
 
-TEST(ParallelEngineTest, RepairedRejectsMatchExactDistances) {
-    // A repair that *refutes* a certificate (the seeded probe found a
-    // <= threshold path through an inserted edge) is a reject the naive
-    // kernel must agree with. Unit weights + tiny batches manufacture
-    // exactly that: accepts early in the batch shorten later candidates'
-    // pairs below their thresholds.
+TEST(ParallelEngineTest, StaleFarBitsAreReDecidedExactly) {
+    // A far bit staled by an insertion earlier in the bucket is a
+    // candidate the insertion loop must re-decide on the current spanner.
+    // Unit weights (one bucket, constant thresholds) manufacture exactly
+    // that: accepts early in the bucket shorten later candidates' pairs
+    // below their thresholds.
     for (const std::uint64_t seed : {5u, 23u, 77u}) {
         Rng rng(seed);
         const Graph g = erdos_renyi(80, 0.3, {.lo = 1.0, .hi = 1.0}, rng);
         const Graph naive_h = run_with(g, config_from_mask(2.5, 0));
-        for (const std::size_t batch : {8u, 64u}) {
+        for (const std::size_t threads : {2u, 4u}) {
             GreedyEngineOptions options;
             options.stretch = 2.5;
-            options.num_threads = 2;
-            options.parallel_batch = batch;
+            options.num_threads = threads;
             options.ball_share_min_group = 2;
             GreedyStats stats;
             const Graph h = run_with(g, options, &stats);
             EXPECT_TRUE(same_edge_set(h, naive_h)) << "seed " << seed
-                                                   << " batch " << batch;
+                                                   << " threads " << threads;
         }
     }
 }
 
-TEST(ParallelEngineTest, AcceptHeavyBatchesForceNoFullRefreeze) {
+TEST(ParallelEngineTest, AcceptHeavyBucketsForceNoFullRefreeze) {
     // The acceptance criterion of the incremental store: an accept-heavy
-    // parallel run used to refreeze the CSR once per bucket *plus* once
-    // per stage-2 batch that followed an insertion -- O(m) each. The
+    // parallel run must not refreeze the CSR per bucket -- O(m) each. The
     // gap-buffered view mirrors insertions at O(degree), so the whole run
-    // pays exactly one full build no matter how many batches insert.
+    // pays exactly one full build no matter how many buckets insert.
     Rng rng(12);
     const Graph g = random_graph_nm(600, 4800, {.lo = 1.0, .hi = 2.0}, rng);
-    GreedyEngineOptions options;
-    options.stretch = 2.0;          // accept-heavy regime (MST-ish phases)
-    options.num_threads = 2;
-    options.parallel_batch = 64;    // many batches per bucket
-    options.parallel_accept_gate = 1.0;  // force stage 2 for every batch
-    GreedyStats stats;
-    const Graph h = run_with(g, options, &stats);
-    EXPECT_TRUE(same_edge_set(h, greedy_spanner(g, 2.0)));
-    EXPECT_GT(stats.edges_added, 100u);  // genuinely accept-heavy
-    EXPECT_EQ(stats.csr_rebuilds, 1u);   // one build, zero refreezes
-    // Amortized merge-on-threshold keeps compactions rare: a run that
-    // inserts k edges performs O(k / threshold) compactions, not O(k).
-    EXPECT_LE(stats.csr_compactions, 8u);
+    for (const std::size_t threads : {2u, 4u}) {
+        GreedyEngineOptions options;
+        options.stretch = 2.0;               // accept-heavy regime (MST-ish phases)
+        options.num_threads = threads;
+        options.parallel_accept_gate = 1.0;  // force stage 2 for every bucket
+        GreedyStats stats;
+        const Graph h = run_with(g, options, &stats);
+        EXPECT_TRUE(same_edge_set(h, greedy_spanner(g, 2.0))) << "threads " << threads;
+        EXPECT_GT(stats.edges_added, 100u);  // genuinely accept-heavy
+        EXPECT_EQ(stats.csr_rebuilds, 1u);   // one build, zero refreezes
+        // Amortized merge-on-threshold keeps compactions rare: a run that
+        // inserts k edges performs O(k / threshold) compactions, not O(k).
+        EXPECT_LE(stats.csr_compactions, 8u);
+    }
 }
 
 TEST(ParallelEngineTest, SnapshotCertificatesAreConsumed) {
@@ -377,32 +402,34 @@ TEST(ParallelEngineTest, SnapshotCertificatesAreConsumed) {
     options.stretch = 3.0;  // deep rejection regime
     options.num_threads = 2;
     options.ball_sharing = false;      // route everything through point probes
-    options.parallel_accept_gate = 1.0;  // prefilter every batch
+    options.parallel_accept_gate = 1.0;  // prefilter every bucket
     GreedyStats stats;
     const Graph h = run_with(g, options, &stats);
     EXPECT_TRUE(same_edge_set(h, greedy_spanner(g, 3.0)));
     EXPECT_GT(stats.snapshot_accepts, 0u);
 }
 
-TEST(ParallelEngineTest, BallsNeverLeakAcrossBatchBoundaries) {
+TEST(ParallelEngineTest, BallsNeverLeakAcrossBucketBoundaries) {
     // Regression guard: a ball's harvest only writes bounds for its own
-    // batch-scoped group, so ball reuse must be keyed to the *batch*
-    // sequence, not the bucket -- a bucket-keyed ball can be revalidated
-    // by a tie-weight same-source candidate of the next batch whose bound
-    // was never harvested, and accept an edge the naive kernel rejects.
+    // bucket's group, so ball reuse must be keyed to the *bucket*
+    // sequence, not the weight class -- a chunk boundary can cut one
+    // weight class into two buckets, and a ball keyed on the class can be
+    // revalidated by a tie-weight same-source candidate of the next
+    // bucket whose bound was never harvested, accepting an edge the naive
+    // kernel rejects.
     //
-    // Deterministic trigger (unit weights, one bucket, parallel_batch = 4,
-    // t = 2.5, seed edge 3-0): batch 1 accepts 0-1 and 1-2, then source
-    // 3's group {(3,1), (3,0)} grows a serial ball (radius 2.5, epoch
+    // Deterministic trigger (unit weights, slices of 4 candidates, t =
+    // 2.5, seed edge 3-0): bucket 1 accepts 0-1 and 1-2, then source 3's
+    // group {(3,1), (3,0)} grows a serial ball (radius 2.5, epoch
     // unchanged afterwards -- both candidates reject), and its 50% accept
-    // rate makes stage 2 skip batch 2. Batch 2 holds a duplicate (3,1):
-    // its bound was never harvested (different batch group), no insertion
-    // happened since the ball, and the radius covers the tie threshold --
-    // the buggy bucket-keyed guard accepts it even though the spanner
+    // rate makes stage 2 skip bucket 2. Bucket 2 holds a duplicate (3,1):
+    // its bound was never harvested (different bucket's group), no
+    // insertion happened since the ball, and the radius covers the tie
+    // threshold -- a class-keyed guard accepts it even though the spanner
     // distance is 2 <= 2.5.
     const std::vector<GreedyCandidate> cands = {
-        {0, 1, 1.0}, {1, 2, 1.0}, {3, 1, 1.0}, {3, 0, 1.0},  // batch 1
-        {3, 1, 1.0},                                         // batch 2
+        {0, 1, 1.0}, {1, 2, 1.0}, {3, 1, 1.0}, {3, 0, 1.0},  // bucket 1
+        {3, 1, 1.0},                                         // bucket 2
     };
     const auto seeded = [] {
         Graph h(4);
@@ -418,33 +445,37 @@ TEST(ParallelEngineTest, BallsNeverLeakAcrossBatchBoundaries) {
     const Graph want = run_list(naive, seeded(), cands);
     ASSERT_EQ(want.num_edges(), 3u);  // seed + 0-1 + 1-2; both (3,1) and (3,0) reject
 
-    GreedyEngineOptions options;
-    options.stretch = 2.5;
-    options.num_threads = 2;
-    options.parallel_batch = 4;
-    options.parallel_accept_gate = 0.25;
-    options.ball_share_min_group = 2;
-    GreedyEngine parallel(4, options);
-    const Graph got = run_list(parallel, seeded(), cands);
-    EXPECT_TRUE(same_edge_set(got, want));
+    for (const std::size_t threads : {2u, 4u}) {
+        GreedyEngineOptions options;
+        options.stretch = 2.5;
+        options.num_threads = threads;
+        options.parallel_accept_gate = 0.25;
+        options.ball_share_min_group = 2;
+        GreedyEngine parallel(4, options);
+        const Graph got = run_sliced(parallel, seeded(), cands, 4);
+        EXPECT_TRUE(same_edge_set(got, want)) << "threads " << threads;
+    }
 
     // Broader randomized sweep over the same hazard: unit weights (one
-    // bucket, constant tie thresholds) with tiny batches and mixed
-    // accept/reject phases at t = 2.5.
+    // weight class, constant tie thresholds) cut into small buckets, with
+    // mixed accept/reject phases at t = 2.5.
     for (const std::uint64_t seed : {4u, 42u, 99u, 7u}) {
         Rng rng(seed);
         const Graph g = erdos_renyi(80, 0.3, {.lo = 1.0, .hi = 1.0}, rng);
         const Graph naive_h = run_with(g, config_from_mask(2.5, 0));
-        for (const std::size_t batch : {4u, 8u, 32u}) {
-            GreedyEngineOptions sweep;
-            sweep.stretch = 2.5;
-            sweep.num_threads = 2;
-            sweep.parallel_batch = batch;
-            sweep.parallel_accept_gate = 0.25;
-            sweep.ball_share_min_group = 2;
-            const Graph h = run_with(g, sweep);
-            EXPECT_TRUE(same_edge_set(h, naive_h))
-                << "seed " << seed << " batch " << batch;
+        const std::vector<GreedyCandidate> all = sorted_graph_candidates(g);
+        for (const std::size_t threads : {2u, 4u}) {
+            for (const std::size_t slice : {4u, 8u, 32u}) {
+                GreedyEngineOptions sweep;
+                sweep.stretch = 2.5;
+                sweep.num_threads = threads;
+                sweep.parallel_accept_gate = 0.25;
+                sweep.ball_share_min_group = 2;
+                GreedyEngine engine(g.num_vertices(), sweep);
+                const Graph h = run_sliced(engine, Graph(g.num_vertices()), all, slice);
+                EXPECT_TRUE(same_edge_set(h, naive_h))
+                    << "seed " << seed << " threads " << threads << " slice " << slice;
+            }
         }
     }
 }
@@ -460,7 +491,7 @@ TEST(ParallelEngineTest, ConcurrentPrefilterRejectsSoundly) {
     GreedyEngineOptions options;
     options.stretch = t;
     options.num_threads = 3;
-    options.parallel_accept_gate = 1.0;  // stage 2 (and its oracle) every batch
+    options.parallel_accept_gate = 1.0;  // stage 2 (and its oracle) every bucket
     options.prefilter_gate = GreedyEngineOptions::PrefilterGate::kAlways;
     auto frozen = std::make_shared<Graph>(0);
     options.on_bucket = [frozen](const Graph& h, Weight) { *frozen = h; };
