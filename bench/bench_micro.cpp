@@ -204,38 +204,6 @@ void BM_GreedyMetricCached(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyMetricCached)->Arg(256)->Arg(512);
 
-/// The ROADMAP's bound-sketch tuning item: hit rate vs associativity on
-/// the metric probe shape (clustered points, cached engine). The sketch's
-/// value is cross-bucket rejects remembered in O(n * ways) memory; more
-/// ways keep more sources per vertex before evictions, at proportional
-/// memory and probe cost.
-void sketch_ways_section() {
-    const std::size_t n = 512;
-    const double t = 1.5;
-    std::cout << "== BoundSketch associativity sweep (metric probe, n=" << n
-              << ", t=" << t << ") ==\n";
-    gsp::Table table({"kWays", "sketch hits", "hit rate (per candidate)", "dijkstra runs",
-                      "seconds"});
-    const double m = static_cast<double>(n * (n - 1) / 2);
-    for (const std::size_t ways : {2u, 4u, 8u}) {
-        Rng rng(1234);
-        const EuclideanMetric pts = clustered_points(n, 2, 8, 60.0, 2.0, rng);
-        SpannerSession session;
-        MetricCandidateSource source(pts);
-        BuildOptions options;
-        options.stretch = t;
-        options.engine.sketch_ways = ways;
-        BuildReport report;
-        (void)session.build(source, options, &report);
-        table.add_row({std::to_string(ways), std::to_string(report.stats.sketch_hits),
-                       gsp::fmt(static_cast<double>(report.stats.sketch_hits) / m, 4),
-                       std::to_string(report.stats.dijkstra_runs),
-                       gsp::fmt(report.seconds, 3)});
-    }
-    table.print(std::cout);
-    std::cout << "\n";
-}
-
 /// Priority-queue policies for the bounded-probe ablation below: the same
 /// radius-limited Dijkstra loop parameterized only by the queue, so the
 /// measured delta is purely the queue swap.
@@ -378,7 +346,6 @@ benchutil::SimdProbeResult simd_ablation_section() {
     };
     row("far_sweep", probe.far_sweep);
     row("distance_batch", probe.distance_batch);
-    row("sketch_probe", probe.sketch_probe);
     row("radix_sort (vs stable_sort)", probe.radix_sort);
     table.print(std::cout);
     std::cout << "\n";
@@ -401,17 +368,11 @@ void write_smoke_json() {
     const auto session_probe = benchutil::run_session_probe(n, t, 2, 4);
     const auto mem_probe = benchutil::run_mem_probe(benchutil::mem_probe_n(100'000));
     const auto time_probe = benchutil::run_time_probe(benchutil::time_probe_n(100'000));
-    // The v7 group-probe ablation at the reduced CI shape: the validator
-    // enforces the metric arm's 1.5x us/candidate floor over the kOff
-    // (PR-7 per-candidate) baseline measured in the same process.
-    const auto group_probe = benchutil::run_group_probe(
-        benchutil::group_probe_n(512), 1.5, 1024, 2.0);
     const auto simd_probe = simd_ablation_section();
     const std::string path = benchutil::bench_json_path();
     benchutil::write_bench_greedy_json(path, "bench_micro", "random_nm", n,
                                        g.num_edges(), t, runs, mem_probe, time_probe,
-                                       group_probe, &session_probe, nullptr, nullptr,
-                                       &simd_probe);
+                                       &session_probe, nullptr, nullptr, &simd_probe);
     bool all_match = true;
     for (const auto& r : runs) all_match = all_match && r.matches_naive;
     std::size_t mem_high_kb = 0;
@@ -429,20 +390,12 @@ void write_smoke_json() {
               << (mem_probe.within_budget ? "within budget" : "OVER BUDGET")
               << "; time probe n=" << time_probe.n << " "
               << time_probe.us_per_candidate << " us/candidate, cell-ball share "
-              << time_probe.cell_ball_share << "; group probe metric "
-              << group_probe.metric.speedup << "x / graph "
-              << group_probe.graph.speedup << "x, edge sets "
-              << (group_probe.metric.matches_off && group_probe.graph.matches_off
-                      ? "identical"
-                      : "MISMATCHED")
-              << "; simd probe " << simd_probe.backend << " far-sweep "
+              << time_probe.cell_ball_share << "; simd probe " << simd_probe.backend << " far-sweep "
               << simd_probe.far_sweep.speedup << "x / dist "
-              << simd_probe.distance_batch.speedup << "x / sketch "
-              << simd_probe.sketch_probe.speedup << "x / radix "
+              << simd_probe.distance_batch.speedup << "x / radix "
               << simd_probe.radix_sort.speedup << "x, outputs "
               << (simd_probe.far_sweep.outputs_identical &&
                           simd_probe.distance_batch.outputs_identical &&
-                          simd_probe.sketch_probe.outputs_identical &&
                           simd_probe.radix_sort.outputs_identical
                       ? "identical"
                       : "MISMATCHED")
@@ -453,7 +406,6 @@ void write_smoke_json() {
 
 int main(int argc, char** argv) {
     write_smoke_json();
-    sketch_ways_section();
     queue_ablation_section();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

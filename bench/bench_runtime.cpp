@@ -122,7 +122,7 @@ void graph_kernel_section() {
 
     const auto runs = benchutil::run_kernel_sweep(g, t);
     Table table({"config", "threads", "seconds", "speedup", "|H|", "queries", "balls",
-                 "cache hits", "sketch hits", "snap accepts", "same edges"});
+                 "cache hits", "snap accepts", "same edges"});
     const double naive_s = runs.front().seconds;
     double full_s = 0.0;
     double mt4_s = 0.0;
@@ -134,7 +134,6 @@ void graph_kernel_section() {
                        std::to_string(r.stats.dijkstra_runs),
                        std::to_string(r.stats.balls_computed),
                        std::to_string(r.stats.cache_hits),
-                       std::to_string(r.stats.sketch_hits),
                        std::to_string(r.stats.snapshot_accepts),
                        r.matches_naive ? "yes" : "NO"});
     }
@@ -164,7 +163,6 @@ void graph_kernel_section() {
     mtable.add_row({"handoff peak bytes", std::to_string(probe.handoff_bytes)});
     mtable.add_row({"bytes per candidate", fmt(probe.bytes_per_candidate, 4)});
     mtable.add_row({"PR-2 handoff (bytes/cand)", fmt(probe.pr2_bytes_per_candidate, 1)});
-    mtable.add_row({"sketch cross-bucket hits", std::to_string(probe.stats.sketch_hits)});
     mtable.add_row({"mt2 edge set == serial", probe.matches_serial ? "yes" : "NO"});
     mtable.print(std::cout);
 
@@ -243,36 +241,14 @@ void graph_kernel_section() {
               << time_probe.n << ", t=" << time_probe.stretch << ", s="
               << time_probe.separation << ") ==\n";
     Table ttable({"gen (s)", "grid (s)", "build (s)", "|H|", "candidates",
-                  "us/candidate", "cell balls", "cell-ball share",
-                  "coarse rejects"});
+                  "us/candidate", "cell balls", "cell-ball share"});
     ttable.add_row({fmt(time_probe.gen_seconds, 2), fmt(time_probe.grid_seconds, 2),
                     fmt(time_probe.build_seconds, 2), std::to_string(time_probe.edges),
                     std::to_string(time_probe.candidates),
                     fmt(time_probe.us_per_candidate, 2),
                     std::to_string(time_probe.cell_balls),
-                    fmt(time_probe.cell_ball_share, 3),
-                    std::to_string(time_probe.coarse_rejects)});
+                    fmt(time_probe.cell_ball_share, 3)});
     ttable.print(std::cout);
-
-    // The v7 group-probe ablation: kOff (per-candidate, the PR-7
-    // baseline) vs kOn (one batched traversal per source group) on the
-    // metric all-pairs and graph shapes, serial, warm session
-    // (GSP_GROUP_PROBE_N overrides the metric arm's point count; CI's
-    // per-PR smoke runs the reduced shape through bench_micro).
-    const auto group_probe = benchutil::run_group_probe(
-        benchutil::group_probe_n(1u << 10), 1.5, 1u << 12, 2.0);
-    std::cout << "\n== Group-probe ablation (multi-target kernel vs per-candidate) ==\n";
-    Table gtable({"arm", "n", "candidates", "off us/cand", "on us/cand", "speedup",
-                  "mean group", "early-exit share", "same edges"});
-    for (const auto* arm : {&group_probe.metric, &group_probe.graph}) {
-        gtable.add_row({arm->kind, std::to_string(arm->n),
-                        std::to_string(arm->candidates),
-                        fmt(arm->off_us_per_candidate, 2),
-                        fmt(arm->on_us_per_candidate, 2), fmt_ratio(arm->speedup),
-                        fmt(arm->mean_group_size, 1), fmt(arm->early_exit_share, 3),
-                        arm->matches_off ? "yes" : "NO"});
-    }
-    gtable.print(std::cout);
 
     // The v8 SIMD kernel ablation: scalar vs dispatch-selected vector
     // table on identical inputs, outputs asserted identical before any
@@ -290,15 +266,13 @@ void graph_kernel_section() {
     };
     simd_row("far_sweep", simd_probe.far_sweep);
     simd_row("distance_batch", simd_probe.distance_batch);
-    simd_row("sketch_probe", simd_probe.sketch_probe);
     simd_row("radix_sort (vs stable_sort)", simd_probe.radix_sort);
     simdtable.print(std::cout);
 
     const std::string path = benchutil::bench_json_path();
     benchutil::write_bench_greedy_json(path, "bench_runtime", "random_nm", n,
                                        g.num_edges(), t, runs, mem_probe, time_probe,
-                                       group_probe, &session_probe, &probe,
-                                       &accept_probe, &simd_probe);
+                                       &session_probe, &probe, &accept_probe, &simd_probe);
     std::cout << "wrote " << path << "\n\n";
 
     // Parallel-stage scaling probe at t = 3: the reject-heavy regime

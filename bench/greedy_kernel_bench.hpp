@@ -3,18 +3,18 @@
 //
 // Both bench_runtime (full-size sweep, the perf-trajectory source of truth)
 // and bench_micro (CI smoke that validates the schema) emit the same JSON
-// shape, version-tagged "gsp.bench_greedy.v9", built on the library's
+// shape, version-tagged "gsp.bench_greedy.v10", built on the library's
 // shared JsonWriter + append_greedy_stats serializer (src/api/build_report)
 // instead of hand-rolled streams:
 //
 //   {
-//     "schema": "gsp.bench_greedy.v9",
+//     "schema": "gsp.bench_greedy.v10",
 //     "source": "<bench binary>",
 //     "stretch": <t>,
 //     "instance": {"kind": ..., "n": ..., "m": ...},
 //     "configs": [
 //       {"name": ..., "bidirectional": ..., "ball_sharing": ...,
-//        "csr_snapshot": ..., "bound_sketch": ..., "seconds": ...,
+//        "csr_snapshot": ..., "threads": ..., "seconds": ...,
 //        "edges": ..., "matches_naive": ..., "handoff_bytes": ...,
 //        "bytes_per_candidate": ..., "rss_delta_kb": ..., "stats": {...}},
 //       ...],
@@ -23,7 +23,6 @@
 //     "session_probe": {...},       // the session-reuse probe (v4)
 //     "mem_probe": {...},           // the linear-space probe (v5, required)
 //     "time_probe": {...},          // the cell-batched probe (v6, required)
-//     "group_probe": {...},         // the group-probe ablation (v7, required)
 //     "simd_probe": {...},          // the SIMD kernel ablation (v8, required)
 //     "peak_rss_kb": <ru_maxrss>,
 //     "speedup_full_vs_naive": <naive seconds / full seconds>
@@ -51,31 +50,35 @@
 // (enforced by the validator), certifying the linear-space claim end to
 // end: candidates are streamed one window at a time, never materialized.
 //
-// v7 (multi-target group probes) adds the required "group_probe" object:
-// the same instance built with EngineTuning::GroupProbing kOff (the PR-7
-// per-candidate baseline) and kOn (one batched traversal deciding a whole
-// source group), on both the metric all-pairs and the graph shapes, each
-// normalized to microseconds per streamed candidate. The kOn run's
-// group-probe counters attribute the amortization (mean group size,
-// early-termination share), and the validator enforces bit-identical edge
-// sets plus the 1.05x us/candidate regression floor of the metric arm on the reduced
-// CI shape.
+// v7 (multi-target group probes) added the "group_probe" object (v7-v9):
+// the same instance built with per-candidate classic balls and with one
+// batched traversal per source group, on the metric all-pairs and the
+// graph shapes, with a 1.05x us/candidate floor on the metric arm.
 //
 // v8 (SIMD prefilter backend) adds the required "simd_probe" object: the
-// four vector kernels (the far-sweep bound scan, the batched 2D distance
-// evaluation, the sketch way-probe match, and the LSD radix chunk sort vs
-// std::stable_sort) each timed scalar-vs-dispatched on a fixed synthetic
-// workload, with outputs asserted identical before any timing is
-// reported. The dispatch-selected backend name rides along, and the
-// "time_probe" / "group_probe" objects now record the backend their
-// builds executed ("simd_backend") -- the validator refuses history
-// comparisons of rows whose backends differ, so a machine change can
-// never masquerade as a kernel regression.
+// vector kernels (the far-sweep bound scan, the batched 2D distance
+// evaluation, and the LSD radix chunk sort vs std::stable_sort; v8-v9 also
+// carried the sketch way-probe match) each timed scalar-vs-dispatched on a
+// fixed synthetic workload, with outputs asserted identical before any
+// timing is reported. The dispatch-selected backend name rides along, and
+// the "time_probe" (and, v8-v9, "group_probe") objects record the backend
+// their builds executed ("simd_backend") -- the validator refuses history
+// comparisons of rows whose backends differ, so a machine change can never
+// masquerade as a kernel regression.
 //
 // v9 (bucket-wide stage 2) retires the speculative repair path: the stats
 // blocks, the metric probe and the accept probe drop the repair counters,
 // and the accept probe keeps its serial/mt2 timings, snapshot accepts and
 // the mt == serial edge-set check.
+//
+// v10 (the cross-bucket bound sketch deleted) drops the "bound_sketch"
+// ablation row and config column, the "sketch_probe" SIMD ablation row,
+// "sketch_hits" / "sketch_accepts" / "coarse_rejects" from the stats
+// blocks, "sketch_hits" from the metric probe and "coarse_rejects" from
+// the time probe. It also drops the "group_probe" ablation: the classic
+// full-radius shared ball it measured against is deleted, so every
+// non-grid shared group is decided by a group probe and there is no
+// second arm to time.
 //
 // The output path defaults to BENCH_greedy.json in the working directory;
 // override with the GSP_BENCH_JSON environment variable.
@@ -117,7 +120,6 @@ struct KernelConfig {
     bool bidirectional;
     bool ball_sharing;
     bool csr_snapshot;
-    bool bound_sketch = false;
     std::size_t threads = 1;  ///< stage-2 workers (1 = serial pipeline)
 };
 
@@ -126,18 +128,16 @@ struct KernelConfig {
 /// stage at increasing worker counts. kKernelConfigs[0] must stay the
 /// naive kernel -- the sweep verifies every other row against its edge
 /// set. "full" stays the serial pipeline so the mt rows read as speedup
-/// over the serial engine; from PR 3 on, "full" includes the cross-bucket
-/// bound sketch.
+/// over the serial engine.
 inline constexpr KernelConfig kKernelConfigs[] = {
     {"naive", false, false, false},
     {"bidirectional", true, false, false},
     {"ball_sharing", false, true, false},
     {"csr_snapshot", false, false, true},
-    {"bound_sketch", false, false, false, true},
     {"bidirectional+csr", true, false, true},
-    {"full", true, true, true, true},
-    {"full+mt2", true, true, true, true, 2},
-    {"full+mt4", true, true, true, true, 4},
+    {"full", true, true, true},
+    {"full+mt2", true, true, true, 2},
+    {"full+mt4", true, true, true, 4},
 };
 
 struct KernelRun {
@@ -160,7 +160,6 @@ inline BuildOptions options_for(const KernelConfig& config, double t) {
     options.engine.bidirectional = config.bidirectional;
     options.engine.ball_sharing = config.ball_sharing;
     options.engine.csr_snapshot = config.csr_snapshot;
-    options.engine.bound_sketch = config.bound_sketch;
     options.engine.num_threads = config.threads;
     return options;
 }
@@ -422,7 +421,7 @@ struct MemProbeResult {
 /// the spanner adjacency lists (~1.44 edges/point), Dijkstra workspaces,
 /// the incremental CSR mirror, and allocator slack. Calibrated against
 /// measured high-waters of +62,680 KiB at n = 10^5 and +185,380 KiB at
-/// n = 3x10^5 (uniform + clustered, single-core Release, sketch off) --
+/// n = 3x10^5 (uniform + clustered, single-core Release) --
 /// a 2.96x delta for 3x the points, confirming the linear model -- so
 /// 896 B/point gives ~1.8-2.3x headroom at those shapes and ~1.45x at
 /// 10^6 under straight extrapolation (~630 MiB) while staying far below what any
@@ -460,13 +459,6 @@ inline MemProbeResult run_mem_probe(std::size_t n, double t = 2.0,
     SpannerSession session;  // one session: both builds share the buffer
     BuildOptions options;
     options.stretch = t;
-    // The cross-bucket bound sketch is O(n * sketch_ways) resident memory
-    // (~64 MiB at n = 10^6). Since the cell-batched path it *does* earn
-    // its keep on grid streams (via-landmark coarse rejects), but this
-    // probe certifies the RSS floor, not wall clock -- the time probe
-    // below measures the sketch-on build -- so it stays off here to keep
-    // the budget tight.
-    options.engine.bound_sketch = false;
     const double extent = std::sqrt(static_cast<double>(n)) * 10.0;
 
     const auto run_instance = [&](const char* kind, double gen_seconds,
@@ -526,10 +518,9 @@ inline MemProbeResult run_mem_probe(std::size_t n, double t = 2.0,
 /// with the cell-batched rejection path on (the grid source's default),
 /// reported as microseconds per streamed candidate so runs at different
 /// n remain comparable. The cell-ball share (batched decisions over all
-/// candidates) and the coarse-reject count attribute where the
-/// amortization came from; the validator enforces the us/candidate
-/// ceiling at the reduced CI shape and the end-to-end build ceiling at
-/// the full n = 10^6 history shape.
+/// candidates) attributes where the amortization came from; the
+/// validator enforces the us/candidate ceiling at the reduced CI shape
+/// and the end-to-end build ceiling at the full n = 10^6 history shape.
 struct TimeProbeResult {
     std::size_t n = 0;
     double stretch = 0.0;
@@ -542,7 +533,6 @@ struct TimeProbeResult {
     double us_per_candidate = 0.0;
     std::size_t cell_balls = 0;
     std::size_t cell_ball_decisions = 0;
-    std::size_t coarse_rejects = 0;
     double cell_ball_share = 0.0;  ///< cell_ball_decisions / candidates
     std::size_t dijkstra_runs = 0;
     std::string simd_backend;  ///< dispatch-resolved backend of this build (v8)
@@ -576,10 +566,7 @@ inline TimeProbeResult run_time_probe(std::size_t n, double t = 2.0,
     GridCandidateSource source(pts, separation);
     probe.grid_seconds = grid_timer.seconds();
 
-    // Default engine tuning: the grid source flips cell batching on, and
-    // the bound sketch stays on -- the batched path's drained cell balls
-    // are what feed it (direct and via-landmark coarse rejects), unlike
-    // the per-candidate path the mem probe's comment describes.
+    // Default engine tuning: the grid source flips cell batching on.
     SpannerSession session;
     BuildOptions options;
     options.stretch = t;
@@ -595,7 +582,6 @@ inline TimeProbeResult run_time_probe(std::size_t n, double t = 2.0,
             : 0.0;
     probe.cell_balls = report.stats.cell_balls;
     probe.cell_ball_decisions = report.stats.cell_ball_decisions;
-    probe.coarse_rejects = report.stats.coarse_rejects;
     probe.cell_ball_share =
         probe.candidates > 0
             ? static_cast<double>(probe.cell_ball_decisions) /
@@ -603,148 +589,6 @@ inline TimeProbeResult run_time_probe(std::size_t n, double t = 2.0,
             : 0.0;
     probe.dijkstra_runs = report.stats.dijkstra_runs;
     probe.simd_backend = report.simd_backend;
-    return probe;
-}
-
-/// One arm of the v7 group-probe ablation: the same instance built with
-/// GroupProbing kOff (the PR-7 per-candidate baseline) and kOn (one
-/// batched traversal per source group), serially, through one warm
-/// session. The speedup column is the headline: how much the multi-target
-/// kernel cuts the microseconds per streamed candidate while the edge set
-/// stays bit-identical.
-struct GroupProbeArm {
-    std::string kind;  ///< "euclidean_uniform" | "random_nm"
-    std::size_t n = 0;
-    std::size_t m = 0;  ///< candidate edges (all pairs on the metric arm)
-    double stretch = 0.0;
-    std::size_t candidates = 0;  ///< streamed candidates (equal in both runs)
-    double off_seconds = 0.0;
-    double on_seconds = 0.0;
-    double off_us_per_candidate = 0.0;
-    double on_us_per_candidate = 0.0;
-    double speedup = 0.0;  ///< off_us / on_us
-    bool matches_off = false;  ///< kOn edge set == kOff edge set
-    std::size_t group_probes = 0;
-    std::size_t group_probe_decisions = 0;
-    std::size_t group_probe_early_exits = 0;
-    double mean_group_size = 0.0;   ///< decisions per probe
-    double early_exit_share = 0.0;  ///< probes stopped before draining
-    std::size_t rss_before_kb = 0;
-    std::size_t rss_after_kb = 0;
-    std::string simd_backend;  ///< dispatch-resolved backend of both runs (v8)
-};
-
-struct GroupProbeResult {
-    GroupProbeArm metric;
-    GroupProbeArm graph;
-};
-
-inline GroupProbeArm run_group_probe_arm(CandidateSource& source, const char* kind,
-                                         std::size_t n, std::size_t m, double t) {
-    GroupProbeArm arm;
-    arm.kind = kind;
-    arm.n = n;
-    arm.m = m;
-    arm.stretch = t;
-    arm.rss_before_kb = process_peak_rss_kb();
-
-    SpannerSession session;
-    BuildOptions options;
-    options.stretch = t;
-    options.engine.group_probing = EngineTuning::GroupProbing::kOff;
-    (void)session.build(source, options);  // prime: all timed runs are warm
-
-    // Min of three builds per arm: the ratio below feeds a CI hard-fail
-    // floor, and a single-shot quotient of two noisy timings swings far
-    // more than the kernel effect it is meant to police. Builds are
-    // deterministic, so every repeat yields the same graph and counters
-    // -- only the clock varies.
-    constexpr int kReps = 3;
-    BuildReport off_report;
-    Graph off{0};
-    arm.off_seconds = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < kReps; ++r) {
-        BuildReport rep;
-        Graph g = session.build(source, options, &rep);
-        if (rep.seconds < arm.off_seconds) {
-            arm.off_seconds = rep.seconds;
-            off_report = rep;
-            off = std::move(g);
-        }
-    }
-    arm.candidates = off_report.stats.candidates_streamed;
-
-    options.engine.group_probing = EngineTuning::GroupProbing::kOn;
-    BuildReport on_report;
-    Graph on{0};
-    arm.on_seconds = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < kReps; ++r) {
-        BuildReport rep;
-        Graph g = session.build(source, options, &rep);
-        if (rep.seconds < arm.on_seconds) {
-            arm.on_seconds = rep.seconds;
-            on_report = rep;
-            on = std::move(g);
-        }
-    }
-    arm.matches_off = same_edge_set(on, off);
-    arm.simd_backend = on_report.simd_backend;
-
-    const double cands =
-        static_cast<double>(arm.candidates == 0 ? 1 : arm.candidates);
-    arm.off_us_per_candidate = arm.off_seconds * 1e6 / cands;
-    arm.on_us_per_candidate = arm.on_seconds * 1e6 / cands;
-    arm.speedup = arm.on_us_per_candidate > 0.0
-                      ? arm.off_us_per_candidate / arm.on_us_per_candidate
-                      : 0.0;
-    arm.group_probes = on_report.stats.group_probes;
-    arm.group_probe_decisions = on_report.stats.group_probe_decisions;
-    arm.group_probe_early_exits = on_report.stats.group_probe_early_exits;
-    const double probes =
-        static_cast<double>(arm.group_probes == 0 ? 1 : arm.group_probes);
-    arm.mean_group_size = static_cast<double>(arm.group_probe_decisions) / probes;
-    arm.early_exit_share =
-        static_cast<double>(arm.group_probe_early_exits) / probes;
-    arm.rss_after_kb = process_peak_rss_kb();
-    return arm;
-}
-
-/// Probe size: `fallback` unless GSP_GROUP_PROBE_N overrides it (CI's
-/// per-PR smoke runs the reduced shape on which the validator enforces
-/// the 1.05x metric-arm regression floor; bench_runtime's history job runs larger).
-inline std::size_t group_probe_n(std::size_t fallback) {
-    if (const char* env = std::getenv("GSP_GROUP_PROBE_N")) {
-        const unsigned long long v = std::strtoull(env, nullptr, 10);
-        if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return fallback;
-}
-
-/// The v7 headline probe. The metric arm is the all-pairs shape the
-/// acceptance criterion names (widest groups: one anchor's candidates
-/// span the whole bucket); the graph arm is the stock random_nm shape of
-/// the kernel sweep, whose min-endpoint groups are narrower but still
-/// amortize. Both arms run serial so the delta is the kernel swap, not
-/// parallelism.
-inline GroupProbeResult run_group_probe(std::size_t metric_n, double metric_t,
-                                        std::size_t graph_n, double graph_t) {
-    GroupProbeResult probe;
-    {
-        Rng rng(1234);
-        const EuclideanMetric pts = uniform_points(
-            metric_n, 2, std::sqrt(static_cast<double>(metric_n)) * 10.0, rng);
-        MetricCandidateSource source(pts);
-        probe.metric = run_group_probe_arm(source, "euclidean_uniform", metric_n,
-                                           metric_n * (metric_n - 1) / 2, metric_t);
-    }
-    {
-        Rng rng(42);
-        const Graph g =
-            random_graph_nm(graph_n, 8 * graph_n, {.lo = 1.0, .hi = 2.0}, rng);
-        GraphCandidateSource source(g);
-        probe.graph = run_group_probe_arm(source, "random_nm", graph_n,
-                                          g.num_edges(), graph_t);
-    }
     return probe;
 }
 
@@ -765,7 +609,6 @@ struct SimdProbeResult {
     std::string backend;  ///< dispatch-selected vector table ("scalar" = no-op ablation)
     SimdKernelAblation far_sweep;       ///< sorted-radii bound sweep
     SimdKernelAblation distance_batch;  ///< batched 2D Euclidean distances
-    SimdKernelAblation sketch_probe;    ///< gathered way-probe matching
     SimdKernelAblation radix_sort;      ///< LSD radix vs std::stable_sort
 };
 
@@ -792,14 +635,14 @@ double simd_probe_min_seconds(int reps, F&& f) {
 
 }  // namespace detail
 
-/// The v8 kernel ablation: fixed synthetic workloads sized like the
-/// shapes the engine actually feeds each kernel (bucket-scale sorted
-/// sweeps, chunk-scale distance batches, 32-lane sketch blocks,
-/// chunk-scale candidate sorts). Every row first proves its two arms
-/// produce identical bytes, then reports min-of-reps wall clock for
-/// each arm. On a machine whose dispatch resolves to scalar the vector
-/// rows degenerate to speedup 1.0x by construction -- the validator
-/// only enforces speedup floors when backend != "scalar".
+/// The v8 kernel ablation: fixed synthetic workloads sized like the shapes
+/// the engine actually feeds each kernel (bucket-scale sorted sweeps,
+/// chunk-scale distance batches, chunk-scale candidate sorts). Every row
+/// first proves its two arms produce identical bytes, then reports
+/// min-of-reps wall clock for each arm. On a machine whose dispatch
+/// resolves to scalar the vector rows degenerate to speedup 1.0x by
+/// construction -- the validator only enforces speedup floors when backend
+/// != "scalar".
 inline SimdProbeResult run_simd_probe() {
     SimdProbeResult probe;
     const simd::Kernels& vec = simd::auto_kernels();
@@ -869,41 +712,6 @@ inline SimdProbeResult run_simd_probe() {
             detail::simd_probe_min_seconds(kReps, [&] { arm(vec, out_v); });
     }
 
-    {  // sketch probe: 32-lane way blocks, the sketch's match shape.
-        constexpr std::size_t kLanes = 32;
-        constexpr std::size_t kBlocks = 8192;
-        constexpr int kInner = 16;
-        constexpr std::uint32_t kSkip = 0xffffffffu;
-        std::vector<std::uint32_t> a(kLanes * kBlocks), b(kLanes * kBlocks);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            // Small value range: frequent matches, occasional skip lanes.
-            a[i] = rng.index(4) == 0 ? kSkip : static_cast<std::uint32_t>(rng.index(7));
-            b[i] = static_cast<std::uint32_t>(rng.index(7));
-        }
-        std::vector<std::uint32_t> out_s(kBlocks), out_v(kBlocks);
-        for (std::size_t blk = 0; blk < kBlocks; ++blk) {
-            out_s[blk] = sca.match_pairs(a.data() + blk * kLanes,
-                                         b.data() + blk * kLanes, kLanes, kSkip);
-            out_v[blk] = vec.match_pairs(a.data() + blk * kLanes,
-                                         b.data() + blk * kLanes, kLanes, kSkip);
-        }
-        probe.sketch_probe.outputs_identical = out_s == out_v;
-        const auto arm = [&](const simd::Kernels& k) {
-            std::uint64_t sum = 0;
-            for (int j = 0; j < kInner; ++j) {
-                for (std::size_t blk = 0; blk < kBlocks; ++blk) {
-                    sum += k.match_pairs(a.data() + blk * kLanes,
-                                         b.data() + blk * kLanes, kLanes, kSkip);
-                }
-            }
-            detail::simd_probe_sink(sum);
-        };
-        probe.sketch_probe.scalar_seconds =
-            detail::simd_probe_min_seconds(kReps, [&] { arm(sca); });
-        probe.sketch_probe.simd_seconds =
-            detail::simd_probe_min_seconds(kReps, [&] { arm(vec); });
-    }
-
     {  // radix sort: chunk-scale candidates, tie-heavy quantized weights.
         constexpr std::size_t kN = 1u << 18;
         std::vector<GreedyCandidate> input(kN);
@@ -951,7 +759,6 @@ inline SimdProbeResult run_simd_probe() {
     };
     finish(probe.far_sweep);
     finish(probe.distance_batch);
-    finish(probe.sketch_probe);
     finish(probe.radix_sort);
     return probe;
 }
@@ -972,14 +779,13 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
                                     const std::vector<KernelRun>& runs,
                                     const MemProbeResult& mem_probe,
                                     const TimeProbeResult& time_probe,
-                                    const GroupProbeResult& group_probe,
                                     const SessionProbeResult* session_probe = nullptr,
                                     const MetricProbeResult* metric_probe = nullptr,
                                     const AcceptProbeResult* accept_probe = nullptr,
                                     const SimdProbeResult* simd_probe = nullptr) {
     JsonWriter w;
     w.begin_object();
-    w.member("schema", "gsp.bench_greedy.v9");
+    w.member("schema", "gsp.bench_greedy.v10");
     w.member("source", source);
     w.member("stretch", t);
     w.key("instance").begin_object();
@@ -997,7 +803,6 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("bidirectional", r.config.bidirectional);
         w.member("ball_sharing", r.config.ball_sharing);
         w.member("csr_snapshot", r.config.csr_snapshot);
-        w.member("bound_sketch", r.config.bound_sketch);
         w.member("threads", r.config.threads);
         w.member("seconds", r.seconds);
         w.member("edges", r.edges);
@@ -1026,7 +831,6 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("handoff_bytes", p.handoff_bytes);
         w.member("bytes_per_candidate", p.bytes_per_candidate);
         w.member("pr2_bytes_per_candidate", p.pr2_bytes_per_candidate);
-        w.member("sketch_hits", p.stats.sketch_hits);
         w.member("dijkstra_runs", p.stats.dijkstra_runs);
         w.member("rss_delta_kb", p.rss_after_kb - p.rss_before_kb);
         w.end_object();
@@ -1114,39 +918,9 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("us_per_candidate", p.us_per_candidate);
         w.member("cell_balls", p.cell_balls);
         w.member("cell_ball_decisions", p.cell_ball_decisions);
-        w.member("coarse_rejects", p.coarse_rejects);
         w.member("cell_ball_share", p.cell_ball_share);
         w.member("dijkstra_runs", p.dijkstra_runs);
         w.member("simd_backend", p.simd_backend);
-        w.end_object();
-    }
-
-    {
-        const auto write_arm = [&w](const char* key, const GroupProbeArm& a) {
-            w.key(key).begin_object();
-            w.member("kind", a.kind);
-            w.member("n", a.n);
-            w.member("m", a.m);
-            w.member("stretch", a.stretch);
-            w.member("candidates", a.candidates);
-            w.member("off_seconds", a.off_seconds);
-            w.member("on_seconds", a.on_seconds);
-            w.member("off_us_per_candidate", a.off_us_per_candidate);
-            w.member("on_us_per_candidate", a.on_us_per_candidate);
-            w.member("speedup", a.speedup);
-            w.member("matches_off", a.matches_off);
-            w.member("group_probes", a.group_probes);
-            w.member("group_probe_decisions", a.group_probe_decisions);
-            w.member("group_probe_early_exits", a.group_probe_early_exits);
-            w.member("mean_group_size", a.mean_group_size);
-            w.member("early_exit_share", a.early_exit_share);
-            w.member("rss_delta_kb", a.rss_after_kb - a.rss_before_kb);
-            w.member("simd_backend", a.simd_backend);
-            w.end_object();
-        };
-        w.key("group_probe").begin_object();
-        write_arm("metric", group_probe.metric);
-        write_arm("graph", group_probe.graph);
         w.end_object();
     }
 
@@ -1164,7 +938,6 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("backend", p.backend);
         write_kernel("far_sweep", p.far_sweep);
         write_kernel("distance_batch", p.distance_batch);
-        write_kernel("sketch_probe", p.sketch_probe);
         write_kernel("radix_sort", p.radix_sort);
         w.end_object();
     }

@@ -192,7 +192,6 @@ int main(int argc, char** argv) {
                           << report.seconds << " s (" << us << " us/candidate); "
                           << report.stats.cell_balls << " cell balls / "
                           << report.stats.cell_ball_decisions << " batched decisions, "
-                          << report.stats.coarse_rejects << " coarse rejects, "
                           << report.stats.dijkstra_runs << " dijkstra runs\n";
             }
             if (args.repeat > 1) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v9)
+"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v10)
 and diff them against the tracked bench history.
 
 Usage:
@@ -78,8 +78,17 @@ stage 2) retires the speculative repair path: the stats blocks drop
 "certs_two_sided" (and the always-zero "repairs" / "repair_fallbacks"),
 the metric probe drops its repair counters, and the accept probe keeps
 its serial and mt2 timings, "snapshot_accepts" and the "matches_serial"
-check but drops the repair counters and the "repair_share" floor. Older
-entries are still accepted and diffed on the fields they carry.
+check but drops the repair counters and the "repair_share" floor. Schema
+v10 (the cross-bucket bound sketch deleted) drops the per-config
+"bound_sketch" column (and the "bound_sketch" ablation row), the
+"sketch_hits", "sketch_accepts" and "coarse_rejects" stats, the metric
+probe's "sketch_hits", the time probe's "coarse_rejects" and the
+"sketch_probe" SIMD row; the SIMD floor then asks for two of the three
+remaining kernels. v10 also drops the "group_probe" object and its
+metric-arm floor: the classic full-radius shared ball that its kOff arm
+timed is deleted, so there is no second arm left to compare against
+(v7-v9 entries still carry it and are still checked against the floor).
+Older entries are still accepted and diffed on the fields they carry.
 
 Exits non-zero if a file is missing, malformed, or violates the schema --
 including the engine's core contract that every configuration matched the
@@ -90,7 +99,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 10)}
+SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 11)}
 REQUIRED_TOP = {"schema", "source", "stretch", "instance", "configs",
                 "speedup_full_vs_naive"}
 REQUIRED_CONFIG = {"name", "bidirectional", "ball_sharing", "csr_snapshot",
@@ -160,7 +169,7 @@ TIME_PROBE_FULL_N = 1_000_000
 TIME_PROBE_FULL_BUILD_CEILING_S = 900.0
 
 # v7 additions: the multi-target group-probe counters and the kOn-vs-kOff
-# ablation object.
+# ablation object (v7-v9 only; v10 has no kOff arm to time).
 REQUIRED_STATS_V7 = REQUIRED_STATS_V6 | {"certs_two_sided", "group_probes",
                                          "group_probe_decisions",
                                          "group_probe_early_exits"}
@@ -187,7 +196,7 @@ REQUIRED_SIMD_KERNELS = ("far_sweep", "distance_batch", "sketch_probe",
 REQUIRED_SIMD_KERNEL_KEYS = {"scalar_seconds", "simd_seconds", "speedup",
                              "outputs_identical"}
 # The tentpole's acceptance floor: with a vector backend dispatch-selected,
-# at least this many of the four kernel ablations must beat the speedup
+# at least this many of the kernel ablations must beat the speedup
 # floor. (On a scalar-only machine the ablation arms run identical code
 # and the floor is vacuous -- dispatch honesty, not a build failure.)
 SIMD_PROBE_MIN_SPEEDUP = 1.30
@@ -197,6 +206,15 @@ SIMD_PROBE_MIN_KERNELS_OVER_FLOOR = 2
 RETIRED_REPAIR_STATS = {"repairs", "repair_reprobes", "repair_fallbacks",
                         "certs_published", "cert_ball_aborts", "certs_two_sided"}
 REQUIRED_STATS_V9 = REQUIRED_STATS_V7 - RETIRED_REPAIR_STATS
+
+# v10: the cross-bucket bound sketch is gone, and with it its config
+# column, its counters, the time probe's coarse rejects and the SIMD
+# way-probe row.
+RETIRED_SKETCH_STATS = {"sketch_hits", "sketch_accepts", "coarse_rejects"}
+REQUIRED_STATS_V10 = REQUIRED_STATS_V9 - RETIRED_SKETCH_STATS
+REQUIRED_CONFIG_V10 = REQUIRED_CONFIG_V5 - {"bound_sketch"}
+REQUIRED_TIME_PROBE_V10 = REQUIRED_TIME_PROBE - {"coarse_rejects"}
+REQUIRED_SIMD_KERNELS_V10 = ("far_sweep", "distance_batch", "radix_sort")
 
 REGRESSION_THRESHOLD = 1.20  # >20% worse than the previous entry
 
@@ -224,11 +242,13 @@ def validate(doc: dict, path) -> None:
     version = int(schema.rsplit("v", 1)[1])
     v2, v3, v4 = version >= 2, version >= 3, version >= 4
     v5, v6, v7, v8 = version >= 5, version >= 6, version >= 7, version >= 8
-    v9 = version >= 9
+    v9, v10 = version >= 9, version >= 10
     required_top = REQUIRED_TOP_V2 if v2 else REQUIRED_TOP
-    required_config = (REQUIRED_CONFIG_V5 if v5 else
+    required_config = (REQUIRED_CONFIG_V10 if v10 else
+                       REQUIRED_CONFIG_V5 if v5 else
                        REQUIRED_CONFIG_V2 if v2 else REQUIRED_CONFIG)
-    required_stats = (REQUIRED_STATS_V9 if v9 else
+    required_stats = (REQUIRED_STATS_V10 if v10 else
+                      REQUIRED_STATS_V9 if v9 else
                       REQUIRED_STATS_V7 if v7 else
                       REQUIRED_STATS_V6 if v6 else
                       REQUIRED_STATS_V5 if v5 else
@@ -342,8 +362,9 @@ def validate(doc: dict, path) -> None:
     if v6 and time_probe is None:
         fail(f"{path}: schema v6 requires the time_probe object")
     if time_probe is not None:
-        required_time = (REQUIRED_TIME_PROBE | {"simd_backend"} if v8
-                         else REQUIRED_TIME_PROBE)
+        required_time = (REQUIRED_TIME_PROBE_V10 if v10 else REQUIRED_TIME_PROBE)
+        if v8:
+            required_time = required_time | {"simd_backend"}
         if missing := required_time - time_probe.keys():
             fail(f"{path}: time_probe missing keys: {sorted(missing)}")
         if time_probe["candidates"] <= 0:
@@ -373,8 +394,8 @@ def validate(doc: dict, path) -> None:
                  f"single-core ceiling")
 
     group_probe = doc.get("group_probe")
-    if v7 and group_probe is None:
-        fail(f"{path}: schema v7 requires the group_probe object")
+    if v7 and not v10 and group_probe is None:
+        fail(f"{path}: schemas v7-v9 require the group_probe object")
     if group_probe is not None:
         if missing := {"metric", "graph"} - group_probe.keys():
             fail(f"{path}: group_probe missing arms: {sorted(missing)}")
@@ -409,15 +430,16 @@ def validate(doc: dict, path) -> None:
                  f"per-candidate (kOff) baseline")
 
     simd_probe = doc.get("simd_probe")
+    simd_kernels = REQUIRED_SIMD_KERNELS_V10 if v10 else REQUIRED_SIMD_KERNELS
     if v8 and simd_probe is None:
         fail(f"{path}: schema v8 requires the simd_probe object")
     if simd_probe is not None:
         if "backend" not in simd_probe:
             fail(f"{path}: simd_probe missing the backend field")
-        if missing := set(REQUIRED_SIMD_KERNELS) - simd_probe.keys():
+        if missing := set(simd_kernels) - simd_probe.keys():
             fail(f"{path}: simd_probe missing kernels: {sorted(missing)}")
         over_floor = 0
-        for kernel in REQUIRED_SIMD_KERNELS:
+        for kernel in simd_kernels:
             row = simd_probe[kernel]
             if missing := REQUIRED_SIMD_KERNEL_KEYS - row.keys():
                 fail(f"{path}: simd_probe {kernel} missing keys: "
@@ -484,10 +506,12 @@ def validate(doc: dict, path) -> None:
                       f"(budget {mem_probe['rss_budget_kb']}), "
                       f"{streamed} candidates streamed")
     if time_probe is not None:
+        coarse = ("" if v10 else
+                  f", {time_probe['coarse_rejects']} coarse rejects")
         extras.append(f"time probe n={time_probe['n']} "
                       f"{time_probe['us_per_candidate']:.2f} us/cand "
-                      f"(cell-ball share {time_probe['cell_ball_share']:.2f}, "
-                      f"{time_probe['coarse_rejects']} coarse rejects)")
+                      f"(cell-ball share {time_probe['cell_ball_share']:.2f}"
+                      f"{coarse})")
     if group_probe is not None:
         extras.append(
             f"group probe metric {group_probe['metric']['speedup']:.2f}x / "
@@ -496,10 +520,9 @@ def validate(doc: dict, path) -> None:
             f"early-exit share "
             f"{group_probe['metric']['early_exit_share']:.2f})")
     if simd_probe is not None:
-        speedups = "/".join(f"{simd_probe[k]['speedup']:.2f}x"
-                            for k in REQUIRED_SIMD_KERNELS)
-        extras.append(f"simd probe {simd_probe['backend']} "
-                      f"(far-sweep/dist/sketch/radix {speedups})")
+        speedups = ", ".join(f"{k} {simd_probe[k]['speedup']:.2f}x"
+                             for k in simd_kernels)
+        extras.append(f"simd probe {simd_probe['backend']} ({speedups})")
     if v2:
         extras.append(f"peak RSS {doc['peak_rss_kb']} KiB")
     suffix = f"; {', '.join(extras)}" if extras else ""

@@ -11,10 +11,8 @@ void BuildOptions::validate() const {
     if (!(engine.bucket_ratio > 1.0)) {
         throw std::invalid_argument("BuildOptions: engine.bucket_ratio must be > 1");
     }
-    if (engine.sketch_ways == 0 ||
-        (engine.sketch_ways & (engine.sketch_ways - 1)) != 0) {
-        throw std::invalid_argument(
-            "BuildOptions: engine.sketch_ways must be a power of two >= 1");
+    if (engine.chunk_soft_cap == 0) {
+        throw std::invalid_argument("BuildOptions: engine.chunk_soft_cap must be >= 1");
     }
     if (!(engine.parallel_accept_gate >= 0.0)) {
         throw std::invalid_argument(

@@ -1,8 +1,8 @@
 // The unified, layered build configuration.
 //
 // One options object for every algorithm the registry serves, structured
-// as: the shared engine block (EngineTuning -- parallelism, sketch,
-// pipeline knobs, identical-output tuning), the target stretch, and one
+// as: the shared engine block (EngineTuning -- parallelism, pipeline
+// knobs, identical-output tuning), the target stretch, and one
 // small section per algorithm family. Callers set the sections they use;
 // validate() checks the whole object up front so a bad combination fails
 // before any work (and before any stats out-param could be left stale).
@@ -27,7 +27,7 @@ struct BuildOptions {
     /// constructions derive their targets from their own sections below.
     double stretch = 2.0;
 
-    /// The shared engine / parallelism / sketch block, consumed by every
+    /// The shared engine / parallelism / pipeline block, consumed by every
     /// algorithm that runs the greedy engine. All fields are decision
     /// preserving (identical edge set at every setting).
     EngineTuning engine;

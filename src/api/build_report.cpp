@@ -10,11 +10,8 @@ void append_greedy_stats(JsonWriter& w, const GreedyStats& stats) {
     w.member("cache_hits", stats.cache_hits);
     w.member("csr_rebuilds", stats.csr_rebuilds);
     w.member("csr_compactions", stats.csr_compactions);
-    w.member("sketch_hits", stats.sketch_hits);
-    w.member("sketch_accepts", stats.sketch_accepts);
     w.member("cell_balls", stats.cell_balls);
     w.member("cell_ball_decisions", stats.cell_ball_decisions);
-    w.member("coarse_rejects", stats.coarse_rejects);
     w.member("bidirectional_meets", stats.bidirectional_meets);
     w.member("prefilter_rejects", stats.prefilter_rejects);
     w.member("prefilter_gated_off", stats.prefilter_gated_off);

@@ -36,17 +36,6 @@ std::unique_ptr<CandidateChunkSource> GraphCandidateSource::chunks() {
         [this](std::vector<GreedyCandidate>& out) { append_sorted_graph_candidates(g_, out); });
 }
 
-void GraphCandidateSource::configure_engine(GreedyEngineOptions& options,
-                                            SpannerSession&) {
-    // Classic min-endpoint groups pay one point probe per member; the
-    // batched multi-target probe decides them in one early-terminating
-    // traversal. Defaults only: an explicit kOff (the ablation benches,
-    // the equivalence suites' baseline) is preserved.
-    if (options.group_probing == EngineTuning::GroupProbing::kAuto) {
-        options.group_probing = EngineTuning::GroupProbing::kOn;
-    }
-}
-
 std::unique_ptr<CandidateChunkSource> MetricCandidateSource::chunks() {
     return std::make_unique<WholeListChunkSource>(
         [this](std::vector<GreedyCandidate>& out) { append_sorted_pairs(out); });
@@ -89,21 +78,15 @@ void MetricCandidateSource::append_sorted_pairs(std::vector<GreedyCandidate>& ou
 
 void MetricCandidateSource::configure_engine(GreedyEngineOptions& options,
                                              SpannerSession&) {
-    // All-pairs groups are the widest of any source (n - 1 members at the
-    // low end): the prime beneficiary of one-traversal group decisions.
-    if (options.group_probing == EngineTuning::GroupProbing::kAuto) {
-        options.group_probing = EngineTuning::GroupProbing::kOn;
-    }
     // Pin the candidate-weight batches to the run's resolved backend
     // (configure_engine runs before chunks() in a session build).
     simd_ = &resolve_simd_kernels(options.simd_backend);
     // The metric would be a sound goal oracle here (edge weights are
-    // metric distances), but neither wiring pays on all-pairs streams,
+    // metric distances), but it does not pay on all-pairs streams,
     // measured at n = 512..2048: `goal_bound` reroutes the point probes
     // through one-sided A*, forfeiting the bidirectional two-sided
-    // harvest (~1.8x slower overall), and `probe_goal_bound` trades the
-    // probe's shared-drain harvest for per-relaxation oracle calls (the
-    // kOn arm slows ~10%). Both stay available as explicit overrides.
+    // harvest (~1.8x slower overall). It stays available as an explicit
+    // override.
 }
 
 WspdCandidateSource::WspdCandidateSource(const EuclideanMetric& m, double separation,
@@ -122,16 +105,6 @@ WspdCandidateSource::WspdCandidateSource(const EuclideanMetric& m, double separa
         // (and a stretch_target of infinity downstream). Refuse up front.
         throw std::invalid_argument(
             "WspdCandidateSource: separation must be > 4 for a finite stretch bound");
-    }
-}
-
-void WspdCandidateSource::configure_engine(GreedyEngineOptions& options,
-                                           SpannerSession&) {
-    // Dumbbell representatives repeat across pairs (quadtree reps are
-    // hubs), so WSPD groups are wide enough for the batched probe to
-    // amortize; the grid source alone keeps its cell-batched reject balls.
-    if (options.group_probing == EngineTuning::GroupProbing::kAuto) {
-        options.group_probing = EngineTuning::GroupProbing::kOn;
     }
 }
 

@@ -106,7 +106,6 @@ public:
     [[nodiscard]] const char* kind() const override { return "graph-edges"; }
     [[nodiscard]] std::size_t num_vertices() const override { return g_.num_vertices(); }
     [[nodiscard]] std::unique_ptr<CandidateChunkSource> chunks() override;
-    void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
 
 private:
     const Graph& g_;
@@ -155,7 +154,6 @@ public:
 
     [[nodiscard]] const char* kind() const override { return "wspd-pairs"; }
     [[nodiscard]] std::size_t num_vertices() const override { return m_.size(); }
-    void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
     [[nodiscard]] double stretch_target(double engine_stretch) const override {
         return wspd_greedy_stretch_bound(engine_stretch, separation_);
     }

@@ -40,15 +40,6 @@ void GridCandidateSource::configure_engine(GreedyEngineOptions& options, Spanner
     if (options.chunk_soft_cap == EngineTuning{}.chunk_soft_cap) {
         options.chunk_soft_cap = std::size_t{1} << 21;
     }
-    // The via-landmark coarse reject needs both endpoints of a pair to
-    // remember a common nearby anchor, and every level's anchors compete
-    // for the same few source-keyed slots: at the default associativity
-    // most facts a cell ball harvests are evicted before the neighbor
-    // cells' candidates consult them. Twice the ways keeps them alive
-    // for O(n) extra memory and an O(ways) consult.
-    if (options.sketch_ways == EngineTuning{}.sketch_ways) {
-        options.sketch_ways = 8;
-    }
     // Spanner edge weights are exactly the metric distances of their
     // endpoints, so the metric lower-bounds every graph distance: hand it
     // to the engine as the A* goal oracle and the residual point queries

@@ -2,7 +2,7 @@
 //
 // A SpannerSession owns the expensive half of the greedy machinery -- the
 // stage-2 thread pools, the serial and per-worker Dijkstra workspaces, the
-// bound-sketch and certificate arenas, and the candidate chunk buffer --
+// per-bucket scratch arrays, and the candidate chunk buffer --
 // and keeps it warm across build() calls. The one-shot entry
 // points (greedy_spanner, greedy_spanner_metric, ...) are sessions that
 // live for a single call; a request-serving process keeps one session per
@@ -58,8 +58,8 @@ public:
     GSP_SERIAL_ONLY Graph build(CandidateSource& source, const BuildOptions& options,
                                 BuildReport* report = nullptr);
 
-    /// The shared resource arena (pools, workspaces, sketch/certificate
-    /// stores) -- what the engine borrows each build.
+    /// The shared resource arena (pools, workspaces, per-bucket scratch)
+    /// -- what the engine borrows each build.
     [[nodiscard]] EngineResources& resources() { return resources_; }
 
     /// The serial-loop workspace: reuse it for audits and reroutes between

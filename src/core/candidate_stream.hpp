@@ -209,11 +209,11 @@ public:
     }
 
     /// Largest group size of the last rebuild (the group-size-aware
-    /// bootstrap of the engine's ball-vs-point gate keys on it).
+    /// bootstrap of the engine's probe-vs-point gate keys on it).
     [[nodiscard]] std::size_t max_group_size() const { return max_group_size_; }
 
     /// Undecided-candidate counter of anchor s; the insertion stage
-    /// decrements it as candidates are decided (feeds the ball-vs-point
+    /// decrements it as candidates are decided (feeds the probe-vs-point
     /// gate's "remaining peers" signal).
     [[nodiscard]] std::uint32_t remaining(VertexId s) const { return remaining_[s]; }
     void decrement_remaining(VertexId s) { --remaining_[s]; }

@@ -2,8 +2,7 @@
 //
 // Before the unified API every greedy front door re-declared the same
 // knobs: GreedyEngineOptions, MetricGreedyOptions and ApproxGreedyOptions
-// each carried their own num_threads and sketch_ways
-// (and drifted -- the metric path never exposed bound_sketch at all).
+// each carried their own num_threads (and drifted apart).
 // EngineTuning is that block declared once: GreedyEngineOptions derives
 // from it (so `options.bidirectional` keeps reading as before), the
 // legacy option structs embed it, and the api layer's BuildOptions carries
@@ -19,17 +18,14 @@
 
 #include <cstddef>
 
-#include "core/bound_sketch.hpp"
-
 namespace gsp {
 
 class MetricSpace;
 
 struct EngineTuning {
     bool bidirectional = true;  ///< meet-in-the-middle point queries
-    bool ball_sharing = true;   ///< per-bucket shared balls + lazy revalidation
+    bool ball_sharing = true;   ///< per-bucket group probes / cell balls + lazy revalidation
     bool csr_snapshot = true;   ///< incremental gap-buffered CSR adjacency
-    bool bound_sketch = true;   ///< cross-bucket per-vertex bound sketch
 
     /// Worker count for the parallel prefilter stage: 1 = fully serial
     /// (the default -- parallelism is opt-in so the serial entry points
@@ -52,21 +48,19 @@ struct EngineTuning {
     /// insertion. 1.0 = never predict accept-heavy.
     double parallel_accept_gate = 0.25;
 
-    /// Bound-sketch associativity: slots per vertex (power of two).
-    std::size_t sketch_ways = BoundSketch::kDefaultWays;
-
     /// Geometric ratio of the weight buckets that pace ball sharing, CSR
     /// rebuilds, and `on_bucket` callbacks (mu in the paper's sketch).
     /// Must be > 1.
     double bucket_ratio = 2.0;
 
-    /// Until the first ball of a run calibrates the ball-vs-point cost
-    /// model, a shared ball is attempted only for groups with at least
+    /// Until the first group probe of a run calibrates the probe-vs-point
+    /// cost model, a probe is attempted only for groups with at least
     /// this many undecided candidates. The effective bootstrap threshold
     /// is min(this, the bucket's largest group): a stream whose groups all
-    /// sit below the knob (grid-pruned rep windows are ~s^2 wide) still
-    /// seeds the cost model from its first full-size ball instead of
-    /// never calibrating.
+    /// sit below the knob still seeds the cost model from its first
+    /// full-size group instead of never calibrating. Anchored
+    /// (cell-batched) groups take a cell ball once they reach min(this, 4)
+    /// members.
     std::size_t ball_share_min_group = 16;
 
     /// Cell-batched candidate grouping (the grid-streamed reject
@@ -83,23 +77,9 @@ struct EngineTuning {
     enum class CellBatching { kAuto, kOn, kOff };
     CellBatching cell_batching = CellBatching::kAuto;
 
-    /// Multi-target group probes (the batched-relaxation kernel): one
-    /// bounded traversal from a group's shared source carries every
-    /// member's target and decision radius, settles targets as it reaches
-    /// them, and stops once all are decided or the frontier passes the
-    /// largest undecided bound -- replacing up to |group| point queries
-    /// (or one full-radius drained ball) with one early-terminating probe.
-    /// kAuto lets the candidate source decide: graph, metric, and WSPD
-    /// sources turn it on (their classic groups pay one probe per member),
-    /// the grid source keeps its cell-batched reject balls. Decision
-    /// preserving like every other field: the kernel's verdicts are exact
-    /// distances on the same view the point queries probe.
-    enum class GroupProbing { kAuto, kOn, kOff };
-    GroupProbing group_probing = GroupProbing::kAuto;
-
     /// Vector kernel backend for the hot inner loops (the far sweep and
-    /// batched relaxation in BatchedProbe, the sketch way probe, batched
-    /// 2D distance evaluation, radix chunk finalization). kAuto runtime-
+    /// batched relaxation in BatchedProbe, batched 2D distance
+    /// evaluation, radix chunk finalization). kAuto runtime-
     /// dispatches to the widest instruction set the CPU reports (AVX2 >
     /// SSE4.2 > scalar); kScalar pins the pure-C++ reference; kForced pins
     /// the widest vector table the build can express even where a future
@@ -113,8 +93,9 @@ struct EngineTuning {
     SimdBackend simd_backend = SimdBackend::kAuto;
 
     /// Optional goal-direction oracle for the engine's single-target point
-    /// probes: when set, they run A* keyed by g + metric(v, target)
-    /// instead of a blind (bi)directional sweep, so a probe explores the
+    /// probes (group probes stay plain bounded Dijkstra): when set, they
+    /// run A* keyed by g + metric(v, target) instead of a blind
+    /// (bi)directional sweep, so a probe explores the
     /// ellipse that can still contain a <= threshold path rather than a
     /// disc around each endpoint. Sound whenever every graph edge's
     /// weight dominates the metric distance of its endpoints -- true for
@@ -126,17 +107,6 @@ struct EngineTuning {
     /// `bidirectional`: only the float-addition order of the pruning test
     /// differs from the one-sided sweep (last-ulp class).
     const MetricSpace* goal_bound = nullptr;
-
-    /// Optional goal-direction oracle for the *group probe* only: enables
-    /// BatchedProbe's goal-directed tail pruning without rerouting the
-    /// single-target point probes through `goal_bound` (on all-pairs
-    /// metric streams the bidirectional point query's two-sided harvest
-    /// beats the one-sided A* sweep, so switching both together trades
-    /// one win for a bigger loss). Same soundness condition as
-    /// `goal_bound`; when both are set the probe uses this one. Decision
-    /// preserving: the pruning never changes a verdict, only traversal
-    /// work (see BatchedProbe's header note).
-    const MetricSpace* probe_goal_bound = nullptr;
 
     /// Advisory chunk size (candidates) of the candidate stream: how many
     /// candidates a CandidateChunkSource is asked to append per pull.
@@ -154,7 +124,6 @@ struct EngineTuning {
         t.bidirectional = false;
         t.ball_sharing = false;
         t.csr_snapshot = false;
-        t.bound_sketch = false;
         t.num_threads = 1;
         t.parallel_prefilter = false;
         return t;

@@ -35,7 +35,7 @@ struct GreedyStats {
                                      ///< generation included)
 
     // GreedyEngine counters (zero when the matching optimisation is off).
-    std::size_t balls_computed = 0;       ///< shared ball() queries grown
+    std::size_t balls_computed = 0;       ///< serial cell balls and group probes grown
     std::size_t cache_hits = 0;           ///< candidates decided from cached bounds
     std::size_t csr_rebuilds = 0;         ///< full O(n+m) adjacency rebuilds (with the
                                           ///< incremental store: one per run, not per bucket)
@@ -49,15 +49,17 @@ struct GreedyStats {
                                         ///< (stage-2 far bit, no insertion since)
     std::size_t prefilter_gated_off = 0;  ///< 1 if the measured-cost gate disabled the prefilter
 
-    // Retired speculative-repair counters: parallel builds no longer
-    // repair stale stage-2 certificates (a stale far bit simply falls
-    // through to the exact machinery), so both always read zero. Kept so
-    // existing readers of the counters still compile.
+    // Retired counters, kept so existing readers still compile; all four
+    // always read zero. Parallel builds no longer repair stale stage-2
+    // certificates (a stale far bit simply falls through to the exact
+    // machinery), and no cross-bucket bound sketch exists to hit.
     std::size_t repairs = 0;           ///< always 0
     std::size_t repair_fallbacks = 0;  ///< always 0
+    std::size_t sketch_hits = 0;       ///< always 0
+    std::size_t coarse_rejects = 0;    ///< always 0
 
-    // Group-probe counters (zero unless group_probing resolved to kOn).
-    // All three are per-group facts of deterministic probes, so they are
+    // Group-probe counters (zero when ball_sharing is off; with anchored
+    // cell-batched groups only stage 2 probes groups). All three are per-group facts of deterministic probes, so they are
     // invariant across worker counts (the equivalence suite checks this).
     std::size_t group_probes = 0;           ///< batched multi-target probes run
     std::size_t group_probe_decisions = 0;  ///< candidates those probes decided
@@ -65,24 +67,13 @@ struct GreedyStats {
                                               ///< pending (every target decided)
 
     // Cell-batched rejection counters (zero unless cell_batching resolved
-    // to kOn -- the grid-streamed path). cell_ball_decisions counts the
+    // to kOn -- the grid-streamed path; only the serial insertion loop
+    // grows cell balls). cell_ball_decisions counts the
     // candidates a cell ball decided without a probe of their own: the
     // members its harvest resolved at ball time plus the later
-    // lazy-revalidation accepts it backed. coarse_rejects counts
-    // via-landmark sketch rejects (two witness paths through a common
-    // landmark concatenated within the threshold -- zero graph work).
+    // lazy-revalidation accepts it backed.
     std::size_t cell_balls = 0;          ///< balls grown for anchored (cell) groups
     std::size_t cell_ball_decisions = 0; ///< candidates decided by those balls
-    std::size_t coarse_rejects = 0;      ///< via-landmark sketch upper-bound rejects
-
-    // Bound-sketch counters (zero when bound_sketch is off). Not a
-    // partition of edges_examined: a stage-2 sketch far certificate counts
-    // here *and* as a snapshot_accept when stage 3 consumes its bit.
-    std::size_t sketch_hits = 0;     ///< candidates the sketch decided in either
-                                     ///< stage (upper-bound rejects, and stage-2
-                                     ///< epoch-valid far certificates)
-    std::size_t sketch_accepts = 0;  ///< stage-3 accepts from epoch-valid sketch
-                                     ///< lower bounds
 
     /// Peak resident bytes of the stage-2 -> stage-3 handoff (bucket-local
     /// bound array + packed verdict bitsets); the bytes-per-candidate

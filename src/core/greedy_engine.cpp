@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "graph/incremental_csr.hpp"
-#include "metric/euclidean.hpp"
 #include "metric/metric_space.hpp"
 #include "util/timer.hpp"
 
@@ -28,30 +27,7 @@ const simd::Kernels& resolve_simd_kernels(EngineTuning::SimdBackend backend) {
 
 namespace {
 
-/// The goal oracle handed to the group probe: point queries stay virtual
-/// calls, but when BatchedProbe asks for a whole frontier's lower bounds
-/// at once (its kBatchGoal path) a 2D Euclidean oracle evaluates them
-/// through the vector distance kernel. Bitwise-identical to the scalar
-/// loop (see EuclideanMetric::distances_from), so engagement decisions
-/// and verdicts are unchanged.
-struct ProbeGoalOracle {
-    const MetricSpace* m = nullptr;
-    const EuclideanMetric* e2 = nullptr;  ///< m downcast, when it is Euclidean
-    const simd::Kernels* k = nullptr;
-
-    Weight operator()(VertexId x, VertexId tgt) const { return m->distance(x, tgt); }
-    void batch(VertexId x, std::span<const VertexId> targets, Weight* out) const {
-        if (e2 != nullptr) {
-            e2->distances_from(x, targets, out, *k);
-        } else {
-            for (std::size_t i = 0; i < targets.size(); ++i) {
-                out[i] = m->distance(x, targets[i]);
-            }
-        }
-    }
-};
-
-/// Reject radius of the anchored (cell-batched) shared ball, as a factor
+/// Reject radius of the anchored (cell-batched) ball, as a factor
 /// of the group's heaviest candidate weight. A reject's witness path in
 /// the dense grid regime has stretch barely above 1, so draining ~1.3x
 /// the heaviest weight settles nearly every reject at a fraction of the
@@ -150,11 +126,6 @@ void GreedyEngine::init() {
     if (!(options_.bucket_ratio > 1.0)) {
         throw std::invalid_argument("GreedyEngine: bucket_ratio must be > 1");
     }
-    if (options_.sketch_ways == 0 ||
-        (options_.sketch_ways & (options_.sketch_ways - 1)) != 0) {
-        throw std::invalid_argument(
-            "GreedyEngine: sketch_ways must be a power of two >= 1");
-    }
     if (options_.chunk_soft_cap == 0) {
         throw std::invalid_argument("GreedyEngine: chunk_soft_cap must be >= 1");
     }
@@ -204,7 +175,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     DijkstraWorkspacePool& ws_pool = res.ws_pool_;
     PrefilterStage& prefilter_stage = res.prefilter_stage_;
     SourceGroups& groups = res.groups_;
-    BoundSketch& sketch = res.sketch_;
     std::vector<Weight>& bound = res.bound_;
     std::vector<std::uint64_t>& far_mark = res.far_mark_;
     std::vector<std::uint64_t>& ball_bucket = res.ball_bucket_;
@@ -214,19 +184,16 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     const double t = options_.stretch;
     const bool sharing = options_.ball_sharing;
     const bool parallel = parallel_enabled();
-    const bool use_sketch = options_.bound_sketch;
     // Cell-batched grouping: anchor each candidate at one endpoint by the
     // two-sided hub heuristic instead of always at u. kAuto means no
     // source opted in (GridCandidateSource flips it to kOn), so it
     // resolves to the classic rule here.
     const bool anchored =
         sharing && options_.cell_batching == EngineTuning::CellBatching::kOn;
-    // Multi-target group probes: one bounded traversal per source group
-    // carries every member's target and radius (kAuto resolves here like
-    // cell_batching -- graph/metric/WSPD sources flip it to kOn). Rides on
-    // the group machinery, so sharing is a prerequisite.
-    const bool group_probe =
-        sharing && options_.group_probing == EngineTuning::GroupProbing::kOn;
+    // Every other shared group is decided by a multi-target group probe:
+    // one bounded traversal from the anchor carries every member's target
+    // and radius.
+    const bool group_probe = sharing && !anchored;
     // Bounds are the currency of both ball sharing and the parallel stage.
     const bool track_bounds = sharing || parallel;
     const std::size_t meets_before = ws.meet_events() + ws_pool.total_meet_events();
@@ -234,21 +201,12 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     if (parallel) ws_pool.configure(workers_, n_);
 
     // Resolve the SIMD backend once and hand every consumer the same
-    // kernel table: the serial probe here, the stage-2 workers (via
-    // ctx.simd below), and the sketch's way-probe. The tables are
-    // bit-exact replacements for each other, so this cannot change a
-    // decision -- only how fast the sweeps and relaxations run.
+    // kernel table: the serial probe here and the stage-2 workers (via
+    // ctx.simd below). The tables are bit-exact replacements for each
+    // other, so this cannot change a decision -- only how fast the sweeps
+    // and relaxations run.
     const simd::Kernels& simd_k = resolve_simd_kernels(options_.simd_backend);
     ws.batched().set_kernels(&simd_k);
-    sketch.set_kernels(&simd_k);
-    // Goal oracle for the serial group probe, resolved (and downcast)
-    // once per run instead of per group.
-    const MetricSpace* probe_goal_metric = options_.probe_goal_bound != nullptr
-                                               ? options_.probe_goal_bound
-                                               : options_.goal_bound;
-    const ProbeGoalOracle probe_goal_oracle{
-        probe_goal_metric, dynamic_cast<const EuclideanMetric*>(probe_goal_metric),
-        &simd_k};
 
     if (track_bounds) {
         ball_bucket.assign(n_, 0);
@@ -256,7 +214,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
         ball_radius.assign(n_, 0.0);
     }
     if (parallel) prefilter_stage.begin_run(workers_);
-    if (use_sketch) sketch.reset(n_, options_.sketch_ways);
 
     PrefilterGateState gate;
     const bool have_serial_pf = static_cast<bool>(options_.prefilter);
@@ -277,17 +234,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     // with a pre-seeded spanner is prefiltered).
     double last_accept_rate = 0.0;
 
-    // Cross-bucket sketch recorder (serial-only writer; stage 2 reads
-    // the sketch strictly between buckets' fan-outs). Accept paths record
-    // nothing here: the insertion that follows bumps the epoch and writes
-    // the now-exact pair distance, which would overwrite any far record
-    // one statement later.
-    const auto sk_pair_exact = [&](VertexId a, VertexId b, Weight d) {
-        if (!use_sketch) return;
-        sketch.record_exact(a, b, d, insert_epoch);
-        sketch.record_exact(b, a, d, insert_epoch);
-    };
-
     // One early-exit point query by the configured strategy. The
     // goal-directed probe (a metric oracle focusing the sweep into the
     // pair's ellipse) is one-sided, so only the bidirectional query leaves
@@ -305,15 +251,16 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
         return ws.distance(adapter.view(), a, b, threshold);
     };
 
-    // Online cost model for the ball-vs-point decision: exponential moving
-    // averages of heap pushes per query kind, and of how many candidates a
-    // ball actually resolves (its own decision plus the cache hits its
-    // harvested bounds will produce). Zero = not yet calibrated this run.
-    // Owned by the insertion loop: stage-2 ball decisions use the static
-    // group-size threshold instead, so they never depend on scheduling.
-    double ball_cost = 0.0;
+    // Online cost model for the probe-vs-point decision: exponential
+    // moving averages of heap pushes per query kind, and of how many
+    // candidates a group probe actually resolves (its own decision plus the
+    // cache hits its settled bounds will produce). Zero = not yet
+    // calibrated this run. Owned by the insertion loop: stage 2 probes
+    // every group with two or more undecided members instead, so its
+    // decisions never depend on scheduling.
+    double probe_cost = 0.0;
     double point_cost = 0.0;
-    double ball_value = 0.0;
+    double probe_value = 0.0;
     const auto update_ema = [](double& ema, double sample) {
         ema = ema == 0.0 ? sample : 0.75 * ema + 0.25 * sample;
     };
@@ -349,12 +296,12 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
 
         // The thin stage-2 -> stage-3 handoff: one Weight slot and two
         // verdict bits per candidate, all bucket-local. Bounds die with
-        // the bucket by design -- cross-bucket persistence is the
-        // sketch's job, in O(n) instead of O(m).
+        // the bucket by design: nothing persists across buckets, so the
+        // engine's memory stays O(n) plus one bucket, never O(m).
         if (track_bounds) bound.assign(bucket.size(), kInfiniteWeight);
         // Per-member far certificates from group probes: the epoch at
         // which a probe certified this member far (0 = never). Unlike the
-        // shared ball slot, these survive the probe's early exit shrinking
+        // published ball slot, these survive the probe's early exit shrinking
         // the certified radius below a heavy member's threshold.
         if (group_probe) far_mark.assign(bucket.size(), 0);
         if (parallel) prefilter_stage.begin_bucket(bw.size());
@@ -385,12 +332,12 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                                 last_accept_rate <= options_.parallel_accept_gate &&
                                 h.num_edges() > 0;
         if (sharing) groups.rebuild(bw, n_, anchored);
-        // Group-size-aware bootstrap threshold for the ball-vs-point gate:
+        // Group-size-aware bootstrap threshold for the probe-vs-point gate:
         // a stream whose groups never reach ball_share_min_group (grid rep
         // windows are ~s^2 wide) still calibrates the cost model from its
         // first full-size group, instead of staying on point queries for
         // the whole run. The floor of 2 keeps degenerate all-singleton
-        // buckets from bootstrapping a ball that can amortize nothing.
+        // buckets from bootstrapping a probe that can amortize nothing.
         const std::size_t bootstrap_min_group =
             sharing ? std::min(options_.ball_share_min_group,
                                std::max<std::size_t>(groups.max_group_size(), 2))
@@ -408,12 +355,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
             ctx.groups = sharing ? &groups : nullptr;
             ctx.stretch = t;
             ctx.bidirectional = options_.bidirectional;
-            ctx.ball_share_min_group = bootstrap_min_group;
-            ctx.anchored = anchored;
-            ctx.group_probe = group_probe;
             ctx.ball_scope = bucket_seq;
             ctx.snapshot_epoch = snapshot_epoch;
-            ctx.sketch = use_sketch ? &sketch : nullptr;
             ctx.oracle = (have_concurrent_pf && gate.live && !gate.calibrating)
                              ? &options_.concurrent_prefilter
                              : nullptr;
@@ -479,41 +422,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                 // is already known (harvested serially or by stage 2); the
                 // spanner only grows, so the bound can only have improved.
                 ++stats.cache_hits;
-                if (use_sketch) {
-                    // Persist the witness across buckets (upper bounds are
-                    // sound forever).
-                    sketch.record_upper(c.u, c.v, bound[li]);
-                    sketch.record_upper(c.v, c.u, bound[li]);
-                }
                 record_exact();
                 continue;
-            }
-            if (use_sketch && sketch.upper_bound(c.u, c.v) <= threshold) {
-                // Cross-bucket cache hit: an earlier bucket's exact query
-                // already certified a witness path for this pair.
-                ++stats.sketch_hits;
-                record_exact();
-                continue;
-            }
-            if (use_sketch) {
-                // Coarse-bound fast reject: even when neither endpoint
-                // remembers the other (a grid stream emits each pair
-                // exactly once, so the direct consult above never hits),
-                // both may remember a common landmark -- typically a cell
-                // anchor whose drained ball settled them. Concatenating
-                // the two witness paths through the landmark is a sound
-                // upper bound; within the threshold it rejects with zero
-                // graph work, spending the stretch slack the grid banks
-                // (t >= the emitted weight's slack keeps such two-leg
-                // witnesses plentiful for far reps).
-                const Weight via = sketch.via_upper_bound(c.u, c.v);
-                if (via <= threshold) {
-                    ++stats.coarse_rejects;
-                    sketch.record_upper(c.u, c.v, via);
-                    sketch.record_upper(c.v, c.u, via);
-                    record_exact();
-                    continue;
-                }
             }
             if (parallel && prefilter_stage.far_at_snapshot(i) &&
                 insert_epoch == snapshot_epoch) {
@@ -532,96 +442,118 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                 // threshold.
                 ++stats.cache_hits;
                 accept = true;
-            } else if (use_sketch &&
-                       sketch.lower_bound_at(c.u, c.v, insert_epoch) > threshold) {
-                // Epoch-valid sketch lower bound: the pair was measured
-                // farther than the threshold and nothing was inserted
-                // since -- accept without any probe.
-                ++stats.sketch_accepts;
-                accept = true;
             } else if (sharing) {
                 const std::uint32_t peers = groups.remaining(anchor);
                 const auto& grp = groups.of(anchor);
-                // Ball-vs-point gate: a ball pays off iff its measured work
-                // amortizes below the point-query work of the candidates it
-                // realistically resolves (accept-heavy phases make balls
-                // near-worthless -- harvested bounds reject nothing).
-                // Bootstrap: one ball for the bucket's largest group class
-                // calibrates the ball side, then one point query
-                // calibrates the other.
+                // Shared-traversal gate: does this group take one shared
+                // traversal (the cell ball of anchored runs, the group
+                // probe of every other run) instead of a point query?
                 bool want_ball = false;
                 if (peers > 0) {
                     if (anchored) {
-                        // Cell-batched rule: one drained ball per cell per
-                        // window, structurally. Its value is mostly
-                        // *outside* the group -- the settled frontier
-                        // persists in the sketch, so the anchor's later
-                        // buckets hit the direct consult and neighboring
-                        // cells' candidates hit the via-landmark reject --
-                        // which per-group cost accounting cannot see. The
-                        // previous bucket's accept rate vetoes accept-heavy
-                        // phases instead (the stage-2 gate's signal, kept
-                        // fresh for serial runs too): there, harvests
-                        // resolve nearly nothing and every insertion
-                        // stales the sketch facts the ball just paid for.
-                        // At most one drained ball per anchor per bucket:
-                        // its harvested bounds are upper bounds -- sound
-                        // forever -- so the group's rejects stay decided
-                        // across the bucket's insertions, and the few
-                        // members an insertion un-certifies (the accept
-                        // side needs the epoch) are exactly the ones a
-                        // cheap early-exit point query handles best.
-                        // Re-draining after every accept is what epoch
-                        // invalidation would otherwise cost.
+                        // Cell-batched rule: at most one drained ball per
+                        // anchor per bucket, taken structurally instead of
+                        // through the cost model below. The ball drains
+                        // only the reject radius (kCellRejectRadiusFactor),
+                        // which settles the typical witness of every rep
+                        // candidate the cell emits into the window, so its
+                        // harvest decides the group's rejects in one
+                        // traversal. Its harvested bounds are upper bounds
+                        // -- sound forever -- so the group's rejects stay
+                        // decided across the bucket's insertions, and the
+                        // few members an insertion un-certifies (the
+                        // accept side needs the epoch) go to a cheap
+                        // early-exit point query. The previous bucket's
+                        // accept rate (the stage-2 gate's signal, kept
+                        // fresh for serial runs too) vetoes accept-heavy
+                        // phases, where every insertion stales the far
+                        // facts the ball just paid for. That this rule
+                        // beats the cost model on grid streams is still to
+                        // be measured (ROADMAP item 2).
                         want_ball = grp.size() >= std::min<std::size_t>(
                                                       bootstrap_min_group, 4) &&
                                     last_accept_rate <= options_.parallel_accept_gate &&
                                     ball_bucket[anchor] != bucket_seq;
-                    } else if (ball_cost == 0.0) {
+                    } else if (probe_cost == 0.0) {
+                        // Bootstrap: one group probe for the bucket's
+                        // largest group class calibrates the probe side,
+                        // then one point query calibrates the other.
                         want_ball = grp.size() >= bootstrap_min_group;
                     } else if (point_cost != 0.0) {
-                        want_ball = 2.0 * ball_cost <= std::max(ball_value, 1.0) * point_cost;
+                        // Probe-vs-point cost model: a group probe pays off
+                        // iff its measured work amortizes below the
+                        // point-query work of the candidates it
+                        // realistically resolves (in accept-heavy phases
+                        // its settled rejects, and so its value, vanish).
+                        want_ball = 2.0 * probe_cost <= std::max(probe_value, 1.0) * point_cost;
                     }
                 }
                 if (ball_bucket[anchor] == bucket_seq && ball_epoch[anchor] == insert_epoch &&
                     ball_radius[anchor] >= threshold) {
-                    // Lazy revalidation pay-off: the last ball from this
-                    // anchor (grown serially or by stage 2) is still exact
-                    // -- no insertion anywhere since -- and covered this
-                    // radius, so bound > threshold means the true distance
-                    // exceeds the threshold.
+                    // Lazy revalidation pay-off: the last ball or group
+                    // probe from this anchor (run serially or by stage 2)
+                    // is still exact -- no insertion anywhere since -- and
+                    // certified this radius, so bound > threshold means
+                    // the true distance exceeds the threshold.
                     ++stats.cache_hits;
                     if (anchored) ++stats.cell_ball_decisions;
                     accept = true;
                 } else {
                     bool need_point = !want_ball;
-                    if (want_ball && group_probe && !anchored &&
-                        last_accept_rate <= options_.parallel_accept_gate) {
+                    if (want_ball && anchored) {
+                        // Cell ball: Dijkstra cost grows with radius^2, and
+                        // in the reject-heavy regime a reject's witness
+                        // path barely exceeds its weight, so the ball
+                        // drains only a *reject radius*: enough to settle
+                        // the typical witness for every member, with no
+                        // clamp up to the current candidate's threshold.
+                        // When the shave leaves li itself unsettled below
+                        // its threshold, li is simply undecided and falls
+                        // through to its own point query below. Cost,
+                        // never correctness: a settled bound is an exact
+                        // witness either way.
+                        const Weight radius =
+                            kCellRejectRadiusFactor * cand_at(grp.back()).weight;
+                        ++stats.dijkstra_runs;
+                        ++stats.balls_computed;
+                        ++stats.cell_balls;
+                        (void)ws.ball(adapter.view(), anchor, radius);
+                        std::size_t resolved = 1;  // this candidate
+                        for (std::uint32_t idx : grp) {
+                            const Weight d =
+                                ws.settled_distance(SourceGroups::other_of(cand_at(idx), anchor));
+                            if (d < bound[idx]) {
+                                bound[idx] = d;
+                                if (idx > li && d <= t * cand_at(idx).weight) ++resolved;
+                            }
+                        }
+                        stats.cell_ball_decisions += resolved;
+                        ball_bucket[anchor] = bucket_seq;
+                        ball_epoch[anchor] = insert_epoch;
+                        ball_radius[anchor] = radius;
+                        if (bound[li] <= threshold) {
+                            accept = false;  // exact witness settled by the ball
+                        } else if (radius >= threshold) {
+                            accept = true;  // unsettled at a covering radius: far
+                        } else {
+                            need_point = true;  // shaved below li's threshold
+                        }
+                    } else if (want_ball) {
                         // Multi-target group probe: one bounded traversal
                         // carries every undecided member's target and
                         // decision radius, settles targets as the frontier
                         // reaches them, and stops the moment the last is
                         // decided or the frontier passes the largest
                         // undecided bound -- the serial twin of the
-                        // stage-2 kernel path, replacing the classic
-                        // full-radius drained ball. Settled members land
-                        // as exact bounds (cache-hit rejects when their
-                        // turn comes); far members ride the published
-                        // certified-radius ball slot, accepting by the
-                        // same lazy revalidation a classic ball backs --
-                        // at a fraction of its drained area. A member
-                        // whose threshold outruns the certified radius
-                        // (possible after early termination) simply fails
-                        // revalidation and falls through to the exact
-                        // machinery: cost, never correctness.
-                        //
-                        // The accept-rate veto mirrors the cell-batched
-                        // rule above: in accept-heavy phases every
-                        // insertion stales the far certificates the probe
-                        // just paid for, so the group gets re-probed per
-                        // accept while the bidirectional point query (two
-                        // meet-in-the-middle half-balls plus a two-sided
-                        // harvest) decides each member outright.
+                        // stage-2 kernel path. Settled members land as
+                        // exact bounds (cache-hit rejects when their turn
+                        // comes); far members get a per-member far mark
+                        // and also ride the published certified-radius
+                        // ball slot. A member whose threshold outruns the
+                        // certified radius (possible after early
+                        // termination) fails revalidation and falls
+                        // through to the exact machinery: cost, never
+                        // correctness.
                         BatchedProbe& probe = ws.batched();
                         bool li_far = false;
                         const auto is_undecided = [&](std::uint32_t local) {
@@ -633,52 +565,23 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                             far_mark[local] = insert_epoch;
                             if (local == li) li_far = true;
                         };
-                        // With a metric oracle at hand the probe goes
-                        // goal-directed once few targets remain undecided
-                        // -- the accept-side tail, where the classic drain
-                        // spends most of its area (verdicts unchanged; see
-                        // BatchedProbe's header note).
                         const PrefilterKernel::Outcome outcome =
-                            probe_goal_metric != nullptr
-                                ? res.prefilter_kernel_.decide_group(
-                                      probe, adapter.view(), anchor, bw, grp, t,
-                                      is_undecided, bound, mark_far, probe_goal_oracle)
-                                : res.prefilter_kernel_.decide_group(
-                                      probe, adapter.view(), anchor, bw, grp, t,
-                                      is_undecided, bound, mark_far);
+                            res.prefilter_kernel_.decide_group(
+                                probe, adapter.view(), anchor, bw, grp, t,
+                                is_undecided, bound, mark_far);
                         ++stats.dijkstra_runs;
                         ++stats.balls_computed;
                         ++stats.group_probes;
                         stats.group_probe_decisions += outcome.probed;
                         if (outcome.early_exit) ++stats.group_probe_early_exits;
-                        update_ema(ball_cost, static_cast<double>(probe.last_work()));
-                        // Value accounting mirrors the classic ball's
-                        // `resolved` (settled rejects only) so the two
-                        // paths bid against the point query on equal
-                        // terms: counting far members as value inflates
-                        // the EMA and flips the gate toward probes on
-                        // inputs where per-candidate queries genuinely win.
+                        update_ema(probe_cost, static_cast<double>(probe.last_work()));
+                        // Value counts settled rejects only: counting far
+                        // members as value inflates the EMA and flips the
+                        // gate toward probes on inputs where per-candidate
+                        // queries genuinely win.
                         const std::size_t resolved = outcome.probed - outcome.far_members;
-                        update_ema(ball_value, static_cast<double>(
+                        update_ema(probe_value, static_cast<double>(
                                                    std::max<std::size_t>(resolved, 1)));
-                        if (use_sketch) {
-                            // Same cross-bucket harvest as a drained ball's,
-                            // except goal pruning bounds the exact claim:
-                            // settles past the engagement distance may have
-                            // had a shorter path pruned, so they land as
-                            // upper bounds (sound rejects, no lower-bound
-                            // accepts). Settle order is nondecreasing, so
-                            // the exact prefix is a prefix.
-                            const Weight exact_r = probe.settled_exact_radius();
-                            for (const auto& [x, d] : probe.settled()) {
-                                if (x == anchor) continue;
-                                if (d <= exact_r) {
-                                    sketch.record_exact(anchor, x, d, insert_epoch);
-                                } else {
-                                    sketch.record_upper(anchor, x, d);
-                                }
-                            }
-                        }
                         ball_bucket[anchor] = bucket_seq;
                         ball_epoch[anchor] = insert_epoch;
                         ball_radius[anchor] = outcome.certified_radius;
@@ -686,73 +589,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         // verdicts: far at this view, or settled with a
                         // witness within its threshold.
                         accept = li_far;
-                    } else if (want_ball) {
-                        // Shared ball: one query answers every candidate of
-                        // this anchor in the bucket. The classic radius covers
-                        // the heaviest member's threshold, so unsettled means
-                        // far for the whole group -- but Dijkstra cost grows
-                        // with radius^2, and in the reject-heavy regime a
-                        // reject's witness path barely exceeds its weight. The
-                        // anchored (cell-batched) ball therefore drains only a
-                        // *reject radius*: enough to settle the typical
-                        // witness for every member, with no clamp up to the
-                        // current candidate's threshold -- when the shave
-                        // leaves li itself unsettled below its threshold, li
-                        // is simply undecided and falls through to its own
-                        // goal-directed probe below. Cost, never correctness:
-                        // a settled bound is an exact witness either way.
-                        const Weight w_top = cand_at(grp.back()).weight;
-                        const Weight radius =
-                            anchored ? kCellRejectRadiusFactor * w_top : t * w_top;
-                        ++stats.dijkstra_runs;
-                        ++stats.balls_computed;
-                        if (anchored) ++stats.cell_balls;
-                        const auto& settled = ws.ball(adapter.view(), anchor, radius);
-                        update_ema(ball_cost, static_cast<double>(ws.last_work()));
-                        if (use_sketch) {
-                            // The settled set is exact at this epoch: the
-                            // cross-bucket harvest that recovers the n^2
-                            // DistanceCache's hit rate in O(n) memory (and, on
-                            // streams that emit each pair once, feeds the
-                            // via-landmark coarse reject -- the anchor is the
-                            // landmark). Each record is a random write into
-                            // the O(n)-sized slot table, so the harvest is
-                            // DRAM-bound: in anchored mode only the near half
-                            // of the frontier is recorded -- a via reject
-                            // concatenates two *short* legs through a shared
-                            // anchor, so the far half buys almost no rejects
-                            // at the same per-record cost. Settle order is
-                            // nondecreasing distance: the cap is a prefix.
-                            const Weight record_cap =
-                                anchored ? 0.5 * radius : kInfiniteWeight;
-                            for (const auto& [x, d] : settled) {
-                                if (d > record_cap) break;
-                                if (x != anchor) sketch.record_exact(anchor, x, d, insert_epoch);
-                            }
-                        }
-                        std::size_t resolved = 1;  // this candidate
-                        for (std::uint32_t idx : grp) {
-                            const Weight d =
-                                ws.settled_distance(SourceGroups::other_of(cand_at(idx), anchor));
-                            if (d < bound[idx]) {
-                                bound[idx] = d;
-                                if (idx > li && d <= t * cand_at(idx).weight) ++resolved;
-                            }
-                        }
-                        update_ema(ball_value, static_cast<double>(resolved));
-                        if (anchored) stats.cell_ball_decisions += resolved;
-                        ball_bucket[anchor] = bucket_seq;
-                        ball_epoch[anchor] = insert_epoch;
-                        ball_radius[anchor] = radius;
-                        if (bound[li] <= threshold) {
-                            accept = false;  // exact witness settled by a ball
-                        } else if (radius >= threshold) {
-                            accept = true;  // unsettled at a covering radius: far
-                        } else {
-                            // The reject-radius shave left li unsettled below
-                            // its own threshold: undecided, probe it directly.
-                            need_point = true;
-                        }
                     }
                     if (need_point) {
                         // Small group (or a ball-undecided member): an
@@ -779,14 +615,11 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                             }
                         }
                         accept = d > threshold;
-                        if (!accept) sk_pair_exact(c.u, c.v, d);
                     }
                 }
             } else {
                 ++stats.dijkstra_runs;
-                const Weight d = point_query(c.u, c.v, threshold);
-                accept = d > threshold;
-                if (!accept) sk_pair_exact(c.u, c.v, d);
+                accept = point_query(c.u, c.v, threshold) > threshold;
             }
             record_exact();
             if (!accept) continue;
@@ -795,9 +628,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
             adapter.add_edge(c.u, c.v, c.weight, id);
             ++stats.edges_added;
             ++insert_epoch;
-            // The accepted edge is now the shortest u-v path (any older
-            // path exceeded t * w >= w), exact at the new epoch.
-            sk_pair_exact(c.u, c.v, c.weight);
             if (sharing) {
                 // Parallel candidates of the same pair now have a one-edge
                 // witness; lower their bounds so they hit the cache. A
@@ -864,14 +694,7 @@ Graph greedy_spanner_with(const Graph& g, const GreedyEngineOptions& options,
     // previous run's counters behind (the additive-stats footgun).
     if (stats != nullptr) *stats = GreedyStats{};
     const Timer timer;  // include the candidate sort, as the naive kernel did
-    // Resolve kAuto the way the session front door's GraphCandidateSource
-    // does, so wrapper and session builds stay bit-identical, stats
-    // included (the old-vs-new equivalence contract).
-    GreedyEngineOptions resolved = options;
-    if (resolved.group_probing == EngineTuning::GroupProbing::kAuto) {
-        resolved.group_probing = EngineTuning::GroupProbing::kOn;
-    }
-    GreedyEngine engine(g.num_vertices(), resolved);
+    GreedyEngine engine(g.num_vertices(), options);
     WholeListChunkSource candidates(
         [&g](std::vector<GreedyCandidate>& out) { append_sorted_graph_candidates(g, out); });
     std::vector<GreedyCandidate> buffer;

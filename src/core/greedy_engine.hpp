@@ -22,7 +22,7 @@
 //       candidate): witness-bound rejects and "far at bucket start" bits;
 //   [3] insertion loop     -- walks the bucket in deterministic tie order,
 //       consumes the recorded facts, and decides everything else with the
-//       serial exact machinery (shared balls, group probes, point queries).
+//       serial exact machinery (group probes, cell balls, point queries).
 //
 // Soundness rests on two facts. A stage-2 bound is the length of a
 // realizable path in the bucket-start spanner, which is a subgraph of
@@ -34,17 +34,18 @@
 // kernel at every thread count.
 //
 // The serial kernel's stacked optimisations (bidirectional, ball_sharing,
-// csr_snapshot, bound_sketch -- see core/engine_tuning.hpp) are
-// individually toggleable for the ablation benches and *decision
-// preserving*: every configuration returns the same edge set.
+// csr_snapshot -- see core/engine_tuning.hpp) are individually toggleable
+// for the ablation benches and *decision preserving*: every configuration
+// returns the same edge set. Every bound the engine keeps is bucket-local;
+// nothing is cached across buckets.
 //
-// Resource model: the thread pool, the per-worker workspace pool, and the
-// sketch arena are the expensive part of an engine. They live
-// in an EngineResources, which a GreedyEngine either owns privately (the
-// one-shot entry points) or borrows from a SpannerSession (src/api/session)
-// that keeps them warm across many build() calls -- the request-serving
-// path, where a warm build pays zero pool/workspace construction
-// (counter-verified by the session-reuse bench probe).
+// Resource model: the thread pool and the per-worker workspace pool are the
+// expensive part of an engine. They live in an EngineResources, which a
+// GreedyEngine either owns privately (the one-shot entry points) or borrows
+// from a SpannerSession (src/api/session) that keeps them warm across many
+// build() calls -- the request-serving path, where a warm build pays zero
+// pool/workspace construction (counter-verified by the session-reuse bench
+// probe).
 //
 // Callers with scale-dependent side structures (the approximate-greedy
 // cluster oracle) hook the bucket boundary via `on_bucket` and may install
@@ -58,7 +59,6 @@
 #include <span>
 #include <vector>
 
-#include "core/bound_sketch.hpp"
 #include "core/candidate_stream.hpp"
 #include "core/engine_tuning.hpp"
 #include "core/greedy.hpp"
@@ -111,10 +111,10 @@ struct GreedyEngineOptions : EngineTuning {
 
 /// The heavy, reusable half of a greedy engine: thread pools (cached per
 /// worker count), the serial-loop Dijkstra workspace, the per-worker
-/// workspace pool, the sketch arena, and every per-run
-/// scratch vector. Construction counters certify the warm path: a
-/// SpannerSession owns one EngineResources across builds, and repeat
-/// builds construct zero pools and zero workspaces.
+/// workspace pool, and every per-run scratch vector. Construction
+/// counters certify the warm path: a SpannerSession owns one
+/// EngineResources across builds, and repeat builds construct zero pools
+/// and zero workspaces.
 class EngineResources {
 public:
     /// A pool with exactly `workers` workers (>= 2): the cached instance
@@ -150,7 +150,6 @@ private:
     DijkstraWorkspacePool ws_pool_;    ///< one workspace per stage-2 worker
     PrefilterStage prefilter_stage_;   ///< stage-2 verdict bitsets + counters
     SourceGroups groups_;              ///< stage-1 per-bucket grouping
-    BoundSketch sketch_;               ///< cross-bucket bound persistence
     PrefilterKernel prefilter_kernel_; ///< serial-loop group-probe marshalling scratch
 
     // Ball-sharing / prefilter scratch, reused across runs. Groups are
@@ -217,7 +216,7 @@ private:
 /// the widest table the CPU supports (kForced differs only in *intent* --
 /// it is the property-test knob asserting "I expect vector lanes", and
 /// degrades to scalar gracefully off x86-64). Resolved once per run;
-/// every probe, sketch and grid consumer is handed the same table.
+/// every probe and grid consumer is handed the same table.
 [[nodiscard]] const simd::Kernels& resolve_simd_kernels(EngineTuning::SimdBackend backend);
 
 /// The candidate list of a graph input: all edges of g sorted by

@@ -6,14 +6,14 @@
 //
 //  * the naive greedy -- one one-sided distance-limited Dijkstra per pair
 //    (every engine optimisation off; EngineTuning::naive());
-//  * the cached greedy -- the full engine: per-bucket shared balls cache
+//  * the cached greedy -- the full engine: per-bucket group probes cache
 //    spanner distances as upper bounds in the Farshi-Gudmundsson style (the
 //    practical variant behind the O(n^2 log n) bound the paper cites as
 //    [BCF+10]); the spanner only grows, so a cached bound may reject a pair
 //    forever, and only bound-exceeding pairs are re-verified. The engine
 //    keeps one bound per candidate pair (8 bytes on top of the 16-byte
 //    candidate record the sorted pair list already stores) instead of a
-//    separate n x n matrix, and shares its balls only within a weight
+//    separate n x n matrix, and shares its probes only within a weight
 //    bucket.
 //
 // The candidate enumeration itself is the api layer's MetricCandidateSource
@@ -38,9 +38,7 @@ Graph greedy_spanner_metric(const MetricSpace& m, double t,
 
 #ifndef GSP_NO_DEPRECATED
 /// Legacy option struct. The engine knobs it used to re-declare
-/// (num_threads, sketch_ways) live in the embedded
-/// shared `engine` block now -- which also gives the metric path the
-/// bound_sketch on/off toggle it historically lacked.
+/// (num_threads) live in the embedded shared `engine` block now.
 struct MetricGreedyOptions {
     double stretch = 2.0;
     /// Run the full GreedyEngine. Identical output, faster. Off = the

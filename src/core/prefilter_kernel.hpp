@@ -7,8 +7,7 @@
 //        radii as two parallel contiguous arrays (radii nondecreasing --
 //        free, because group members arrive in weight order);
 //   out: one of two verdicts per slot (far bit OR exact distance <=
-//        radius), the settled frontier as (vertex, distance) pairs, and
-//        the frontier's completeness radius.
+//        radius) and the completeness radius of the settled frontier.
 //
 // The contract an alternative backend must honor to slot in here is
 // exactly the verdict-bitset contract of core/prefilter_stage.hpp:
@@ -17,9 +16,9 @@
 //   * a far verdict certifies d(source, target) > radius ON THAT VIEW
 //     (stage 3 treats it as "far at snapshot": accept-on-certificate only
 //     while nothing was inserted since, re-verify otherwise);
-//   * the settled list is exact and complete out to certified_radius
-//     (absence certifies distance > radius) -- what makes the frontier
-//     publishable as a lazily revalidated ball.
+//   * the probe settled every vertex out to certified_radius, each at its
+//     exact distance (an unsettled target is farther) -- what makes the
+//     frontier publishable as a lazily revalidated ball.
 // Verdicts must be pure functions of (view, source, targets, radii):
 // the stage's determinism argument (schedule-independent edge sets and
 // decision stats) rests on it. Nothing in the contract requires a
@@ -34,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "core/candidate_stream.hpp"
@@ -57,23 +55,18 @@ public:
     /// Decide every still-undecided member of `grp` (bucket-local indices
     /// into the bucket window `candidates`, anchored at `source`) with one
     /// batched probe on `view`. `undecided(local)` filters members already
-    /// decided upstream (sketch, oracle, earlier harvests); every carried
+    /// decided upstream (oracle, earlier harvests); every carried
     /// member gets one of two verdicts -- settled members write their
     /// exact distance into `bounds[local]`, far members are reported
     /// through `mark_far(local)` (the caller owns the verdict encoding:
     /// stage 2 sets far bits; the serial loop folds the verdict into its
     /// accept flag).
-    ///
-    /// `goal` (optional): a lower-bound oracle `goal(x, t) <= d(x, t)`
-    /// enables the probe's goal-directed tail pruning (BatchedProbe's
-    /// run_goal). Verdicts are unchanged; the settled harvest past
-    /// probe.settled_exact_radius() degrades to upper bounds.
-    template <class View, class Undecided, class FarSink, class GoalLb = std::nullptr_t>
+    template <class View, class Undecided, class FarSink>
     GSP_DECISION_PURE GSP_HOT_PATH Outcome decide_group(BatchedProbe& probe, const View& view, VertexId source,
                          std::span<const GreedyCandidate> candidates,
                          const std::vector<std::uint32_t>& grp, double stretch,
                          Undecided&& undecided, std::vector<Weight>& bounds,
-                         FarSink&& mark_far, GoalLb goal = nullptr) {
+                         FarSink&& mark_far) {
         Outcome out;
         locals_.clear();
         targets_.clear();
@@ -87,11 +80,7 @@ public:
         }
         if (locals_.empty()) return out;
 
-        if constexpr (std::is_same_v<GoalLb, std::nullptr_t>) {
-            probe.run(view, source, targets_, radii_);
-        } else {
-            probe.run_goal(view, source, targets_, radii_, goal);
-        }
+        probe.run(view, source, targets_, radii_);
 
         for (std::size_t j = 0; j < locals_.size(); ++j) {
             const std::uint32_t local = locals_[j];

@@ -1,8 +1,8 @@
 // Stage 2 of the greedy pipeline: the parallel reject-only prefilter.
 //
 // Within one weight bucket every expensive pass of the engine -- the
-// optional cluster-oracle lookup, the bound-sketch consult, and the bounded
-// (bi)directional distance probe -- is *read-only* over the bucket-start
+// optional cluster-oracle lookup and the bounded (bi)directional distance
+// probe -- is *read-only* over the bucket-start
 // spanner: the serialized insertion loop has not run yet, so the
 // incremental view is immutable for the whole stage. That is the structure
 // (after Alewijnse et al.'s bucketed greedy, arXiv:1306.4919) that makes
@@ -52,7 +52,6 @@
 #include <span>
 #include <vector>
 
-#include "core/bound_sketch.hpp"
 #include "core/candidate_stream.hpp"
 #include "core/greedy.hpp"
 #include "core/prefilter_kernel.hpp"
@@ -74,28 +73,11 @@ struct PrefilterContext {
     const SourceGroups* groups = nullptr;
     double stretch = 1.0;
     bool bidirectional = true;
-    std::size_t ball_share_min_group = 16;
-    /// Cell-batched grouping is active: groups key on two-sided anchors
-    /// (a member's probe target is its non-anchor endpoint, not always
-    /// `.v`), and ball work is attributed to the cell_ball counters.
-    bool anchored = false;
-    /// Multi-target group probes are on: a group with >= 2 undecided
-    /// members after the sketch/oracle pass is decided by ONE batched
-    /// traversal through the PrefilterKernel seam instead of a drained
-    /// ball or per-member point probes. The kernel's verdicts are exact
-    /// on the same view, and the gate (undecided count) is a pure
-    /// function of the bucket -- so edge sets and decision stats stay
-    /// bit-identical to the per-candidate path at every thread count.
-    bool group_probe = false;
     /// Ball-reuse scope (the engine's bucket sequence number): a published
     /// ball may only be revalidated by candidates of the same bucket,
     /// whose bounds its harvest wrote.
     std::uint64_t ball_scope = 0;
     std::uint64_t snapshot_epoch = 0;
-    /// Cross-bucket bound sketch, consulted before any probe (read-only
-    /// during the fan-out; written only by the serial loop). Null when the
-    /// sketch is disabled.
-    const BoundSketch* sketch = nullptr;
     /// Optional concurrent reject-only oracle (worker, u, v, threshold);
     /// null when unset or gated off.
     const std::function<bool(std::size_t, VertexId, VertexId, Weight)>* oracle = nullptr;
@@ -170,11 +152,6 @@ private:
     // probe loop and must not false-share.
     struct alignas(64) WorkerCounters {
         std::size_t dijkstra_runs = 0;
-        std::size_t balls_computed = 0;
-        std::size_t sketch_hits = 0;
-        std::size_t cell_balls = 0;
-        std::size_t cell_ball_decisions = 0;
-        std::size_t coarse_rejects = 0;
         std::size_t group_probes = 0;
         std::size_t group_probe_decisions = 0;
         std::size_t group_probe_early_exits = 0;
@@ -212,38 +189,11 @@ private:
                    const PrefilterContext& ctx, std::size_t worker, std::uint32_t local,
                    std::vector<Weight>& bounds);
 
-    /// Consult the cross-bucket sketch for one candidate: a persisted
-    /// witness upper bound publishes a permanent reject through the bound
-    /// slot, an epoch-valid lower bound publishes a far-at-snapshot bit.
-    /// Returns true when the candidate is decided (no probe needed).
-    GSP_DECISION_PURE GSP_HOT_PATH bool sketch_decides(
-        const PrefilterContext& ctx, std::uint32_t local,
-                        const GreedyCandidate& c, Weight threshold,
-                        std::vector<Weight>& bounds, WorkerCounters& wc) {
-        if (ctx.sketch == nullptr) return false;
-        const Weight ub = ctx.sketch->upper_bound(c.u, c.v);
-        if (ub <= threshold) {
-            if (ub < bounds[local]) bounds[local] = ub;
-            ++wc.sketch_hits;
-            return true;
-        }
-        // Via-landmark coarse reject (mirrors the serial loop): two
-        // witness paths through a common landmark concatenate into a
-        // sound upper bound -- the hit path on streams that emit each
-        // pair exactly once, where the direct consult above cannot hit.
-        const Weight via = ctx.sketch->via_upper_bound(c.u, c.v);
-        if (via <= threshold) {
-            if (via < bounds[local]) bounds[local] = via;
-            ++wc.coarse_rejects;
-            return true;
-        }
-        if (ctx.sketch->lower_bound_at(c.u, c.v, ctx.snapshot_epoch) > threshold) {
-            set_bit(far_bits_, local);
-            ++wc.sketch_hits;
-            return true;
-        }
-        return false;
-    }
+    /// One early-exit point query from -> to deciding candidate `local`.
+    template <class View>
+    GSP_HOT_PATH void point_probe(DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
+                                  const PrefilterContext& ctx, std::uint32_t local,
+                                  VertexId from, VertexId to, std::vector<Weight>& bounds);
 
     std::vector<std::uint64_t> oracle_bits_; ///< oracle certified a witness path
     std::vector<std::uint64_t> far_bits_;    ///< probe exceeded threshold at snapshot
@@ -279,11 +229,6 @@ GSP_SERIAL_ONLY void PrefilterStage::run_bucket(
     });
     for (WorkerCounters& wc : counters_) {
         stats.dijkstra_runs += wc.dijkstra_runs;
-        stats.balls_computed += wc.balls_computed;
-        stats.sketch_hits += wc.sketch_hits;
-        stats.cell_balls += wc.cell_balls;
-        stats.cell_ball_decisions += wc.cell_ball_decisions;
-        stats.coarse_rejects += wc.coarse_rejects;
         stats.group_probes += wc.group_probes;
         stats.group_probe_decisions += wc.group_probe_decisions;
         stats.group_probe_early_exits += wc.group_probe_early_exits;
@@ -306,39 +251,31 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         return cands[local];
     };
 
-    // Cheap passes first (mirror the serial loop's
-    // consult-before-exact order): the cross-bucket sketch, then the
-    // oracle; candidates they decide need no probe at all.
+    // The cheap pass first (mirrors the serial loop's
+    // consult-before-exact order): candidates the oracle rejects need no
+    // probe at all.
     std::size_t undecided = grp.size();
-    for (std::uint32_t local : grp) {
-        const GreedyCandidate& c = cand_at(local);
-        const Weight threshold = ctx.stretch * c.weight;
-        if (sketch_decides(ctx, local, c, threshold, bounds, wc)) {
-            --undecided;
-            continue;
-        }
-        if (ctx.oracle != nullptr &&
-            (*ctx.oracle)(worker, c.u, c.v, threshold)) {
-            set_bit(oracle_bits_, local);
-            --undecided;
+    if (ctx.oracle != nullptr) {
+        for (std::uint32_t local : grp) {
+            const GreedyCandidate& c = cand_at(local);
+            if ((*ctx.oracle)(worker, c.u, c.v, ctx.stretch * c.weight)) {
+                set_bit(oracle_bits_, local);
+                --undecided;
+            }
         }
     }
     if (undecided == 0) return;
 
     // The batched group probe: one traversal from the shared source
-    // carries every undecided member's target and decision radius,
-    // replacing the drained ball AND the per-member fall-through probes.
-    // It terminates the moment the last member is decided, so it usually
-    // drains a fraction of the full-radius ball's area. A singleton group
-    // keeps the point probe below (meet-in-the-middle beats a one-sided
-    // traversal when there is nothing to amortize). The gate reads only
-    // task-owned state (sketch/oracle verdicts of this group), so it is
+    // carries every undecided member's target and decision radius and
+    // terminates the moment the last member is decided. The gate reads
+    // only task-owned state (oracle verdicts of this group), so it is
     // schedule-free.
-    if (ctx.group_probe && undecided >= 2) {
+    if (undecided >= 2) {
         BatchedProbe& probe = ws.batched();
         probe.set_kernels(ctx.simd);  // pin the run's resolved backend
         const auto is_undecided = [&](std::uint32_t local) {
-            if (oracle_reject(local) || far_at_snapshot(local)) return false;
+            if (oracle_reject(local)) return false;
             return bounds[local] > ctx.stretch * cand_at(local).weight;
         };
         const PrefilterKernel::Outcome outcome = kernels_[worker].decide_group(
@@ -356,56 +293,29 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         return;
     }
 
-    if (undecided >= ctx.ball_share_min_group) {
-        // One drained ball at the radius that covers the group's largest
-        // threshold answers every member *exactly* at the snapshot:
-        // settled targets get their exact distance as a bound, unsettled
-        // ones are certified further than the radius.
-        const Weight radius = ctx.stretch * cand_at(grp.back()).weight;
-        (void)ws.ball(view, source, radius);
-        ++wc.dijkstra_runs;
-        ++wc.balls_computed;
-        if (ctx.anchored) ++wc.cell_balls;
-        for (std::uint32_t local : grp) {
-            if (oracle_reject(local)) continue;
-            const GreedyCandidate& c = cand_at(local);
-            const Weight d = ws.settled_distance(SourceGroups::other_of(c, source));
-            if (d < bounds[local]) bounds[local] = d;
-            if (d > ctx.stretch * c.weight) set_bit(far_bits_, local);
-            if (ctx.anchored) ++wc.cell_ball_decisions;
-        }
-        // Publish the ball for the insertion loop's lazy revalidation: it
-        // stays exact until the first post-snapshot insertion.
-        ball_bucket[source] = ctx.ball_scope;
-        ball_epoch[source] = ctx.snapshot_epoch;
-        ball_radius[source] = radius;
+    // One undecided member: nothing to amortize, and meet-in-the-middle
+    // beats a one-sided traversal.
+    for (std::uint32_t local : grp) {
+        if (oracle_reject(local)) continue;
+        point_probe(ws, wc, view, ctx, local, source,
+                    SourceGroups::other_of(cand_at(local), source), bounds);
         return;
     }
+}
 
-    for (std::size_t g = 0; g < grp.size(); ++g) {
-        const std::uint32_t local = grp[g];
-        if (oracle_reject(local) || far_at_snapshot(local)) continue;
-        const GreedyCandidate& c = cand_at(local);
-        const VertexId other = SourceGroups::other_of(c, source);
-        const Weight threshold = ctx.stretch * c.weight;
-        if (bounds[local] <= threshold) continue;  // harvested by an earlier probe
-        ++wc.dijkstra_runs;
-        const Weight d = ctx.bidirectional
-                             ? ws.distance_bidirectional(view, source, other, threshold)
-                             : ws.distance(view, source, other, threshold);
-        if (d <= threshold) {
-            if (d < bounds[local]) bounds[local] = d;
-        } else {
-            set_bit(far_bits_, local);
-        }
-        // Forward labels are realizable path lengths from the shared
-        // anchor; harvest them as bounds for the group's later candidates
-        // (all writes stay inside this group's candidate slots).
-        for (std::size_t g2 = g + 1; g2 < grp.size(); ++g2) {
-            const std::uint32_t local2 = grp[g2];
-            const Weight b = ws.last_forward_bound(SourceGroups::other_of(cand_at(local2), source));
-            if (b < bounds[local2]) bounds[local2] = b;
-        }
+template <class View>
+GSP_HOT_PATH void PrefilterStage::point_probe(DijkstraWorkspace& ws, WorkerCounters& wc,
+                                              const View& view, const PrefilterContext& ctx,
+                                              std::uint32_t local, VertexId from, VertexId to,
+                                              std::vector<Weight>& bounds) {
+    const Weight threshold = ctx.stretch * ctx.candidates[local].weight;
+    ++wc.dijkstra_runs;
+    const Weight d = ctx.bidirectional ? ws.distance_bidirectional(view, from, to, threshold)
+                                       : ws.distance(view, from, to, threshold);
+    if (d <= threshold) {
+        if (d < bounds[local]) bounds[local] = d;
+    } else {
+        set_bit(far_bits_, local);
     }
 }
 
@@ -415,21 +325,11 @@ GSP_HOT_PATH void PrefilterStage::probe_one(
                                const PrefilterContext& ctx, std::size_t worker,
                                std::uint32_t local, std::vector<Weight>& bounds) {
     const GreedyCandidate& c = ctx.candidates[local];
-    const Weight threshold = ctx.stretch * c.weight;
-    if (sketch_decides(ctx, local, c, threshold, bounds, wc)) return;
-    if (ctx.oracle != nullptr && (*ctx.oracle)(worker, c.u, c.v, threshold)) {
+    if (ctx.oracle != nullptr && (*ctx.oracle)(worker, c.u, c.v, ctx.stretch * c.weight)) {
         set_bit(oracle_bits_, local);
         return;
     }
-    ++wc.dijkstra_runs;
-    const Weight d = ctx.bidirectional
-                         ? ws.distance_bidirectional(view, c.u, c.v, threshold)
-                         : ws.distance(view, c.u, c.v, threshold);
-    if (d <= threshold) {
-        if (d < bounds[local]) bounds[local] = d;
-    } else {
-        set_bit(far_bits_, local);
-    }
+    point_probe(ws, wc, view, ctx, local, c.u, c.v, bounds);
 }
 
 }  // namespace gsp

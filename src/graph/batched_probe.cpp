@@ -5,7 +5,6 @@ namespace gsp {
 void BatchedProbe::resize(std::size_t n) {
     if (n <= dist_.size()) return;
     dist_.resize(n, kInfiniteWeight);
-    parent_.resize(n, kNoVertex);
     stamp_.resize(n, 0);
     tgt_stamp_.resize(n, 0);
     tgt_head_.resize(n, kNoSlot);

@@ -2,10 +2,10 @@
 //
 // The greedy prefilter's unit of work is a *source group*: candidates
 // sharing one endpoint, each needing "is d(source, target_i) above
-// threshold_i?" answered against the same immutable view. The classic
-// paths answer that with up to |group| point queries (or one drained ball
-// at the group's largest radius). This kernel answers the whole group
-// with ONE traversal that carries every target and its decision radius:
+// threshold_i?" answered against the same immutable view. Point queries
+// answer that with up to |group| traversals; this kernel answers the
+// whole group with ONE traversal that carries every target and its
+// decision radius:
 //
 //  * targets settle as the frontier reaches them -- a settled target's
 //    distance is exact, so `d <= radius` decides it as a reject with a
@@ -23,24 +23,9 @@
 //    target leaves with exactly one of two verdicts, settled (a reject
 //    with its exact distance) or far: the traversal always runs out to
 //    the largest undecided radius, so nothing is ever handed back
-//    undecided;
-//  * with a metric at hand (run_goal), the probe turns goal-directed
-//    once few targets remain undecided: a relaxation whose optimistic
-//    completion misses every live target's radius -- nd + lb(x, t_i) >
-//    r_i for all live i -- cannot lie on any witness path the remaining
-//    verdicts could still need, so it is dropped. This prunes the
-//    accept-side tail (the shell between the last reject and the
-//    largest radius, most of the disk by area) down to a union of
-//    ellipse slivers. Target verdicts are untouched: every prefix of a
-//    true within-radius path to a live target passes that target's own
-//    test (nd + lb <= nd + true remainder <= r_i), so rejects still
-//    settle at their exact distance and far sweeps stay sound. What the
-//    pruning does give up is the frontier beyond the engagement
-//    distance: completeness and exactness of settled() hold only below
-//    it (certified_radius() shrinks accordingly, and harvests must
-//    treat later settles as upper bounds -- settled_exact_radius()).
+//    undecided.
 //
-// State is SoA (dist / parent / stamp arrays indexed by vertex, epoch
+// State is SoA (dist / stamp arrays indexed by vertex, epoch
 // stamps for O(touched) resets) over a monotone bucket queue
 // (util/bucket_queue.hpp) -- bounded nonnegative keys make the D-ary heap
 // overkill; bench_micro's queue ablation measures the swap.
@@ -57,18 +42,17 @@
 //    <= every limit used while the target was undecided).
 //
 // certified_radius() extends the same argument to *every* vertex: the
-// settled list is complete out to that radius (absent => farther), which
-// is what lets the engine revalidate a probe's far verdicts lazily (its
-// published ball) and harvest its settles into the sketch.
-// The far sweep, the relaxation drain, and the goal-oracle bound pass all
-// run through the vector kernel table (src/simd/simd.hpp): the sweep is
-// one lower-bound scan over the contiguous radii array, the
-// drain computes a block of tentative distances and a <= limit lane mask
-// per kernel call (labels still update in scalar iteration order), and a
-// batch-capable goal oracle evaluates every live target's lower bound in
-// one call. Every kernel is bit-exact against its scalar reference, so
-// verdicts, settles, work counters, and queue contents are identical
-// across backends -- set_kernels() only ever trades nanoseconds.
+// probe settled every vertex out to that radius (unsettled => farther),
+// which is what lets the engine revalidate a probe's far verdicts lazily
+// (its published ball).
+// The far sweep and the relaxation drain run through the vector kernel
+// table (src/simd/simd.hpp): the sweep is one lower-bound scan over the
+// contiguous radii array, and the drain computes a block of tentative
+// distances and a <= limit lane mask per kernel call (labels still
+// update in scalar iteration order). Every kernel is bit-exact against
+// its scalar reference, so verdicts, settles, work counters, and queue
+// contents are identical across backends -- set_kernels() only ever
+// trades nanoseconds.
 #pragma once
 
 #include <algorithm>
@@ -79,7 +63,6 @@
 #include <span>
 #include <stdexcept>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -102,13 +85,6 @@ public:
     /// The table the next run will use (bench/report introspection).
     [[nodiscard]] const simd::Kernels& kernels() const { return *simd_; }
 
-    /// Goal-directed pruning engages once at most this many targets are
-    /// still undecided: each candidate relaxation then pays one oracle
-    /// lower bound per live target, so the cutoff keeps that scan O(1)
-    /// while the pruning is active exactly where it matters -- the outer
-    /// shell, where the frontier would otherwise drain the full disk for
-    /// a handful of accept-side certificates.
-    static constexpr std::size_t kGoalLiveMax = 8;
     /// One traversal deciding every (source, targets[i]) pair against
     /// radii[i]. Radii must be nondecreasing (SourceGroups hands members
     /// out in bucket order, which is weight order -- the invariant is
@@ -116,30 +92,11 @@ public:
     /// (each slot is decided independently). The radii array is the far
     /// sweep's vector operand, read in place (the caller keeps it alive
     /// through the run). After run(): target_far(i) / target_bound(i)
-    /// hold the verdicts, settled() the exact frontier,
-    /// certified_radius() its completeness radius.
+    /// hold the verdicts, certified_radius() the radius out to which
+    /// every vertex settled.
     template <class View>
     GSP_DECISION_PURE GSP_HOT_PATH void run(const View& view, VertexId source, std::span<const VertexId> targets,
              std::span<const Weight> radii) {
-        run_impl(view, source, targets, radii, static_cast<const NoGoal*>(nullptr));
-    }
-
-    /// run() with a goal-directed lower-bound oracle: `lb(x, t)` must
-    /// return a lower bound on d(x, t) over the probed view (a metric
-    /// oracle over vertex positions qualifies whenever edge weights are
-    /// metric distances). Verdicts are identical to the plain run -- the
-    /// oracle only prunes traversal work (see the header note).
-    template <class View, class GoalLb>
-    GSP_DECISION_PURE GSP_HOT_PATH void run_goal(const View& view, VertexId source, std::span<const VertexId> targets,
-                  std::span<const Weight> radii, const GoalLb& lb) {
-        run_impl(view, source, targets, radii, &lb);
-    }
-
-    // Shared implementation; `lb == nullptr` disables goal-directed
-    // pruning (public only because member templates cannot be split out).
-    template <class View, class GoalLb>
-    GSP_DECISION_PURE GSP_HOT_PATH void run_impl(const View& view, VertexId source, std::span<const VertexId> targets,
-                  std::span<const Weight> radii, const GoalLb* lb) {
         const std::size_t n = view.num_vertices();
         const std::size_t k = targets.size();
         if (radii.size() != k) {
@@ -150,11 +107,10 @@ public:
             throw std::out_of_range("BatchedProbe::run: source out of range");
         }
         ++current_;
-        settled_.clear();
+        settles_ = 0;
         work_ = 0;
         early_exit_ = false;
         certified_radius_ = 0.0;
-        exact_radius_ = kInfiniteWeight;
         if (k == 0) return;
 
         far_.assign(k, 0);
@@ -167,11 +123,6 @@ public:
                     "BatchedProbe::run: radii must be nondecreasing");
             }
         }
-        // Does the goal oracle batch-evaluate lower bounds? (The metric
-        // oracle the engine passes does; ad-hoc lambdas and NoGoal don't.)
-        constexpr bool kBatchGoal =
-            requires(const GoalLb& g, VertexId x, std::span<const VertexId> ts,
-                     Weight* o) { g.batch(x, ts, o); };
         // Per-vertex target chains: duplicate targets share one settle
         // event but keep independent slots (their radii differ).
         for (std::size_t i = 0; i < k; ++i) {
@@ -191,32 +142,9 @@ public:
         std::size_t top = k;  // 1 + index of the largest undecided radius
         Weight limit = radii[k - 1];  // shrinks as targets resolve
 
-        // Goal-directed pruning flips on the first time the live set
-        // shrinks to kGoalLiveMax -- from then on settles above the
-        // engagement distance are upper bounds only, so the engagement
-        // point is also where certified/exact radii freeze.
-        bool goal_mode = false;
-        Weight goal_d0 = 0.0;
-        auto maybe_engage = [&](Weight dnow, std::size_t undec) {
-            if (lb == nullptr || goal_mode || undec > kGoalLiveMax) return;
-            goal_mode = true;
-            goal_d0 = dnow;
-            exact_radius_ = dnow;
-            live_.clear();
-            live_targets_.clear();
-            for (std::size_t s = 0; s < k; ++s) {
-                if (!decided_[s]) {
-                    live_.push_back(static_cast<std::uint32_t>(s));
-                    live_targets_.push_back(targets[s]);
-                }
-            }
-        };
-        maybe_engage(0.0, k);
-
         queue_.reset(limit, std::max<std::size_t>(peak_hint_, 64));
         dist_[source] = 0.0;
         stamp_[source] = current_;
-        parent_[source] = kNoVertex;
         queue_.push(0.0, source);
         ++work_;
 
@@ -240,11 +168,10 @@ public:
             }
             if (undecided == 0) {
                 finish_early(limit, d);
-                if (goal_mode) clamp_certified(goal_d0);
                 return;
             }
 
-            settled_.push_back({v, d});
+            ++settles_;
             if (tgt_stamp_[v] == current_) {
                 // radii[slot] >= d for every live slot here (smaller radii
                 // were swept far above): settled at d <= radius => reject,
@@ -260,7 +187,6 @@ public:
                 tgt_stamp_[v] = 0;  // chain consumed; v settles only once
                 if (undecided == 0) {
                     finish_early(limit, d);
-                    if (goal_mode) clamp_certified(goal_d0);
                     return;
                 }
                 // Early termination's other half: shrink the relaxation
@@ -269,39 +195,11 @@ public:
                 limit = radii[top - 1];
             }
 
-            maybe_engage(d, undecided);
-
-            // Keep a relaxation only if its optimistic completion still
-            // fits some live target's radius; otherwise it can serve no
-            // remaining verdict (see the header note). A batch-capable
-            // oracle evaluates every live lower bound in one kernel call;
-            // the bounds are pure, so computing them eagerly instead of
-            // short-circuiting cannot change the decision.
-            const auto goal_useful = [&](VertexId x, Weight nd) -> bool {
-                if constexpr (kBatchGoal) {
-                    lb->batch(x, std::span<const VertexId>(live_targets_),
-                              lb_buf_.data());
-                    for (std::size_t j = 0; j < live_.size(); ++j) {
-                        const std::uint32_t s = live_[j];
-                        if (decided_[s]) continue;
-                        if (nd + lb_buf_[j] <= radii[s]) return true;
-                    }
-                    return false;
-                } else {
-                    for (const std::uint32_t s : live_) {
-                        if (decided_[s]) continue;
-                        if (nd + (*lb)(x, targets[s]) <= radii[s]) return true;
-                    }
-                    return false;
-                }
-            };
             const auto relax_edge = [&](const HalfEdge& h, Weight nd) {
-                if (goal_mode && !goal_useful(h.to, nd)) return;
                 const bool fresh = stamp_[h.to] != current_;
                 if (fresh || nd < dist_[h.to]) {
                     stamp_[h.to] = current_;
                     dist_[h.to] = nd;
-                    parent_[h.to] = v;
                     queue_.push(nd, h.to);
                     ++work_;
                 }
@@ -343,8 +241,7 @@ public:
             }
         }
         certified_radius_ = limit;
-        if (goal_mode) clamp_certified(goal_d0);
-        if (peak_hint_ < settled_.size()) peak_hint_ = settled_.size();
+        if (peak_hint_ < settles_) peak_hint_ = settles_;
     }
 
     /// True iff slot i was decided far: d(source, target_i) > radii[i]
@@ -355,22 +252,9 @@ public:
     /// slot.
     [[nodiscard]] Weight target_bound(std::size_t i) const { return result_[i]; }
 
-    /// The settled frontier of the last run, in nondecreasing distance
-    /// order: exact distances, complete out to certified_radius().
-    [[nodiscard]] const std::vector<std::pair<VertexId, Weight>>& settled() const {
-        return settled_;
-    }
-
-    /// Completeness radius of settled(): every vertex within it appears
-    /// with its exact distance; absence certifies distance > radius.
+    /// Completeness radius of the last run: every vertex within it
+    /// settled at its exact distance, so an unsettled vertex is farther.
     [[nodiscard]] Weight certified_radius() const { return certified_radius_; }
-
-    /// Exactness radius of settled(): entries at distance <= this carry
-    /// exact distances; later entries are realizable upper bounds only
-    /// (goal-directed pruning may have cut a shorter path to them).
-    /// +infinity when the last run never engaged pruning -- every plain
-    /// bounded-Dijkstra settle is exact.
-    [[nodiscard]] Weight settled_exact_radius() const { return exact_radius_; }
 
     /// The last run stopped with frontier still pending (every target was
     /// decided before the search space drained).
@@ -383,40 +267,23 @@ public:
 private:
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-    /// Placeholder oracle type for the plain run() instantiation; never
-    /// called (run_impl only dereferences `lb` in goal mode, which a null
-    /// oracle can't enter).
-    struct NoGoal {
-        Weight operator()(VertexId, VertexId) const { return 0.0; }
-    };
-
     void resize(std::size_t n);
 
-    /// Goal pruning engaged at distance d0: completeness of settled()
-    /// is only warranted strictly below it.
-    GSP_HOT_PATH void clamp_certified(Weight d0) {
-        const Weight cut =
-            std::nextafter(d0, -std::numeric_limits<Weight>::infinity());
-        certified_radius_ = std::min(certified_radius_, std::max<Weight>(cut, 0.0));
-    }
-
-    /// All targets decided at the pop of key `d`. Completeness of the
-    /// settled list holds out to min(limit, just-below-d): below d every
-    /// vertex settled (monotone pops), and below the final limit no
-    /// relaxation was ever pruned.
+    /// All targets decided at the pop of key `d`. Completeness holds out
+    /// to min(limit, just-below-d): below d every vertex settled (monotone
+    /// pops), and below the final limit no relaxation was ever pruned.
     GSP_HOT_PATH void finish_early(Weight limit, Weight d) {
         early_exit_ = !queue_.empty();
         certified_radius_ =
             std::min(limit, std::nextafter(d, -std::numeric_limits<Weight>::infinity()));
         if (certified_radius_ < 0.0) certified_radius_ = 0.0;
-        if (peak_hint_ < settled_.size()) peak_hint_ = settled_.size();
+        if (peak_hint_ < settles_) peak_hint_ = settles_;
     }
 
     // SoA label state, epoch-stamped for O(touched) resets; cache-line
     // aligned so vector sweeps never split their first load and the
     // arrays never false-share with neighboring allocations.
     simd::AlignedVector<Weight> dist_;
-    simd::AlignedVector<VertexId> parent_;
     simd::AlignedVector<std::uint64_t> stamp_;
     // Per-vertex target registration (stamped) + per-slot chain links.
     simd::AlignedVector<std::uint64_t> tgt_stamp_;
@@ -429,16 +296,12 @@ private:
 
     std::uint64_t current_ = 0;
     BucketQueue queue_;
-    std::vector<std::pair<VertexId, Weight>> settled_;
-    std::vector<std::uint32_t> live_;  ///< undecided slots at goal engagement
-    std::vector<VertexId> live_targets_;  ///< their target vertices, same order
-    std::array<Weight, kGoalLiveMax> lb_buf_{};    ///< batched goal lower bounds
     std::array<Weight, simd::kMaxLanes> nd_buf_{};  ///< batched tentative dists
     const simd::Kernels* simd_ = &simd::auto_kernels();
-    Weight exact_radius_ = kInfiniteWeight;  ///< settles beyond: upper bounds only
     Weight certified_radius_ = 0.0;
     bool early_exit_ = false;
     std::size_t work_ = 0;
+    std::size_t settles_ = 0;    ///< vertices settled by the last run
     std::size_t peak_hint_ = 0;  ///< settled-count high-water mark (queue sizing)
 };
 

@@ -128,7 +128,7 @@ public:
     [[nodiscard]] std::size_t meet_events() const { return meets_; }
 
     /// Heap pushes performed by the last query -- the work proxy the greedy
-    /// engine's adaptive ball-vs-point gate consumes (pushes capture both
+    /// engine's adaptive probe-vs-point gate consumes (pushes capture both
     /// the labeled set and the relaxation churn of dense regions).
     [[nodiscard]] std::size_t last_work() const { return last_work_; }
 

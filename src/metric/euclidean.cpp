@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace gsp {
 
@@ -11,6 +12,16 @@ EuclideanMetric::EuclideanMetric(std::size_t dim, std::vector<double> coords)
     if (dim_ == 0) throw std::invalid_argument("EuclideanMetric: dim must be >= 1");
     if (coords_.size() % dim_ != 0) {
         throw std::invalid_argument("EuclideanMetric: coords not a multiple of dim");
+    }
+    // A NaN or infinite coordinate poisons every distance to its point, and
+    // the spanner builders downstream hang or return wrong graphs on such
+    // distances, so it fails here, once, naming the point.
+    for (std::size_t i = 0; i < coords_.size(); ++i) {
+        if (!std::isfinite(coords_[i])) {
+            throw std::invalid_argument("EuclideanMetric: point " +
+                                        std::to_string(i / dim_) +
+                                        " has a non-finite coordinate");
+        }
     }
 }
 

@@ -14,7 +14,9 @@ namespace gsp {
 /// flat row-major array (point i occupies [i*d, (i+1)*d)).
 class EuclideanMetric final : public MetricSpace {
 public:
-    /// Build from flat coordinates; coords.size() must be a multiple of dim.
+    /// Build from flat coordinates; coords.size() must be a multiple of dim
+    /// and every coordinate finite (std::invalid_argument naming the first
+    /// offending point otherwise).
     EuclideanMetric(std::size_t dim, std::vector<double> coords);
 
     [[nodiscard]] std::size_t size() const override { return coords_.size() / dim_; }
@@ -32,8 +34,8 @@ public:
     /// vector lanes and the scalar loop evaluate the same mul/add/sqrt
     /// tree; the build forbids FMA contraction project-wide). Runs through
     /// the given kernel table for dim() == 2, the scalar virtual-call loop
-    /// otherwise. The A* goal oracle's bound pass and candidate-weight
-    /// evaluation both batch through here.
+    /// otherwise. The metric candidate source's weight evaluation batches
+    /// through here.
     void distances_from(VertexId src, std::span<const VertexId> targets, Weight* out,
                         const simd::Kernels& k) const;
 

@@ -29,8 +29,7 @@ namespace gsp::simd {
 static_assert(sizeof(HalfEdge) == 24, "HalfEdge layout drifted: relax gather stride");
 static_assert(offsetof(HalfEdge, weight) == 8,
               "HalfEdge layout drifted: relax gather offset");
-static_assert(sizeof(Weight) == 8 && sizeof(VertexId) == 4,
-              "kernel lane widths assume 8-byte weights and 4-byte vertex ids");
+static_assert(sizeof(Weight) == 8, "kernel lane widths assume 8-byte weights");
 
 namespace {
 
@@ -53,16 +52,6 @@ GSP_DECISION_PURE GSP_HOT_PATH void distances2d_scalar(
     }
 }
 
-GSP_DECISION_PURE GSP_HOT_PATH std::uint32_t match_scalar(
-    const std::uint32_t* a, const std::uint32_t* b, std::size_t n,
-    std::uint32_t skip) {
-    std::uint32_t mask = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (a[i] == b[i] && a[i] != skip) mask |= 1u << i;
-    }
-    return mask;
-}
-
 GSP_DECISION_PURE GSP_HOT_PATH std::uint32_t relax_scalar(
     const HalfEdge* half, std::size_t n, double d,
                            double limit, double* nd) {
@@ -76,14 +65,13 @@ GSP_DECISION_PURE GSP_HOT_PATH std::uint32_t relax_scalar(
 }
 
 constexpr Kernels kScalarTable = {
-    Backend::kScalar, &sweep_scalar, &distances2d_scalar, &match_scalar,
-    &relax_scalar,
+    Backend::kScalar, &sweep_scalar, &distances2d_scalar, &relax_scalar,
 };
 
 #if GSP_SIMD_X86
 
 // ---------------------------------------------------------------- sse4.2
-// 128-bit lanes: 2 doubles / 4 u32 per op. Every op here is SSE2-era, but
+// 128-bit lanes: 2 doubles per op. Every op here is SSE2-era, but
 // the table is gated on (and named for) the SSE4.2 dispatch tier.
 
 GSP_DECISION_PURE GSP_HOT_PATH __attribute__((target("sse4.2"))) std::size_t
@@ -127,30 +115,6 @@ distances2d_sse42(const double* ax,
 }
 
 GSP_DECISION_PURE GSP_HOT_PATH __attribute__((target("sse4.2"))) std::uint32_t
-match_sse42(const std::uint32_t* a,
-                                                            const std::uint32_t* b,
-                                                            std::size_t n,
-                                                            std::uint32_t skip) {
-    std::uint32_t mask = 0;
-    std::size_t i = 0;
-    const __m128i vskip = _mm_set1_epi32(static_cast<int>(skip));
-    for (; i + 4 <= n; i += 4) {
-        const __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-        const __m128i ok =
-            _mm_andnot_si128(_mm_cmpeq_epi32(va, vskip), _mm_cmpeq_epi32(va, vb));
-        mask |= static_cast<std::uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(ok)))
-                << i;
-    }
-    for (; i < n; ++i) {
-        if (a[i] == b[i] && a[i] != skip) mask |= 1u << i;
-    }
-    return mask;
-}
-
-GSP_DECISION_PURE GSP_HOT_PATH __attribute__((target("sse4.2"))) std::uint32_t
 relax_sse42(const HalfEdge* half,
                                                             std::size_t n, double d,
                                                             double limit, double* nd) {
@@ -175,11 +139,11 @@ relax_sse42(const HalfEdge* half,
 }
 
 constexpr Kernels kSse42Table = {
-    Backend::kSSE42, &sweep_sse42, &distances2d_sse42, &match_sse42, &relax_sse42,
+    Backend::kSSE42, &sweep_sse42, &distances2d_sse42, &relax_sse42,
 };
 
 // ----------------------------------------------------------------- avx2
-// 256-bit lanes: 4 doubles / 8 u32 per op; weights gathered at
+// 256-bit lanes: 4 doubles per op; weights gathered at
 // double-stride 3 straight out of the HalfEdge array.
 
 GSP_DECISION_PURE GSP_HOT_PATH __attribute__((target("avx2"))) std::size_t
@@ -226,31 +190,6 @@ distances2d_avx2(const double* ax,
 }
 
 GSP_DECISION_PURE GSP_HOT_PATH __attribute__((target("avx2"))) std::uint32_t
-match_avx2(const std::uint32_t* a,
-                                                         const std::uint32_t* b,
-                                                         std::size_t n,
-                                                         std::uint32_t skip) {
-    std::uint32_t mask = 0;
-    std::size_t i = 0;
-    const __m256i vskip = _mm256_set1_epi32(static_cast<int>(skip));
-    for (; i + 8 <= n; i += 8) {
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        const __m256i ok = _mm256_andnot_si256(_mm256_cmpeq_epi32(va, vskip),
-                                               _mm256_cmpeq_epi32(va, vb));
-        mask |= static_cast<std::uint32_t>(
-                    _mm256_movemask_ps(_mm256_castsi256_ps(ok)))
-                << i;
-    }
-    for (; i < n; ++i) {
-        if (a[i] == b[i] && a[i] != skip) mask |= 1u << i;
-    }
-    return mask;
-}
-
-GSP_DECISION_PURE GSP_HOT_PATH __attribute__((target("avx2"))) std::uint32_t
 relax_avx2(const HalfEdge* half,
                                                          std::size_t n, double d,
                                                          double limit, double* nd) {
@@ -286,7 +225,7 @@ relax_avx2(const HalfEdge* half,
 }
 
 constexpr Kernels kAvx2Table = {
-    Backend::kAVX2, &sweep_avx2, &distances2d_avx2, &match_avx2, &relax_avx2,
+    Backend::kAVX2, &sweep_avx2, &distances2d_avx2, &relax_avx2,
 };
 
 #endif  // GSP_SIMD_X86

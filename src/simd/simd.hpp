@@ -17,8 +17,7 @@
 //    vector lanes match scalar evaluation exactly PROVIDED no FMA
 //    contraction sneaks into the scalar side -- the build compiles the
 //    library with -ffp-contract=off for exactly this reason (see
-//    CMakeLists.txt);
-//  * match_pairs is integer-only.
+//    CMakeLists.txt).
 //
 // Kernels take unaligned pointers (loads are loadu); pair them with
 // aligned.hpp storage for the cache-line guarantees, not for correctness.
@@ -32,8 +31,8 @@
 
 namespace gsp::simd {
 
-/// Widest block a masked kernel (relax_lanes / match_pairs) accepts per
-/// call: results are returned in a uint32_t lane mask.
+/// Widest block the masked kernel (relax_lanes) accepts per call: results
+/// are returned in a uint32_t lane mask.
 inline constexpr std::size_t kMaxLanes = 32;
 
 struct Kernels {
@@ -52,12 +51,6 @@ struct Kernels {
     /// endpoint to batch "one source vs n targets".
     void (*distances2d)(const double* ax, const double* ay, const double* bx,
                         const double* by, std::size_t n, double* out);
-
-    /// Lane mask (bit i) of a[i] == b[i] && a[i] != skip, n <= kMaxLanes.
-    /// The BoundSketch way probe: a/b are the two vertices' way-indexed
-    /// source arrays, `skip` the empty-slot sentinel.
-    std::uint32_t (*match_pairs)(const std::uint32_t* a, const std::uint32_t* b,
-                                 std::size_t n, std::uint32_t skip);
 
     /// The BucketQueue drain's batched relaxation: nd[i] = d + half[i].weight
     /// for i in [0, n), returning the lane mask of nd[i] <= limit

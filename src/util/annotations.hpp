@@ -28,17 +28,19 @@
 //                      [checkers: gsp-decision-pure, gsp-no-fma]
 //
 //   GSP_SERIAL_ONLY    The function mutates state owned by the serialized
-//                      insertion loop (sketch records, session buffers)
+//                      insertion loop (engine scratch, session buffers)
 //                      and must never be reached from a ThreadPool task
 //                      body.
 //                      [checker: gsp-serial-only]
 //
 //   GSP_EPOCH_GUARDED  The field is epoch- or scope-tagged: its raw value
 //                      is meaningless without the tag check its accessor
-//                      performs (BoundSketch::lower_bound_at). Readable
-//                      only inside the declaring class's own translation
-//                      units; everyone else goes through the checked
-//                      accessors.
+//                      performs. Readable only inside the declaring
+//                      class's own translation units; everyone else goes
+//                      through the checked accessors. No field carries it
+//                      at present; the macro and its checker (with its
+//                      golden fixtures) stay for the next epoch-tagged
+//                      field.
 //                      [checker: gsp-epoch-guarded]
 //
 // Under clang (and libclang, which is how gsp_lint.py's clang engine sees

@@ -52,8 +52,6 @@ void expect_stats_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.prefilter_rejects, b.prefilter_rejects) << label;
     EXPECT_EQ(a.buckets, b.buckets) << label;
     EXPECT_EQ(a.snapshot_accepts, b.snapshot_accepts) << label;
-    EXPECT_EQ(a.sketch_hits, b.sketch_hits) << label;
-    EXPECT_EQ(a.sketch_accepts, b.sketch_accepts) << label;
     EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes) << label;
 }
 

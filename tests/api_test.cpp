@@ -44,9 +44,9 @@ TEST(BuildOptionsTest, ValidatesTheSharedFields) {
     bad_ratio.engine.bucket_ratio = 1.0;
     EXPECT_THROW(bad_ratio.validate(), std::invalid_argument);
 
-    BuildOptions bad_ways;
-    bad_ways.engine.sketch_ways = 3;
-    EXPECT_THROW(bad_ways.validate(), std::invalid_argument);
+    BuildOptions bad_chunk;
+    bad_chunk.engine.chunk_soft_cap = 0;
+    EXPECT_THROW(bad_chunk.validate(), std::invalid_argument);
 }
 
 TEST(BuildOptionsTest, SectionsAreValidatedOnlyByTheirConsumers) {

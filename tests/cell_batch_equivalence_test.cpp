@@ -1,12 +1,12 @@
 // Cell-batched rejection bit-identity: a grid-streamed build with
 // EngineTuning::CellBatching::kOn (one drained ball per cell anchor
-// deciding that cell's candidates at once, plus via-landmark coarse
-// rejects) must return the same edge set and the same decision stats as
-// the per-candidate path (kOff), across {uniform, clustered} point sets,
-// thread counts {1, 2, 4, hardware}, and chunk sizes {the source's
-// default, small}. Every shortcut the batched path takes is a sound upper
-// or lower bound compared against the same exact threshold, so decisions
-// -- not just the spanner -- must be preserved bit for bit.
+// deciding that cell's candidates at once) must return the same edge set
+// and the same decision stats as the per-candidate path (kOff), across
+// {uniform, clustered} point sets, thread counts {1, 2, 4, hardware}, and
+// chunk sizes {the source's default, small}. Every shortcut the batched
+// path takes is a sound upper or lower bound compared against the same
+// exact threshold, so decisions -- not just the spanner -- must be
+// preserved bit for bit.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
@@ -122,9 +122,10 @@ TEST(CellBatchEquivalenceTest, CellCountersAreThreadCountInvariant) {
     // The prefilter's verdict bitset is commutative (relaxed fetch_or) and
     // groups partition the batch deterministically, so the batched
     // counters -- not just the decisions -- are a pure function of the
-    // input at every *parallel* worker count. (The serial path probes
-    // differently, so thread count 1 is covered by the decision-identity
-    // sweeps above, not by counter equality.)
+    // input at every *parallel* worker count. Stage 2 decides anchored
+    // groups with group probes, whose counters are held to the same rule.
+    // (The serial path probes differently, so thread count 1 is covered
+    // by the decision-identity sweeps above, not by counter equality.)
     Rng rng(131);
     const EuclideanMetric pts = uniform_points(360, 2, 200.0, rng);
 
@@ -135,6 +136,7 @@ TEST(CellBatchEquivalenceTest, CellCountersAreThreadCountInvariant) {
     SpannerSession first_session;
     BuildReport first;
     const Graph reference = first_session.build(first_source, options, &first);
+    EXPECT_GT(first.stats.group_probes, 0u);
 
     for (const std::size_t threads : {std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
         options.engine.num_threads = threads;
@@ -147,7 +149,10 @@ TEST(CellBatchEquivalenceTest, CellCountersAreThreadCountInvariant) {
         EXPECT_EQ(report.stats.cell_balls, first.stats.cell_balls) << label;
         EXPECT_EQ(report.stats.cell_ball_decisions, first.stats.cell_ball_decisions)
             << label;
-        EXPECT_EQ(report.stats.coarse_rejects, first.stats.coarse_rejects) << label;
+        EXPECT_EQ(report.stats.group_probes, first.stats.group_probes) << label;
+        EXPECT_EQ(report.stats.group_probe_decisions, first.stats.group_probe_decisions)
+            << label;
+        EXPECT_EQ(report.stats.dijkstra_runs, first.stats.dijkstra_runs) << label;
     }
 }
 

@@ -35,7 +35,6 @@ GreedyEngineOptions config_from_mask(double t, unsigned mask) {
     options.bidirectional = (mask & 1u) != 0;
     options.ball_sharing = (mask & 2u) != 0;
     options.csr_snapshot = (mask & 4u) != 0;
-    options.bound_sketch = (mask & 8u) != 0;
     return options;
 }
 
@@ -44,7 +43,6 @@ std::string mask_name(unsigned mask) {
     if (mask & 1u) s += "+bidirectional";
     if (mask & 2u) s += "+ball_sharing";
     if (mask & 4u) s += "+csr_snapshot";
-    if (mask & 8u) s += "+bound_sketch";
     return s.empty() ? "naive" : s;
 }
 
@@ -116,7 +114,7 @@ TEST_P(EngineEquivalenceTest, EveryConfigurationMatchesTheNaiveKernel) {
         GreedyStats naive_stats;
         const Graph naive = run_with(g, config_from_mask(t, 0), &naive_stats);
         EXPECT_EQ(naive_stats.dijkstra_runs, g.num_edges()) << name;
-        for (unsigned mask = 1; mask <= 15; ++mask) {
+        for (unsigned mask = 1; mask <= 7; ++mask) {
             GreedyStats stats;
             const Graph h = run_with(g, config_from_mask(t, mask), &stats);
             EXPECT_TRUE(same_edge_set(h, naive))
@@ -134,10 +132,6 @@ TEST_P(EngineEquivalenceTest, EveryConfigurationMatchesTheNaiveKernel) {
             }
             if ((mask & 2u) == 0) {
                 EXPECT_EQ(stats.balls_computed, 0u);
-            }
-            if ((mask & 8u) == 0) {
-                EXPECT_EQ(stats.sketch_hits, 0u) << mask_name(mask);
-                EXPECT_EQ(stats.sketch_accepts, 0u) << mask_name(mask);
             }
         }
     }
@@ -242,24 +236,20 @@ TEST(ParallelEngineTest, EdgeSetMatchesNaiveAtEveryThreadCount) {
             const Graph naive = run_with(g, config_from_mask(2.0, 0));
             for (const std::size_t threads : kThreadCounts) {
                 for (const bool sharing : {true, false}) {
-                    for (const bool sketch : {true, false}) {
-                        for (const double accept_gate : {0.25, 1.0}) {
-                            GreedyEngineOptions options;
-                            options.stretch = 2.0;
-                            options.ball_sharing = sharing;
-                            options.bound_sketch = sketch;
-                            options.num_threads = threads;
-                            options.parallel_accept_gate = accept_gate;
-                            GreedyStats stats;
-                            const Graph h = run_with(g, options, &stats);
-                            EXPECT_TRUE(same_edge_set(h, naive))
-                                << name << " diverges at num_threads=" << threads
-                                << " sharing=" << sharing << " sketch=" << sketch
-                                << " gate=" << accept_gate;
-                            EXPECT_EQ(stats.edges_examined, g.num_edges());
-                            if (!sharing) {
-                                EXPECT_EQ(stats.balls_computed, 0u);
-                            }
+                    for (const double accept_gate : {0.25, 1.0}) {
+                        GreedyEngineOptions options;
+                        options.stretch = 2.0;
+                        options.ball_sharing = sharing;
+                        options.num_threads = threads;
+                        options.parallel_accept_gate = accept_gate;
+                        GreedyStats stats;
+                        const Graph h = run_with(g, options, &stats);
+                        EXPECT_TRUE(same_edge_set(h, naive))
+                            << name << " diverges at num_threads=" << threads
+                            << " sharing=" << sharing << " gate=" << accept_gate;
+                        EXPECT_EQ(stats.edges_examined, g.num_edges());
+                        if (!sharing) {
+                            EXPECT_EQ(stats.balls_computed, 0u);
                         }
                     }
                 }
@@ -286,8 +276,6 @@ TEST(ParallelEngineTest, StatsAreScheduleIndependent) {
     EXPECT_EQ(a.balls_computed, b.balls_computed);
     EXPECT_EQ(a.cache_hits, b.cache_hits);
     EXPECT_EQ(a.snapshot_accepts, b.snapshot_accepts);
-    EXPECT_EQ(a.sketch_hits, b.sketch_hits);
-    EXPECT_EQ(a.sketch_accepts, b.sketch_accepts);
     EXPECT_EQ(a.csr_rebuilds, b.csr_rebuilds);
     EXPECT_EQ(a.csr_compactions, b.csr_compactions);
     EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes);
@@ -302,8 +290,6 @@ void expect_counters_equal(const GreedyStats& a, const GreedyStats& b) {
     EXPECT_EQ(a.balls_computed, b.balls_computed);
     EXPECT_EQ(a.cache_hits, b.cache_hits);
     EXPECT_EQ(a.snapshot_accepts, b.snapshot_accepts);
-    EXPECT_EQ(a.sketch_hits, b.sketch_hits);
-    EXPECT_EQ(a.sketch_accepts, b.sketch_accepts);
     EXPECT_EQ(a.group_probes, b.group_probes);
     EXPECT_EQ(a.group_probe_decisions, b.group_probe_decisions);
     EXPECT_EQ(a.group_probe_early_exits, b.group_probe_early_exits);

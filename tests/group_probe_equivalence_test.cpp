@@ -1,12 +1,12 @@
-// Multi-target group-probe bit-identity: a build with
-// EngineTuning::GroupProbing::kOn (one batched-relaxation traversal
-// deciding a whole source group against per-member radii) must return the
-// same edge set and the same decision stats as the per-candidate path
-// (kOff), across the sources that opt in ({graph, metric, wspd}), thread
-// counts {1, 2, 4, hardware}, and chunk sizes {default, small}. Every
-// kernel verdict is an exact distance or a sound far certificate against
-// the same view the point probes query, so decisions -- not just the
-// spanner -- must be preserved bit for bit.
+// Multi-target group-probe bit-identity: a default build, whose shared
+// groups are decided by one batched-relaxation traversal against
+// per-member radii, must return the same edge set and the same decision
+// stats as the naive kernel (one one-sided point probe per candidate),
+// across the graph, metric and WSPD sources, thread counts {1, 2, 4,
+// hardware}, and chunk sizes {default, small}. Every kernel verdict is an
+// exact distance or a sound far certificate against the same view the
+// point probes query, so decisions -- not just the spanner -- must be
+// preserved bit for bit.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "api/candidate_source.hpp"
 #include "gen/graphs.hpp"
 #include "graph/batched_probe.hpp"
+#include "graph/dijkstra.hpp"
 #include "gen/points.hpp"
 #include "graph/graph.hpp"
 #include "metric/euclidean.hpp"
@@ -36,8 +37,8 @@ const std::size_t kThreadCounts[] = {1, 2, 4, 0};
 const std::size_t kChunkCaps[] = {EngineTuning{}.chunk_soft_cap, 512};
 
 /// Schedule-independent decision counters must match exactly between the
-/// batched-probe and per-candidate paths; probe-strategy counters
-/// (dijkstra runs, cache hits, group probes) legitimately differ.
+/// batched-probe and naive paths; probe-strategy counters (dijkstra runs,
+/// cache hits, group probes) legitimately differ.
 void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
                             const std::string& label) {
     EXPECT_EQ(a.edges_examined, b.edges_examined) << label;
@@ -45,29 +46,30 @@ void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.candidates_streamed, b.candidates_streamed) << label;
 }
 
-/// Reference build: per-candidate probing (kOff), single thread, default
-/// chunking. Every group-probe variant must reproduce its decisions.
+/// Reference build: the naive kernel (no groups, one point probe per
+/// candidate), default chunking. Every default build must reproduce its
+/// decisions.
 void check_source(const std::function<std::unique_ptr<CandidateSource>()>& make_source,
                   double stretch, const std::string& what) {
-    BuildOptions options;
-    options.stretch = stretch;
-    options.engine.group_probing = EngineTuning::GroupProbing::kOff;
+    BuildOptions naive;
+    naive.stretch = stretch;
+    naive.engine = EngineTuning::naive();
 
     SpannerSession reference_session;
     BuildReport reference_report;
     const auto reference_source = make_source();
     const Graph reference =
-        reference_session.build(*reference_source, options, &reference_report);
+        reference_session.build(*reference_source, naive, &reference_report);
     EXPECT_EQ(reference_report.stats.group_probes, 0u) << what;
 
     for (const std::size_t threads : kThreadCounts) {
         for (const std::size_t cap : kChunkCaps) {
             const std::string label = what + " threads=" + std::to_string(threads) +
                                       " cap=" + std::to_string(cap);
-            BuildOptions probed = options;
+            BuildOptions probed;
+            probed.stretch = stretch;
             probed.engine.chunk_soft_cap = cap;
             probed.engine.num_threads = threads;
-            probed.engine.group_probing = EngineTuning::GroupProbing::kOn;
             const auto source = make_source();
             SpannerSession session;
             BuildReport report;
@@ -106,33 +108,31 @@ TEST_P(GroupProbeEquivalenceTest, WspdPairsDecideIdentically) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupProbeEquivalenceTest,
                          ::testing::Values(7u, 521u, 4242u));
 
-TEST(GroupProbeEquivalenceTest, OptInSourcesDefaultToGroupProbing) {
-    // kAuto + a graph/metric/wspd source flips to kOn via
-    // configure_engine: the batched kernel must actually engage (probes
-    // run, decisions amortize) while the decisions match an explicit kOff
-    // build.
+TEST(GroupProbeEquivalenceTest, DefaultBuildsDecideGroupsByProbes) {
+    // Shared groups of a non-grid source are decided by the batched
+    // kernel: probes run and amortize, while the decisions match the
+    // naive kernel's.
     Rng rng(55);
     const EuclideanMetric pts = uniform_points(90, 2, 80.0, rng);
 
-    BuildOptions off;
-    off.stretch = 1.5;
-    off.engine.group_probing = EngineTuning::GroupProbing::kOff;
-    MetricCandidateSource off_source(pts);
-    SpannerSession off_session;
-    BuildReport off_report;
-    const Graph reference = off_session.build(off_source, off, &off_report);
-    EXPECT_EQ(off_report.stats.group_probes, 0u);
-    EXPECT_EQ(off_report.stats.group_probe_decisions, 0u);
+    BuildOptions naive;
+    naive.stretch = 1.5;
+    naive.engine = EngineTuning::naive();
+    MetricCandidateSource naive_source(pts);
+    SpannerSession naive_session;
+    BuildReport naive_report;
+    const Graph reference = naive_session.build(naive_source, naive, &naive_report);
+    EXPECT_EQ(naive_report.stats.group_probes, 0u);
+    EXPECT_EQ(naive_report.stats.group_probe_decisions, 0u);
 
-    BuildOptions auto_opts;
-    auto_opts.stretch = 1.5;
-    ASSERT_EQ(auto_opts.engine.group_probing, EngineTuning::GroupProbing::kAuto);
+    BuildOptions defaults;
+    defaults.stretch = 1.5;
     MetricCandidateSource source(pts);
     SpannerSession session;
     BuildReport report;
-    const Graph h = session.build(source, auto_opts, &report);
+    const Graph h = session.build(source, defaults, &report);
     EXPECT_TRUE(same_edge_set(h, reference));
-    EXPECT_EQ(report.stats.edges_added, off_report.stats.edges_added);
+    EXPECT_EQ(report.stats.edges_added, naive_report.stats.edges_added);
     EXPECT_GT(report.stats.group_probes, 0u);
     EXPECT_GE(report.stats.group_probe_decisions, report.stats.group_probes);
 }
@@ -176,29 +176,23 @@ TEST(GroupProbeEquivalenceTest, GroupProbeCountersAreThreadCountInvariant) {
     }
 }
 
-TEST(GroupProbeEquivalenceTest, GoalDirectedRunMatchesPlainVerdicts) {
-    // run_goal's pruning drops relaxations that cannot serve any live
-    // target, but every verdict-bearing path survives its own target's
-    // test -- so far bits and settled target distances must be identical
-    // to the plain run, while the certified/exact radii may only shrink
-    // and the surviving exact prefix must agree with the plain frontier.
-    // Both runs give every slot exactly one of the two verdicts: far, or
-    // settled at its exact distance within its radius.
+TEST(GroupProbeEquivalenceTest, PlainRunGivesEverySlotOneExactVerdict) {
+    // BatchedProbe::run hands every slot exactly one of two verdicts: far
+    // (bound +infinity, true distance above the radius) or settled (bound
+    // equal to the exact distance, within the radius). Checked against
+    // an independent one-sided Dijkstra on the same graph.
     Rng rng(1717);
     const EuclideanMetric pts = uniform_points(120, 2, 60.0, rng);
 
-    // A metric-weighted graph: greedy spanner of the points (every edge
-    // weight is the metric distance of its endpoints, so the metric is a
-    // sound lower bound on graph distances).
+    // A metric-weighted graph: the greedy spanner of the points.
     MetricCandidateSource source(pts);
     SpannerSession session;
     BuildOptions options;
     options.stretch = 1.6;
     const Graph g = session.build(source, options);
 
-    BatchedProbe plain;
-    BatchedProbe goal;
-    const auto lb = [&pts](VertexId x, VertexId t) { return pts.distance(x, t); };
+    BatchedProbe probe;
+    DijkstraWorkspace ws(g.num_vertices());
     for (const VertexId source_v : {VertexId{0}, VertexId{17}, VertexId{63}}) {
         // Targets with spread radii: some settle, some certify far, and
         // the nondecreasing-radii invariant mirrors the engine's groups.
@@ -209,67 +203,23 @@ TEST(GroupProbeEquivalenceTest, GoalDirectedRunMatchesPlainVerdicts) {
             targets.push_back(t);
             radii.push_back(0.4 * static_cast<Weight>(targets.size()));
         }
-        plain.run(g, source_v, targets, radii);
-        goal.run_goal(g, source_v, targets, radii, lb);
+        probe.run(g, source_v, targets, radii);
 
-        EXPECT_EQ(plain.settled_exact_radius(), kInfiniteWeight);
-        EXPECT_LE(goal.certified_radius(), plain.certified_radius());
         std::size_t far = 0;
         for (std::size_t i = 0; i < targets.size(); ++i) {
-            EXPECT_EQ(goal.target_far(i), plain.target_far(i)) << i;
-            EXPECT_EQ(goal.target_bound(i), plain.target_bound(i)) << i;
-            if (plain.target_far(i)) {
+            const Weight exact = ws.distance(g, source_v, targets[i], radii[i]);
+            if (probe.target_far(i)) {
                 ++far;
-                EXPECT_EQ(plain.target_bound(i), kInfiniteWeight) << i;
+                EXPECT_EQ(probe.target_bound(i), kInfiniteWeight) << i;
+                EXPECT_EQ(exact, kInfiniteWeight) << i;
             } else {
-                EXPECT_LE(plain.target_bound(i), radii[i]) << i;
+                EXPECT_LE(probe.target_bound(i), radii[i]) << i;
+                EXPECT_EQ(probe.target_bound(i), exact) << i;
             }
         }
         EXPECT_GT(far, 0u);
         EXPECT_LT(far, targets.size());
-        // The goal run's exact prefix must match the plain frontier
-        // distance for distance; beyond it entries are upper bounds.
-        std::vector<Weight> plain_dist(g.num_vertices(), kInfiniteWeight);
-        for (const auto& [x, d] : plain.settled()) plain_dist[x] = d;
-        const Weight exact_r = goal.settled_exact_radius();
-        for (const auto& [x, d] : goal.settled()) {
-            if (d <= exact_r) {
-                EXPECT_EQ(d, plain_dist[x]) << "vertex " << x;
-            } else if (plain_dist[x] != kInfiniteWeight) {
-                EXPECT_GE(d, plain_dist[x]) << "vertex " << x;
-            }
-        }
     }
-}
-
-TEST(GroupProbeEquivalenceTest, ProbeGoalOracleBuildsDecideIdentically) {
-    // The probe_goal_bound override routes the serial kernel's probes
-    // through run_goal; decisions (edge set, decision counters) must be
-    // bit-identical to the un-goaled kOn build and the kOff reference.
-    Rng rng(31337);
-    const EuclideanMetric pts = uniform_points(90, 2, 80.0, rng);
-
-    BuildOptions off;
-    off.stretch = 1.5;
-    off.engine.group_probing = EngineTuning::GroupProbing::kOff;
-    MetricCandidateSource off_source(pts);
-    SpannerSession off_session;
-    BuildReport off_report;
-    const Graph reference = off_session.build(off_source, off, &off_report);
-
-    BuildOptions goaled;
-    goaled.stretch = 1.5;
-    goaled.engine.group_probing = EngineTuning::GroupProbing::kOn;
-    goaled.engine.probe_goal_bound = &pts;
-    MetricCandidateSource source(pts);
-    SpannerSession session;
-    BuildReport report;
-    const Graph h = session.build(source, goaled, &report);
-    EXPECT_TRUE(same_edge_set(h, reference));
-    EXPECT_EQ(report.stats.edges_examined, off_report.stats.edges_examined);
-    EXPECT_EQ(report.stats.edges_added, off_report.stats.edges_added);
-    EXPECT_EQ(report.stats.candidates_streamed, off_report.stats.candidates_streamed);
-    EXPECT_GT(report.stats.group_probes, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "graph/mst.hpp"
 #include "graph/shortest_paths.hpp"
@@ -42,6 +45,26 @@ TEST(EuclideanMetricTest, PointAccessor) {
 TEST(EuclideanMetricTest, RejectsBadShapes) {
     EXPECT_THROW(EuclideanMetric(0, {}), std::invalid_argument);
     EXPECT_THROW(EuclideanMetric(2, {1.0, 2.0, 3.0}), std::invalid_argument);
+}
+
+TEST(EuclideanMetricTest, RejectsNonFiniteCoordinatesNamingThePoint) {
+    // Six 2D points with one poisoned coordinate (point 3's y): NaN, +inf
+    // and -inf must each fail at construction, and the message must name
+    // point 3 so a caller can find it.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        std::vector<double> coords = {0.0, 0.0, 1.0, 0.0, 0.0, 1.0,
+                                      1.0, 1.0, 2.0, 0.0, 0.0, 2.0};
+        coords[7] = bad;
+        try {
+            const EuclideanMetric m(2, std::move(coords));
+            ADD_FAILURE() << "accepted coordinate " << bad;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("point 3"), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(EuclideanMetricTest, Make2dHelper) {

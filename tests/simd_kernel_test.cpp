@@ -163,34 +163,6 @@ TEST(SimdKernelTest, Distances2dBitwiseScalar) {
     }
 }
 
-TEST(SimdKernelTest, MatchPairsMatchesScalar) {
-    const simd::Kernels& ref = simd::scalar_kernels();
-    Rng rng(37);
-    constexpr std::uint32_t kSkip = 0xffffffffu;
-    for (std::size_t n = 0; n <= 32; ++n) {
-        for (int trial = 0; trial < 20; ++trial) {
-            std::vector<std::uint32_t> a(n), b(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                // Small value range => frequent matches; sprinkle skips on
-                // either side and on both (the both-empty slot must NOT
-                // report a match).
-                a[i] = (rng.index(8) == 0) ? kSkip
-                                                 : static_cast<std::uint32_t>(
-                                                       rng.index(5));
-                b[i] = (rng.index(8) == 0) ? kSkip
-                                                 : static_cast<std::uint32_t>(
-                                                       rng.index(5));
-            }
-            const std::uint32_t want = ref.match_pairs(a.data(), b.data(), n, kSkip);
-            for (const simd::Backend bk : runnable_backends()) {
-                EXPECT_EQ(simd::kernels_for(bk).match_pairs(a.data(), b.data(), n, kSkip),
-                          want)
-                    << simd::backend_name(bk) << " n=" << n << " trial=" << trial;
-            }
-        }
-    }
-}
-
 TEST(SimdKernelTest, RelaxLanesBitwiseScalar) {
     const simd::Kernels& ref = simd::scalar_kernels();
     Rng rng(41);
