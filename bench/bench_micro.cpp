@@ -19,7 +19,6 @@
 #include "core/greedy_metric.hpp"
 #include "gen/graphs.hpp"
 #include "gen/points.hpp"
-#include "graph/csr_view.hpp"
 #include "graph/incremental_csr.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/mst.hpp"
@@ -82,41 +81,9 @@ void BM_DijkstraBidirectional(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraBidirectional)->Arg(1024)->Arg(4096);
 
-void BM_DijkstraLimitedCsr(benchmark::State& state) {
-    const Graph g = make_graph(static_cast<std::size_t>(state.range(0)));
-    CsrOverlayView view;
-    view.snapshot(g);
-    DijkstraWorkspace ws(g.num_vertices());
-    VertexId s = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ws.distance(view, s, (s + 7) % g.num_vertices(), 3.0));
-        s = (s + 1) % g.num_vertices();
-    }
-}
-BENCHMARK(BM_DijkstraLimitedCsr)->Arg(1024)->Arg(4096);
-
-void BM_CsrSnapshotRebuild(benchmark::State& state) {
-    // Mirror one insertion between snapshots: the no-insertion fast path
-    // would otherwise turn every iteration after the first into an O(1)
-    // no-op and the benchmark would stop measuring the rebuild.
-    Graph g = make_graph(static_cast<std::size_t>(state.range(0)));
-    CsrOverlayView view;
-    view.snapshot(g);  // size the overlay before mirroring insertions
-    VertexId u = 0;
-    for (auto _ : state) {
-        const EdgeId id = g.add_edge(u, u + 1, 1.0);
-        view.add_edge(u, u + 1, 1.0, id);
-        u = (u + 2) % static_cast<VertexId>(g.num_vertices() - 1);
-        view.snapshot(g);
-        benchmark::DoNotOptimize(view.num_vertices());
-    }
-}
-BENCHMARK(BM_CsrSnapshotRebuild)->Arg(1024)->Arg(4096);
-
 void BM_IncrementalCsrMirrorInsert(benchmark::State& state) {
-    // The replacement cost model: mirroring one accepted edge into the
-    // gap-buffered incremental view (amortized O(1)) vs the full rebuild
-    // above.
+    // The engine's adjacency cost model: mirroring one accepted edge into
+    // the gap-buffered incremental view (amortized O(1)).
     Graph g = make_graph(static_cast<std::size_t>(state.range(0)));
     IncrementalCsrView view;
     view.refresh(g);

@@ -30,15 +30,14 @@ void GridCandidateSource::configure_engine(GreedyEngineOptions& options, Spanner
         options.cell_batching = EngineTuning::CellBatching::kOn;
     }
     // Cell balls amortize across a whole weight class, but the engine's
-    // serial batches are clipped to the resident chunk: the default cap
-    // slices a level into many pieces and every slice re-drains each
-    // anchor's ball from scratch. Widen the chunks (still a fixed-size
-    // buffer -- 16 MiB of candidates -- far below the materialized list
-    // the linear-space budget guards against) so a level's cell groups
-    // arrive whole. Only the untouched default is widened: an explicit
-    // user cap wins, as with cell_batching above.
+    // serial batches are clipped to the resident chunk: a window that
+    // arrived in soft-cap slices would re-drain each anchor's ball once
+    // per slice. Chunks as wide as the source's window budget -- O(n),
+    // far below the materialized list the linear-space budget guards
+    // against -- deliver every window whole. Only the untouched default
+    // is widened: an explicit user cap wins, as with cell_batching above.
     if (options.chunk_soft_cap == EngineTuning{}.chunk_soft_cap) {
-        options.chunk_soft_cap = std::size_t{1} << 21;
+        options.chunk_soft_cap = GridChunkSource::default_budget(m_.size());
     }
     // Spanner edge weights are exactly the metric distances of their
     // endpoints, so the metric lower-bounds every graph distance: hand it

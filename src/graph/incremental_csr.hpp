@@ -1,8 +1,7 @@
 // Incremental gap-buffered CSR adjacency.
 //
-// CsrOverlayView (csr_view.hpp) freezes the adjacency once per bucket and
-// chains a per-vertex overlay: refreshing it is a full O(n + m) rebuild, so
-// the greedy engine could only afford one per bucket.
+// A frozen CSR snapshot of a growing graph costs a full O(n + m) rebuild per
+// refresh, so a greedy engine built on one can only afford one per bucket.
 // IncrementalCsrView removes that refreeze entirely: each vertex owns a
 // *gap-buffered run* inside one arena -- a contiguous slice with slack
 // capacity after its live entries -- so mirroring one inserted edge is an
@@ -14,9 +13,9 @@
 // cost amortized O(1), and `neighbors` stays a single contiguous span --
 // the property the Dijkstra kernel's scan loop is built around.
 //
-// Thread-safety matches CsrOverlayView: all const members read only
-// immutable-between-mutations state, so any number of threads may query
-// concurrently as long as no thread is inside `refresh`/`add_edge`. The
+// Thread-safety: all const members read only immutable-between-mutations
+// state, so any number of threads may query concurrently as long as no
+// thread is inside `refresh`/`add_edge`. The
 // greedy engine's parallel prefilter stage fans read-only probes over the
 // view and runs the (only-writer) insertion loop strictly after the join.
 #pragma once

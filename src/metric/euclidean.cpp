@@ -1,6 +1,7 @@
 #include "metric/euclidean.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -22,6 +23,42 @@ EuclideanMetric::EuclideanMetric(std::size_t dim, std::vector<double> coords)
                                         std::to_string(i / dim_) +
                                         " has a non-finite coordinate");
         }
+    }
+    // Every builder sums and compares squared distances. A squared extent
+    // that overflows turns far distances into inf, and one that underflows
+    // below the smallest normal double collapses distinct points to
+    // distance 0; either fails here, naming the axis and the two points
+    // that span it.
+    const std::size_t n = size();
+    if (n == 0) return;
+    const auto at = [&](std::size_t i, std::size_t k) { return coords_[i * dim_ + k]; };
+    const auto axis_error = [&](const char* what, std::size_t k, std::size_t lo,
+                                std::size_t hi) {
+        return std::invalid_argument("EuclideanMetric: squared extent " + std::string(what) +
+                                     ": axis " + std::to_string(k) + " spans points " +
+                                     std::to_string(lo) + " and " + std::to_string(hi));
+    };
+    double sum = 0.0;
+    double widest = 0.0;
+    std::size_t widest_axis = 0, widest_lo = 0, widest_hi = 0;
+    for (std::size_t k = 0; k < dim_; ++k) {
+        std::size_t lo = 0, hi = 0;
+        for (std::size_t i = 1; i < n; ++i) {
+            if (at(i, k) < at(lo, k)) lo = i;
+            if (at(i, k) > at(hi, k)) hi = i;
+        }
+        const double span = at(hi, k) - at(lo, k);
+        sum += span * span;
+        if (!std::isfinite(sum)) throw axis_error("overflows", k, lo, hi);
+        if (span > widest) {
+            widest = span;
+            widest_axis = k;
+            widest_lo = lo;
+            widest_hi = hi;
+        }
+    }
+    if (widest > 0.0 && sum < DBL_MIN) {
+        throw axis_error("underflows", widest_axis, widest_lo, widest_hi);
     }
 }
 

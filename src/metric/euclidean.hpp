@@ -14,9 +14,12 @@ namespace gsp {
 /// flat row-major array (point i occupies [i*d, (i+1)*d)).
 class EuclideanMetric final : public MetricSpace {
 public:
-    /// Build from flat coordinates; coords.size() must be a multiple of dim
-    /// and every coordinate finite (std::invalid_argument naming the first
-    /// offending point otherwise).
+    /// Build from flat coordinates; coords.size() must be a multiple of dim,
+    /// every coordinate finite (std::invalid_argument naming the first
+    /// offending point otherwise), and the squared extent -- the sum over
+    /// axes of the squared coordinate span -- finite and, unless every
+    /// point coincides, at least DBL_MIN (std::invalid_argument naming the
+    /// axis and the two points that span it otherwise).
     EuclideanMetric(std::size_t dim, std::vector<double> coords);
 
     [[nodiscard]] std::size_t size() const override { return coords_.size() / dim_; }

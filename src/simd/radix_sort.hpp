@@ -1,35 +1,44 @@
-// LSD radix sort on (weight, u, v) candidate keys -- the comparison-sort
-// replacement for chunk finalization (PR 8 measured sort/harvest at about
-// half the build).
+// Stable (weight, u, v) sort of candidate windows -- the comparison-sort
+// replacement for chunk finalization, at a cost that scales with the
+// window: O(n) work and O(n) scratch per call, with no fixed cost beyond
+// a 256-entry count row per digit.
 //
-// Key quantization, and why the ordering is exactly the comparator's:
-// the composite sort key is the 128-bit concatenation
+// Key quantization: wkey maps a double to a uint64 such that for NaN-free
+// inputs a < b  <=>  wkey(a) < wkey(b) and a == b  <=>  wkey(a) ==
+// wkey(b): IEEE-754 doubles of equal sign compare like their payload
+// bits, so flipping the sign bit (non-negatives) or all bits (negatives)
+// yields a total order matching operator<. The one double pair that
+// compares equal with different bit patterns, -0.0 == +0.0, is
+// canonicalized to +0.0 before the map, so comparator-equal weights
+// always share one wkey.
 //
-//     key(c) = wkey(c.weight) . c.u . c.v        (most significant first)
+// The sort runs in two stable steps:
 //
-// where wkey maps a double to a uint64 such that for NaN-free inputs
-// a < b  <=>  wkey(a) < wkey(b) and a == b  <=>  wkey(a) == wkey(b):
-// IEEE-754 doubles of equal sign compare like their payload bits, so
-// flipping the sign bit (non-negatives) or all bits (negatives) yields a
-// total order matching operator<. The one double pair that compares equal
-// with different bit patterns, -0.0 == +0.0, is canonicalized to +0.0
-// before the map, so comparator-equal weights always share one wkey.
-// Candidate weights here are metric distances (nonnegative), but the map
-// is order-preserving for the full NaN-free double line regardless.
+//   1. Radix on wkey(weight) alone, over only the bits that vary across
+//      the input (one xor-reduction finds them; a window of one octave
+//      varies in ~53 of the 64). A range larger than the cache is first
+//      split by its leading 8 varying bits -- one stable scatter -- and
+//      each part recursed on; a range that fits is sorted LSD in 8-bit
+//      digits, skipping any digit that is constant anyway.
+//   2. Each run of equal weights is ordered by (u, v): skipped when it is
+//      already in order, and otherwise sorted by the same radix on the
+//      packed key (u << 32) | v.
 //
-// Lexicographic order on key(c) is then exactly
-// std::tie(weight, u, v) < std::tie(...), and LSD radix -- eight stable
-// counting passes over 16-bit digits, least significant first -- sorts by
-// it while preserving input order of equal keys. Stable + same total
-// order means the output permutation is byte-identical to
-// std::stable_sort with the chunk comparator (the simd_kernel_test
-// asserts this on tie-heavy adversarial inputs).
+// Every scatter is stable, so step 1 keeps equal weights in input order
+// and step 2 keeps equal (u, v) in input order within each run. The
+// result is sorted by std::tie(weight, u, v) with ties in input order --
+// the permutation std::stable_sort produces with the chunk comparator,
+// byte for byte (the simd_kernel_test asserts this on tie-heavy and
+// signed-zero inputs). Ranges of at most kInsertionMax elements are
+// insertion-sorted instead, so a small window never pays for a digit
+// table.
 //
-// Passes whose digit is constant across the array (common: v/u high
-// halves on small ids, weight tails on quantized grids) are detected from
-// the single histogram pre-pass and skipped outright.
+// Distinct weights are the common case (grid windows of Euclidean
+// distances), so step 2 is usually one linear scan with no swaps.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/candidate_stream.hpp"
@@ -37,20 +46,26 @@
 
 namespace gsp::simd {
 
-/// Reusable sorter (histogram + ping-pong buffers persist across chunks;
-/// the grid stream finalizes thousands of windows per build).
+/// Reusable sorter (the ping-pong buffer and the digit histograms persist
+/// across calls; the grid stream finalizes one window per call). Scratch
+/// is one candidate per input element plus a fixed 8 KiB table.
 class CandidateRadixSorter {
 public:
+    /// Ranges this small (whole inputs, equal-weight runs, radix parts)
+    /// are insertion-sorted.
+    static constexpr std::size_t kInsertionMax = 48;
+
     /// Sorts `v` by (weight, u, v) ascending; weights must be NaN-free.
     /// Equal elements keep their input order (full stability).
-    GSP_DECISION_PURE void sort(std::vector<GreedyCandidate>& v);
+    GSP_DECISION_PURE void sort(std::span<GreedyCandidate> v);
+    void sort(std::vector<GreedyCandidate>& v) { sort(std::span<GreedyCandidate>(v)); }
 
     /// Buffer footprint (bytes) for memory accounting.
     [[nodiscard]] std::size_t bytes() const;
 
 private:
     std::vector<GreedyCandidate> tmp_;
-    std::vector<std::uint32_t> hist_;  ///< kPasses x 65536 counts
+    std::vector<std::uint32_t> hist_;  ///< one 256-bucket count row per LSD digit
 };
 
 }  // namespace gsp::simd

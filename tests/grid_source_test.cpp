@@ -11,14 +11,22 @@
 //    dumbbell stretch bound;
 //  * a greedy build over the source audits within
 //    wspd_greedy_stretch_bound(t, s) of the full metric;
-//  * the registry entry wires it all up ("greedy-grid").
+//  * the registry entry wires it all up ("greedy-grid");
+//  * the planned window sweep splits identically: at window budgets far
+//    below the default the stream is still byte-identical to
+//    materialize(), a whole window stays within its budget unless it is
+//    one equal-weight mass, and the plan pass plus one pass per window
+//    are the only enumerations.
 #include "api/grid_source.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -201,6 +209,98 @@ TEST(GridSourceTest, DegenerateInputs) {
                                [](const GreedyCandidate& a, const GreedyCandidate& b) {
                                    return a.weight < b.weight;
                                }));
+}
+
+struct SplitCase {
+    std::string name;
+    EuclideanMetric pts;
+    double separation;
+};
+
+/// The suite's instances (same generators and seeds), plus a tie-heavy
+/// 0.1-spaced decimal lattice and an all-near-pairs instance.
+std::vector<SplitCase> split_cases() {
+    std::vector<SplitCase> out;
+    for (const std::uint64_t seed : {5u, 67u, 491u}) {
+        Rng a(seed);
+        out.push_back({"clustered-140/" + std::to_string(seed),
+                       clustered_points(140, 2, 5, 80.0, 1.5, a), 9.0});
+        Rng b(seed ^ 0x5a5a);
+        out.push_back({"uniform-120/" + std::to_string(seed), uniform_points(120, 2, 50.0, b),
+                       8.0});
+        Rng c(seed ^ 0x33cc);
+        out.push_back({"clustered-90/" + std::to_string(seed),
+                       clustered_points(90, 2, 4, 60.0, 1.0, c), 10.0});
+    }
+    Rng d(11);
+    out.push_back({"uniform-100", uniform_points(100, 2, 40.0, d), 8.0});
+    const std::vector<std::pair<double, double>> dupes = {
+        {1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {4.0, 5.0}};
+    out.push_back({"dupes", make_euclidean_2d(dupes), 8.0});
+    std::vector<std::pair<double, double>> lattice;
+    for (int i = 0; i < 20; ++i) {
+        for (int j = 0; j < 20; ++j) lattice.emplace_back(0.1 * i, 0.1 * j);
+    }
+    out.push_back({"lattice-0.1", make_euclidean_2d(lattice), 8.0});
+    // A separation so wide that every pair is a near pair.
+    Rng e(13);
+    out.push_back({"wide-separation", uniform_points(60, 2, 30.0, e), 1000.0});
+    return out;
+}
+
+TEST(GridSourceTest, WindowBudgetsSplitTheSameStream) {
+    for (const SplitCase& sc : split_cases()) {
+        GridCandidateSource source(sc.pts, sc.separation);
+        EXPECT_THROW(GridChunkSource(source.grid(), 0), std::invalid_argument);
+        std::vector<GreedyCandidate> full;
+        source.materialize(full);
+        const std::size_t default_budget = GridChunkSource::default_budget(sc.pts.size());
+        std::size_t default_windows = 0;
+        for (const std::size_t budget :
+             {default_budget, std::size_t{1000}, std::size_t{64}, std::size_t{16}}) {
+            const std::string label = sc.name + " budget=" + std::to_string(budget);
+            GridChunkSource chunks(source.grid(), budget);
+            std::vector<GreedyCandidate> streamed;
+            std::vector<GreedyCandidate> chunk;
+            std::size_t windows = 0;
+            // An unbounded soft cap pulls exactly one window per chunk.
+            while (chunks.next_chunk(std::numeric_limits<std::size_t>::max(), chunk)) {
+                ++windows;
+                if (chunk.size() > budget) {
+                    EXPECT_EQ(chunk.front().weight, chunk.back().weight)
+                        << label << ": a window over budget must be one weight";
+                }
+                streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+                chunk.clear();
+            }
+            ASSERT_EQ(streamed.size(), full.size()) << label;
+            if (!full.empty()) {
+                EXPECT_EQ(0, std::memcmp(streamed.data(), full.data(),
+                                         full.size() * sizeof(GreedyCandidate)))
+                    << label;
+            }
+            EXPECT_EQ(chunks.enumeration_passes(), 1 + windows) << label;
+            // Served in small slices instead, the same stream.
+            GridChunkSource sliced(source.grid(), budget);
+            const std::vector<GreedyCandidate> resliced = drain(sliced, 7);
+            ASSERT_EQ(resliced.size(), full.size()) << label;
+            if (!full.empty()) {
+                EXPECT_EQ(0, std::memcmp(resliced.data(), full.data(),
+                                         full.size() * sizeof(GreedyCandidate)))
+                    << label << " soft_cap=7";
+            }
+            if (budget == default_budget) {
+                default_windows = windows;
+            } else {
+                EXPECT_GE(windows, default_windows) << label;
+                // On every instance with more than a few windows' worth of
+                // candidates, the smallest budget really splits.
+                if (budget == 16 && full.size() > 1000) {
+                    EXPECT_GT(windows, default_windows) << label;
+                }
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.hpp"
+#include "api/session.hpp"
 #include "graph/mst.hpp"
 #include "graph/shortest_paths.hpp"
 #include "metric/euclidean.hpp"
@@ -63,6 +65,54 @@ TEST(EuclideanMetricTest, RejectsNonFiniteCoordinatesNamingThePoint) {
         } catch (const std::invalid_argument& e) {
             EXPECT_NE(std::string(e.what()).find("point 3"), std::string::npos)
                 << e.what();
+        }
+    }
+}
+
+/// Six distinct 2D points (x spans points 0 and 4) scaled by `scale`.
+std::vector<double> six_points_scaled(double scale) {
+    std::vector<double> coords = {0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 0.0, 0.0, 2.0};
+    for (double& c : coords) c *= scale;
+    return coords;
+}
+
+TEST(EuclideanMetricTest, RejectsSquaredExtentOutsideNormalDoubles) {
+    // Scaled by 1e200 the squared extent overflows to inf; scaled by
+    // 1e-200 it underflows to 0 although the points stay distinct. Both
+    // must fail at construction, naming the axis and its two extreme
+    // points, instead of returning empty spanners, throwing from a deep
+    // layer or hanging downstream.
+    for (const double scale : {1e200, 1e-200}) {
+        try {
+            const EuclideanMetric m(2, six_points_scaled(scale));
+            ADD_FAILURE() << "accepted scale " << scale;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("axis 0 spans points 0 and 4"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Coincident points have no extent to underflow.
+    EXPECT_NO_THROW(EuclideanMetric(2, {1e-200, 1e-200, 1e-200, 1e-200}));
+}
+
+TEST(EuclideanMetricTest, LargeButRepresentableExtentStillBuilds) {
+    // Scaled by 1e150 the squared extent (~8e300) is still finite: the
+    // metric constructs and every algorithm that takes points spans them.
+    // Scaled by 4e153 it (~1.28e308) is just inside the double range, so
+    // even the square of twice the diagonal overflows: no builder may
+    // square a length at input scale that can exceed the extent.
+    for (const double scale : {1e150, 4e153}) {
+        const EuclideanMetric m(2, six_points_scaled(scale));
+        SpannerSession session;
+        BuildOptions options;
+        options.stretch = 2.0;
+        for (const AlgorithmInfo* info : AlgorithmRegistry::global().algorithms()) {
+            if (info->input == InputKind::kGraph) continue;
+            const Graph h = AlgorithmRegistry::global().build(info->name, session,
+                                                              BuildInput::of(m), options);
+            EXPECT_GE(h.num_edges(), m.size() - 1) << info->name << " scale=" << scale;
+            EXPECT_TRUE(std::isfinite(h.total_weight())) << info->name << " scale=" << scale;
         }
     }
 }
