@@ -16,10 +16,6 @@ Checks
   gsp-serial-only      GSP_SERIAL_ONLY functions must not be called inside
                        a ThreadPool task body (the argument list of a
                        `*pool*.run(...)` fan-out).
-  gsp-epoch-guarded    GSP_EPOCH_GUARDED fields may be touched only by the
-                       translation units of their declaring class (the
-                       checked accessors); `.field` / `->field` anywhere
-                       else is an error.
   gsp-relaxed-atomic   `memory_order_relaxed` is allowed only in the
                        commutative verdict-bitset code of
                        src/core/prefilter_stage.hpp; every other use needs
@@ -73,7 +69,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 CXX_EXTENSIONS = {".hpp", ".cpp", ".h", ".cc", ".cxx", ".hh"}
 
 FUNCTION_MACROS = ("GSP_HOT_PATH", "GSP_DECISION_PURE", "GSP_SERIAL_ONLY")
-FIELD_MACRO = "GSP_EPOCH_GUARDED"
 
 # Files where memory_order_relaxed is legitimate without a suppression:
 # the verdict bitsets' commutative fetch_or writes (and their reads).
@@ -83,7 +78,6 @@ ALL_CHECKS = (
     "gsp-hot-path-alloc",
     "gsp-decision-pure",
     "gsp-serial-only",
-    "gsp-epoch-guarded",
     "gsp-relaxed-atomic",
     "gsp-no-fma",
 )
@@ -232,15 +226,6 @@ class AnnotatedFunction:
         self.body = body  # (open_brace, close_brace) offsets, or None
 
 
-class AnnotatedField:
-    __slots__ = ("name", "source", "line")
-
-    def __init__(self, name: str, source: Source, line: int) -> None:
-        self.name = name
-        self.source = source
-        self.line = line
-
-
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -298,25 +283,8 @@ def parse_function_annotation(src: Source, macro: str,
     return None
 
 
-def parse_field_annotation(src: Source, at: int) -> AnnotatedField | None:
-    code = src.code
-    end = code.find(";", at)
-    if end < 0:
-        return None
-    decl = code[at + len(FIELD_MACRO):end]
-    for cut in ("=", "{"):
-        pos = decl.find(cut)
-        if pos >= 0:
-            decl = decl[:pos]
-    idents = [m.group(0) for m in IDENT_RE.finditer(decl)]
-    if not idents:
-        return None
-    return AnnotatedField(idents[-1], src, src.line_of(at))
-
-
 def discover_textual(sources: list[Source]):
     functions: list[AnnotatedFunction] = []
-    fields: list[AnnotatedField] = []
     problems: list[Finding] = []
     for src in sources:
         for macro in FUNCTION_MACROS:
@@ -330,16 +298,7 @@ def discover_textual(sources: list[Source]):
                         src.line_text(src.line_of(m.start()))))
                 else:
                     functions.append(fn)
-        for m in re.finditer(rf"\b{FIELD_MACRO}\b", src.code):
-            field = parse_field_annotation(src, m.start())
-            if field is None:
-                problems.append(Finding(
-                    src.path, src.line_of(m.start()), "gsp-epoch-guarded",
-                    f"could not attach {FIELD_MACRO} to a field declaration",
-                    src.line_text(src.line_of(m.start()))))
-            else:
-                fields.append(field)
-    return functions, fields, problems
+    return functions, problems
 
 
 # ------------------------------------------------------- clang discovery
@@ -348,7 +307,7 @@ def discover_textual(sources: list[Source]):
 def discover_clang(sources: list[Source], compdb_path: Path | None,
                    extra_args: list[str]):
     """Cursor-walking discovery: the macros expand to annotate attributes
-    under clang (-DGSP_LINT), so annotated functions and fields are found
+    under clang (-DGSP_LINT), so annotated functions are found
     by walking each translation unit. Falls back per-file to textual on
     parse setup errors."""
     import clang.cindex as ci  # noqa: deferred; availability gated by caller
@@ -368,7 +327,6 @@ def discover_clang(sources: list[Source], compdb_path: Path | None,
     index = ci.Index.create()
     by_path = {src.path.resolve(): src for src in sources}
     functions: list[AnnotatedFunction] = []
-    fields: list[AnnotatedField] = []
     problems: list[Finding] = []
 
     def args_for(path: Path) -> list[str]:
@@ -406,20 +364,16 @@ def discover_clang(sources: list[Source], compdb_path: Path | None,
                             body = (open_at, ext.end.offset)
                     functions.append(AnnotatedFunction(
                         macro, node.spelling, src, loc.line, body))
-            elif node.kind == ci.CursorKind.FIELD_DECL:
-                if "gsp::epoch_guarded" in annotate_tags(node):
-                    fields.append(AnnotatedField(node.spelling, src, loc.line))
 
     for src in sources:
         try:
             tu = index.parse(str(src.path), args=args_for(src.path))
             walk(tu.cursor, src)
         except Exception:  # pragma: no cover - environment-specific
-            got_f, got_fields, got_p = discover_textual([src])
+            got_f, got_p = discover_textual([src])
             functions.extend(got_f)
-            fields.extend(got_fields)
             problems.extend(got_p)
-    return functions, fields, problems
+    return functions, problems
 
 
 # ----------------------------------------------------------- the checks
@@ -541,25 +495,6 @@ def match_paren(code: str, open_at: int) -> int:
     return len(code) - 1
 
 
-def check_epoch_guarded(fields, sources) -> list[Finding]:
-    out = []
-    for field in fields:
-        decl_stem = field.source.path.stem
-        access_re = re.compile(rf"(?:\.|->)\s*{re.escape(field.name)}\b")
-        for src in sources:
-            if src.path.stem == decl_stem:
-                continue  # the declaring class's own translation units
-            for m in access_re.finditer(src.code):
-                line = src.line_of(m.start())
-                out.append(Finding(
-                    src.path, line, "gsp-epoch-guarded",
-                    f"epoch-guarded field '{field.name}' (declared in "
-                    f"{relpath(field.source.path)}) accessed outside its "
-                    "checked accessors",
-                    src.line_text(line)))
-    return out
-
-
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
 
 
@@ -665,16 +600,15 @@ def main(argv: list[str]) -> int:
             return 2
 
     if engine == "clang":
-        functions, fields, findings = discover_clang(sources, args.compdb,
+        functions, findings = discover_clang(sources, args.compdb,
                                                      args.extra_arg)
     else:
-        functions, fields, findings = discover_textual(sources)
+        functions, findings = discover_textual(sources)
 
     findings += check_hot_path(functions)
     findings += check_decision_pure(functions)
     findings += check_no_fma(functions, sources)
     findings += check_serial_only(functions, sources)
-    findings += check_epoch_guarded(fields, sources)
     findings += check_relaxed_atomic(sources)
 
     by_src = {src.path.resolve(): src for src in sources}
@@ -708,8 +642,8 @@ def main(argv: list[str]) -> int:
     if not args.quiet:
         checked = len(sources)
         print(f"gsp_lint[{engine}]: {len(findings)} finding(s) over "
-              f"{checked} file(s), {len(functions)} annotated function(s), "
-              f"{len(fields)} guarded field(s)", file=sys.stderr)
+              f"{checked} file(s), {len(functions)} annotated function(s)",
+              file=sys.stderr)
     return 1 if findings else 0
 
 

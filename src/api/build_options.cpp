@@ -8,9 +8,6 @@ void BuildOptions::validate() const {
     if (!(stretch >= 1.0)) {  // NaN-proof: NaN fails every comparison
         throw std::invalid_argument("BuildOptions: stretch must be >= 1");
     }
-    if (!(engine.bucket_ratio > 1.0)) {
-        throw std::invalid_argument("BuildOptions: engine.bucket_ratio must be > 1");
-    }
     if (engine.chunk_soft_cap == 0) {
         throw std::invalid_argument("BuildOptions: engine.chunk_soft_cap must be >= 1");
     }

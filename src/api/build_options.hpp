@@ -7,10 +7,8 @@
 // validate() checks the whole object up front so a bad combination fails
 // before any work (and before any stats out-param could be left stale).
 //
-// This replaces the per-front-door option structs (GreedyEngineOptions as
-// a public surface, MetricGreedyOptions, ApproxGreedyOptions) that each
-// re-declared the engine knobs and drifted apart; those survive only as
-// deprecated wrappers compiled out under -DGSP_NO_DEPRECATED.
+// This replaced the per-front-door option structs that each re-declared
+// the engine knobs and drifted apart.
 #pragma once
 
 #include <cstddef>

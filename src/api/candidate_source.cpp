@@ -399,7 +399,7 @@ ApproxGreedyResult approx_greedy_build(SpannerSession& session, const MetricSpac
     result.buckets = local_report.stats.buckets;
     result.oracle_rejects = local_report.stats.prefilter_rejects;
     // Candidates that got past the oracle were decided by the exact kernel
-    // (cached exact bounds included).
+    // (cached witnesses included).
     result.exact_queries = local_report.stats.edges_examined - result.oracle_rejects;
     result.seconds_total = total_timer.seconds();
     if (report != nullptr) *report = local_report;

@@ -1,7 +1,11 @@
 #include "api/registry.hpp"
 
+#include <algorithm>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/candidate_source.hpp"
 #include "api/grid_source.hpp"
@@ -41,6 +45,28 @@ const EuclideanMetric& require_euclidean(const BuildInput& input, std::string_vi
         throw std::invalid_argument(std::string(name) + ": requires a 2D point set");
     }
     return *e;
+}
+
+/// Coincident points have no spanner (a zero-length pair is no edge), and
+/// the constructions would otherwise fail on them deep inside, each with
+/// its own message. Rejected before any work, naming the two lowest indices
+/// of the lexicographically first repeated point; O(n log n).
+void require_distinct_points(const EuclideanMetric& m) {
+    const auto less = [&m](VertexId a, VertexId b) {
+        const std::span<const double> pa = m.point(a);
+        const std::span<const double> pb = m.point(b);
+        return std::lexicographical_compare(pa.begin(), pa.end(), pb.begin(), pb.end());
+    };
+    std::vector<VertexId> order(m.size());
+    std::iota(order.begin(), order.end(), VertexId{0});
+    std::stable_sort(order.begin(), order.end(), less);  // equal points keep index order
+    for (std::size_t i = 1; i < order.size(); ++i) {
+        if (!less(order[i - 1], order[i])) {
+            throw std::invalid_argument("AlgorithmRegistry: points " +
+                                        std::to_string(order[i - 1]) + " and " +
+                                        std::to_string(order[i]) + " coincide");
+        }
+    }
 }
 
 /// Shared tail of the non-engine baselines: fill the report the same way
@@ -212,6 +238,9 @@ Graph AlgorithmRegistry::build(std::string_view name, SpannerSession& session,
     options.validate();
     for (const Entry& e : entries_) {
         if (e.info.name != name) continue;
+        if (const auto* points = dynamic_cast<const EuclideanMetric*>(input.metric)) {
+            require_distinct_points(*points);
+        }
         Graph h = e.fn(session, input, options, report);
         if (report != nullptr) report->algorithm = std::string(name);
         return h;

@@ -33,7 +33,6 @@
 
 #include <cstddef>
 
-#include "core/engine_tuning.hpp"
 #include "core/greedy.hpp"
 #include "graph/graph.hpp"
 #include "metric/metric_space.hpp"
@@ -82,25 +81,5 @@ struct ApproxGreedyResult {
 /// session). For configured or repeated builds use `approx_greedy_build`
 /// with a SpannerSession and BuildOptions (api/candidate_source.hpp).
 ApproxGreedyResult approx_greedy_spanner(const MetricSpace& m, double epsilon);
-
-#ifndef GSP_NO_DEPRECATED
-/// Legacy option struct. The engine/parallelism knobs it used to
-/// re-declare (num_threads, bucket_ratio) live in the embedded shared
-/// `engine` block now.
-struct ApproxGreedyOptions {
-    double epsilon = 0.5;
-    std::size_t theta_cones_override = 0;
-    bool use_cluster_oracle = false;
-    std::size_t net_degree_cap = 64;
-    EngineTuning engine;  ///< the shared engine block (threads, bucket ratio, ...)
-};
-
-/// Legacy front door: prefer approx_greedy_build with a SpannerSession and
-/// BuildOptions (api/candidate_source.hpp), which reuses pools and
-/// workspaces across builds.
-[[deprecated("use approx_greedy_build with a SpannerSession and BuildOptions")]]
-ApproxGreedyResult approx_greedy_spanner(const MetricSpace& m,
-                                         const ApproxGreedyOptions& options);
-#endif  // GSP_NO_DEPRECATED
 
 }  // namespace gsp

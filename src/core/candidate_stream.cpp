@@ -32,17 +32,23 @@ bool CandidateStream::refill() {
     return true;
 }
 
-bool CandidateStream::next(CandidateBucket& out) {
+bool CandidateStream::next(CandidateBucket& out, bool widen) {
     if (cursor_ - base_ >= buffer_->size() && !refill()) return false;
     const std::vector<GreedyCandidate>& buf = *buffer_;
     std::size_t local = cursor_ - base_;
     out.begin = cursor_;
     out.lo = buf[local].weight;
-    out.hi = out.lo * bucket_ratio_;
-    // A bucket never outlives the resident chunk: a weight class cut by
-    // the chunk boundary becomes two buckets, which the engine's
+    // A bucket never outlives the resident chunk: a bucket cut by the
+    // chunk boundary (or by kMaxBucket) becomes two, which the engine's
     // decision-preserving bucketing makes harmless.
-    while (local < buf.size() && buf[local].weight <= out.hi) ++local;
+    const std::size_t last = local + std::min(buf.size() - local, kMaxBucket);
+    if (widen) {
+        local = last;
+    } else {
+        const Weight hi = 2.0 * out.lo;
+        ++local;  // the first candidate always joins, so every bucket progresses
+        while (local < last && buf[local].weight <= hi) ++local;
+    }
     out.end = base_ + local;
     cursor_ = out.end;
     return true;
@@ -50,19 +56,22 @@ bool CandidateStream::next(CandidateBucket& out) {
 
 GSP_DECISION_PURE void SourceGroups::rebuild(std::span<const GreedyCandidate> candidates,
                                              std::size_t num_vertices, bool anchored) {
-    if (groups_.size() < num_vertices) {
-        groups_.resize(num_vertices);
+    if (count_.size() < num_vertices) {
+        start_.resize(num_vertices, 0);
+        count_.resize(num_vertices, 0);
         remaining_.resize(num_vertices, 0);
         degree_.resize(num_vertices, 0);
         is_hub_.resize(num_vertices, 0);
     }
     for (VertexId s : sources_) {
-        groups_[s].clear();
+        start_[s] = 0;
+        count_[s] = 0;
         remaining_[s] = 0;
     }
     sources_.clear();
     max_group_size_ = 0;
-    if (anchor_.size() < candidates.size()) anchor_.resize(candidates.size());
+    members_.resize(candidates.size());
+    side_.resize(candidates.size());
 
     if (anchored) {
         // Pass 1: endpoint incidences over the bucket (lazily cleared
@@ -72,13 +81,13 @@ GSP_DECISION_PURE void SourceGroups::rebuild(std::span<const GreedyCandidate> ca
             is_hub_[x] = 0;
         }
         touched_.clear();
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            const GreedyCandidate& c = candidates[i];
+        for (const GreedyCandidate& c : candidates) {
             if (degree_[c.u]++ == 0) touched_.push_back(c.u);
             if (degree_[c.v]++ == 0) touched_.push_back(c.v);
         }
     }
 
+    // Count: choose every candidate's anchor and size its group.
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         const GreedyCandidate& c = candidates[i];
         VertexId a = c.u;
@@ -96,12 +105,21 @@ GSP_DECISION_PURE void SourceGroups::rebuild(std::span<const GreedyCandidate> ca
                 is_hub_[a] = 1;
             }
         }
-        const auto local = static_cast<std::uint32_t>(i);
-        anchor_[local] = a;
-        if (groups_[a].empty()) sources_.push_back(a);
-        groups_[a].push_back(local);
-        ++remaining_[a];
-        max_group_size_ = std::max<std::size_t>(max_group_size_, groups_[a].size());
+        side_[i] = a != c.u ? 1 : 0;
+        if (count_[a]++ == 0) sources_.push_back(a);
+        max_group_size_ = std::max<std::size_t>(max_group_size_, count_[a]);
+    }
+    // Prefix sum over the bucket's anchors, in first-appearance order.
+    std::uint32_t offset = 0;
+    for (VertexId s : sources_) {
+        start_[s] = offset;
+        offset += count_[s];
+    }
+    // Fill in candidate order, so every group lists ascending indices;
+    // remaining_ doubles as the fill cursor and ends equal to count_.
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const VertexId a = side_[i] != 0 ? candidates[i].v : candidates[i].u;
+        members_[start_[a] + remaining_[a]++] = static_cast<std::uint32_t>(i);
     }
 }
 

@@ -1,18 +1,21 @@
 // Stage 1 of the greedy pipeline: the candidate stream.
 //
-// The engine consumes candidates bucket by bucket -- geometric weight
-// classes [lo, bucket_ratio * lo], the same boundary rule the
-// approximate-greedy simulation has always used. Every build feeds the
-// engine through one pull-based protocol: a CandidateChunkSource appends
-// its candidates chunk by chunk into a reusable caller-owned buffer, and
-// CandidateStream carves buckets out of the resident chunk, so the full
-// sorted array only exists when a source produces it in one piece (the
-// linear-space greedy of Alewijnse et al.: streaming sources generate one
-// weight window at a time). SourceGroups indexes a bucket's candidates by
-// source vertex, which is both the unit of ball sharing (one ball answers
-// a whole group) and the unit of work handed to the parallel prefilter
-// stage (groups touch disjoint candidate slots, so workers never race on
-// bounds).
+// The engine consumes candidates bucket by bucket. A bucket is the
+// geometric weight class [lo, 2 * lo] -- the boundary rule the
+// approximate-greedy simulation has always used -- except after a bucket
+// that accepted no edge: then the next bucket runs to the end of the
+// resident chunk, because a reject-only stretch of the stream gains
+// nothing from narrow buckets and pays one group probe per source per
+// bucket. Every build feeds the engine through one pull-based protocol: a
+// CandidateChunkSource appends its candidates chunk by chunk into a
+// reusable caller-owned buffer, and CandidateStream carves buckets out of
+// the resident chunk, so the full sorted array only exists when a source
+// produces it in one piece (the linear-space greedy of Alewijnse et al.:
+// streaming sources generate one weight window at a time). SourceGroups
+// indexes a bucket's candidates by source vertex, which is both the unit
+// of ball sharing (one ball answers a whole group) and the unit of work
+// handed to the parallel prefilter stage (groups touch disjoint candidate
+// slots, so workers never race on a candidate's state byte).
 #pragma once
 
 #include <cstddef>
@@ -39,7 +42,6 @@ struct CandidateBucket {
     std::size_t begin = 0;
     std::size_t end = 0;
     Weight lo = 0.0;  ///< weight of the bucket's first candidate
-    Weight hi = 0.0;  ///< inclusive upper boundary (lo * bucket_ratio)
 
     [[nodiscard]] std::size_t size() const { return end - begin; }
 };
@@ -95,23 +97,28 @@ private:
 
 /// Drives the engine's bucket loop from a CandidateChunkSource: one chunk
 /// at a time lives in the caller-owned buffer, and buckets are carved out
-/// of the resident chunk. A weight class that straddles a chunk boundary
-/// is simply split into two buckets -- bucket boundaries are decision
-/// preserving (bucket_ratio is an EngineTuning knob), so the edge set is
-/// the same at every chunk size.
+/// of the resident chunk. A bucket never outlives the chunk: a weight
+/// class (or a widened bucket) that straddles a chunk boundary is simply
+/// split in two, and bucket boundaries are decision preserving, so the
+/// edge set is the same at every chunk size.
 class CandidateStream {
 public:
+    /// Largest bucket the stream emits: bucket-local indices (groups,
+    /// state bytes, verdict bits) are u32, so a longer class is cut.
+    static constexpr std::size_t kMaxBucket = 0xffffffffu;
+
     /// `buffer` must outlive the stream; it is cleared and refilled on
-    /// every chunk pull. Requires bucket_ratio > 1 and soft_cap >= 1.
+    /// every chunk pull. Requires soft_cap >= 1.
     CandidateStream(CandidateChunkSource& source, std::vector<GreedyCandidate>& buffer,
-                    double bucket_ratio, std::size_t soft_cap)
-        : source_(&source), buffer_(&buffer), bucket_ratio_(bucket_ratio),
-          soft_cap_(soft_cap) {}
+                    std::size_t soft_cap)
+        : source_(&source), buffer_(&buffer), soft_cap_(soft_cap) {}
 
     /// Produce the next bucket (stream-global candidate indices); false at
-    /// end of stream. Throws std::invalid_argument if the source violates
-    /// the ordering contract.
-    bool next(CandidateBucket& out);
+    /// end of stream. A bucket is [lo, 2 * lo]; with `widen` it is the
+    /// rest of the resident chunk instead. Either way it holds at most
+    /// kMaxBucket candidates. Throws std::invalid_argument if the source
+    /// violates the ordering contract.
+    bool next(CandidateBucket& out, bool widen);
 
     /// The resident candidates of `bucket` (which must be the bucket most
     /// recently produced by next()).
@@ -133,7 +140,6 @@ private:
 
     CandidateChunkSource* source_;
     std::vector<GreedyCandidate>* buffer_;
-    double bucket_ratio_;
     std::size_t soft_cap_;
     std::size_t base_ = 0;    ///< global index of buffer_[0]
     std::size_t cursor_ = 0;  ///< global index of the next unconsumed candidate
@@ -145,14 +151,18 @@ private:
 };
 
 /// A bucket's candidates grouped by a per-candidate *anchor* endpoint,
-/// with lazy O(bucket) clearing (a bucket costs O(its candidates), never
-/// O(n)). Groups list *bucket-local* candidate indices (global index minus
-/// the bucket's `begin` -- the same u32 currency the stage-2/stage-3
-/// handoff uses for its bound array and verdict bitsets; a run's candidate
-/// span may exceed 2^32 as long as each individual bucket stays below it,
-/// which the engine enforces) in ascending order, which the prefilter and
-/// insertion stages both rely on (bounds harvested by an earlier
-/// candidate's query may only be consumed by later ones).
+/// stored flat: one u32 member array per bucket, addressed by a
+/// per-vertex start and count, and one side byte per candidate (is the
+/// anchor u or v). A rebuild counts, takes a prefix sum over the bucket's
+/// anchors and fills, touching only the vertices the bucket names, so a
+/// bucket costs O(its candidates), never O(n). Groups list
+/// *bucket-local* candidate indices (global index minus the bucket's
+/// `begin` -- the same u32 currency the stage-2/stage-3 handoff uses for
+/// its state bytes and verdict bitsets; a run's candidate span may exceed
+/// 2^32 because CandidateStream cuts every bucket below it) in ascending
+/// order, which the prefilter and insertion stages both rely on (facts
+/// harvested by an earlier candidate's query may only be consumed by
+/// later ones).
 ///
 /// Because the bucket is sorted by non-decreasing weight and
 /// group members are listed in ascending index order, a group's member
@@ -184,7 +194,8 @@ private:
 class SourceGroups {
 public:
     /// Rebuild the grouping for the bucket window `candidates` (the whole
-    /// bucket, in serial and parallel runs alike).
+    /// bucket, in serial and parallel runs alike; at most
+    /// CandidateStream::kMaxBucket candidates).
     GSP_DECISION_PURE void rebuild(std::span<const GreedyCandidate> candidates,
                                    std::size_t num_vertices, bool anchored = false);
 
@@ -194,13 +205,15 @@ public:
 
     /// Bucket-local candidate indices anchored at s (ascending). Empty for
     /// vertices that anchor nothing in the current bucket.
-    [[nodiscard]] const std::vector<std::uint32_t>& of(VertexId s) const {
-        return groups_[s];
+    [[nodiscard]] std::span<const std::uint32_t> of(VertexId s) const {
+        return {members_.data() + start_[s], count_[s]};
     }
 
-    /// The anchor endpoint of bucket-local candidate `local` (valid for
-    /// the bucket of the last rebuild). Classic mode: the candidate's u.
-    [[nodiscard]] VertexId anchor_of(std::uint32_t local) const { return anchor_[local]; }
+    /// The anchor endpoint of bucket-local candidate `local`, which is `c`
+    /// (valid for the bucket of the last rebuild). Classic mode: c.u.
+    [[nodiscard]] VertexId anchor_of(std::uint32_t local, const GreedyCandidate& c) const {
+        return side_[local] != 0 ? c.v : c.u;
+    }
 
     /// The non-anchor endpoint of candidate c, given its anchor.
     [[nodiscard]] GSP_DECISION_PURE GSP_HOT_PATH static VertexId other_of(
@@ -219,10 +232,15 @@ public:
     void decrement_remaining(VertexId s) { --remaining_[s]; }
 
 private:
-    std::vector<std::vector<std::uint32_t>> groups_;
-    std::vector<std::uint32_t> remaining_;
+    // Per vertex, nonzero only for the current bucket's sources_ (cleared
+    // through the previous bucket's list, so no rebuild pays O(n)).
+    std::vector<std::uint32_t> start_;      ///< group offset into members_
+    std::vector<std::uint32_t> count_;      ///< group size
+    std::vector<std::uint32_t> remaining_;  ///< undecided members
+    // Per bucket-local candidate.
+    std::vector<std::uint32_t> members_;  ///< every group, back to back
+    std::vector<std::uint8_t> side_;      ///< 1 iff the anchor is the candidate's v
     std::vector<VertexId> sources_;
-    std::vector<VertexId> anchor_;       ///< bucket-local index -> anchor endpoint
     std::vector<std::uint32_t> degree_;  ///< pass-1 incidence counts (lazily cleared)
     std::vector<std::uint8_t> is_hub_;   ///< pass-2 hub marks (lazily cleared)
     std::vector<VertexId> touched_;      ///< vertices with nonzero degree_/is_hub_

@@ -1,12 +1,8 @@
 // The shared engine configuration block.
 //
-// Before the unified API every greedy front door re-declared the same
-// knobs: GreedyEngineOptions, MetricGreedyOptions and ApproxGreedyOptions
-// each carried their own num_threads (and drifted apart).
-// EngineTuning is that block declared once: GreedyEngineOptions derives
-// from it (so `options.bidirectional` keeps reading as before), the
-// legacy option structs embed it, and the api layer's BuildOptions carries
-// it verbatim as its `engine` section.
+// EngineTuning is declared once: GreedyEngineOptions derives from it (so
+// `options.bidirectional` reads flat), and the api layer's BuildOptions
+// carries it verbatim as its `engine` section.
 //
 // Every field here is *decision preserving*: the greedy edge set is
 // bit-identical at every setting (the knobs trade work, not output).
@@ -14,6 +10,10 @@
 // Parallelism has three knobs: num_threads, parallel_prefilter and
 // parallel_accept_gate. Stage 2 always probes a whole weight bucket
 // against the bucket-start spanner, so there is no batch width to tune.
+// Bucket widths are not a knob either: the candidate stream keeps a
+// bucket to one octave [lo, 2 * lo] and widens it to the rest of the
+// resident chunk after a bucket that accepted nothing
+// (core/candidate_stream.hpp).
 #pragma once
 
 #include <cstddef>
@@ -47,11 +47,6 @@ struct EngineTuning {
     /// loop, because its stage-2 far facts would die on the first
     /// insertion. 1.0 = never predict accept-heavy.
     double parallel_accept_gate = 0.25;
-
-    /// Geometric ratio of the weight buckets that pace ball sharing, CSR
-    /// rebuilds, and `on_bucket` callbacks (mu in the paper's sketch).
-    /// Must be > 1.
-    double bucket_ratio = 2.0;
 
     /// Until the first group probe of a run calibrates the probe-vs-point
     /// cost model, a probe is attempted only for groups with at least

@@ -36,7 +36,7 @@ struct GreedyStats {
 
     // GreedyEngine counters (zero when the matching optimisation is off).
     std::size_t balls_computed = 0;       ///< serial cell balls and group probes grown
-    std::size_t cache_hits = 0;           ///< candidates decided from cached bounds
+    std::size_t cache_hits = 0;           ///< candidates decided from cached facts
     std::size_t csr_rebuilds = 0;         ///< full O(n+m) adjacency rebuilds (with the
                                           ///< incremental store: one per run, not per bucket)
     std::size_t csr_compactions = 0;      ///< incremental-CSR arena compactions
@@ -75,8 +75,9 @@ struct GreedyStats {
     std::size_t cell_balls = 0;          ///< balls grown for anchored (cell) groups
     std::size_t cell_ball_decisions = 0; ///< candidates decided by those balls
 
-    /// Peak resident bytes of the stage-2 -> stage-3 handoff (bucket-local
-    /// bound array + packed verdict bitsets); the bytes-per-candidate
+    /// Peak resident bytes of the stage-2 -> stage-3 handoff (one state
+    /// byte per candidate of the bucket + two packed verdict bits in
+    /// parallel runs); the bytes-per-candidate
     /// numerator tracked in BENCH_greedy.json.
     std::size_t handoff_peak_bytes = 0;
 

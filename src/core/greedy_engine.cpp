@@ -1,7 +1,6 @@
 #include "core/greedy_engine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <tuple>
@@ -123,9 +122,6 @@ void GreedyEngine::init() {
     if (!(options_.stretch >= 1.0)) {  // NaN-proof: NaN fails every comparison
         throw std::invalid_argument("GreedyEngine: stretch must be >= 1");
     }
-    if (!(options_.bucket_ratio > 1.0)) {
-        throw std::invalid_argument("GreedyEngine: bucket_ratio must be > 1");
-    }
     if (options_.chunk_soft_cap == 0) {
         throw std::invalid_argument("GreedyEngine: chunk_soft_cap must be >= 1");
     }
@@ -148,7 +144,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h, CandidateChunkSource& source,
     // Sortedness is validated incrementally as chunks arrive (the stream
     // throws on a contract violation), including across chunk boundaries.
     GreedyStats local;
-    CandidateStream feed(source, buffer, options_.bucket_ratio, options_.chunk_soft_cap);
+    CandidateStream feed(source, buffer, options_.chunk_soft_cap);
     Graph out(0);
     if (options_.csr_snapshot) {
         IncrementalAdapter adapter;
@@ -175,8 +171,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     DijkstraWorkspacePool& ws_pool = res.ws_pool_;
     PrefilterStage& prefilter_stage = res.prefilter_stage_;
     SourceGroups& groups = res.groups_;
-    std::vector<Weight>& bound = res.bound_;
-    std::vector<std::uint64_t>& far_mark = res.far_mark_;
+    std::vector<CandidateState>& state = res.state_;
+    std::vector<std::uint32_t>& far_list = res.far_list_;
     std::vector<std::uint64_t>& ball_bucket = res.ball_bucket_;
     std::vector<std::uint64_t>& ball_epoch = res.ball_epoch_;
     std::vector<Weight>& ball_radius = res.ball_radius_;
@@ -194,8 +190,9 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     // one bounded traversal from the anchor carries every member's target
     // and radius.
     const bool group_probe = sharing && !anchored;
-    // Bounds are the currency of both ball sharing and the parallel stage.
-    const bool track_bounds = sharing || parallel;
+    // State bytes are the currency of both ball sharing and the parallel
+    // stage.
+    const bool track_state = sharing || parallel;
     const std::size_t meets_before = ws.meet_events() + ws_pool.total_meet_events();
     ws.resize(n_);
     if (parallel) ws_pool.configure(workers_, n_);
@@ -208,7 +205,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
     const simd::Kernels& simd_k = resolve_simd_kernels(options_.simd_backend);
     ws.batched().set_kernels(&simd_k);
 
-    if (track_bounds) {
+    if (track_state) {
         ball_bucket.assign(n_, 0);
         ball_epoch.assign(n_, 0);
         ball_radius.assign(n_, 0.0);
@@ -267,25 +264,32 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
 
     // --- Stage 1: the chunk stream paces the bucket loop (the loop below
     // only ever touches the current bucket's window, addressed
-    // bucket-locally). ---
+    // bucket-locally). A bucket is one octave [lo, 2 * lo], except that a
+    // bucket following one that accepted no edge takes the rest of the
+    // resident chunk: reject-only stretches (the tail of every all-pairs
+    // build) then pay one group probe per source instead of one per
+    // source per octave. Widening only after *zero* accepts keeps sparse
+    // accepts in narrow buckets: on clustered all-pairs inputs a wide
+    // bucket that still accepts stales, with each accept, the far marks
+    // its probes paid for. Against a looser trigger (previous accept rate
+    // <= 0.25; serial 2D all-pairs, n = 2048, t = 1.5) this rule ran 10%
+    // and 27% faster on 20 and 4 blobs, where the looser one tripled the
+    // group-probe decisions, and 19% faster on uniform points. The first
+    // bucket of a run is never widened. ---
     CandidateBucket bucket;
-    while (feed.next(bucket)) {
+    bool widen = false;
+    while (feed.next(bucket, widen)) {
         ++stats.buckets;
         // Ball-reuse scope marker. A ball may only answer candidates whose
-        // bounds its harvest wrote, and a harvest covers one bucket's
+        // states its harvest wrote, and a harvest covers one bucket's
         // group -- so reuse is keyed per bucket. A chunk boundary can cut
         // one weight class into two buckets, and a ball of the first must
         // not accept a tie-weight candidate of the second.
         const std::uint64_t bucket_seq = stats.buckets;
-        if (bucket.size() > std::numeric_limits<std::uint32_t>::max()) {
-            // Bucket-local indices (bounds, verdict bits, groups) are u32.
-            throw std::length_error(
-                "GreedyEngine: a single weight bucket exceeds 2^32 candidates; "
-                "lower bucket_ratio to split it");
-        }
         // The bucket's candidates, addressed from zero: everything below
-        // (groups, bounds, verdict bits, the insertion loop) runs in
-        // bucket-local coordinates, whatever the chunk layout.
+        // (groups, state bytes, verdict bits, the insertion loop) runs in
+        // bucket-local coordinates, whatever the chunk layout. The stream
+        // keeps every bucket below 2^32 candidates, so they fit a u32.
         const std::span<const GreedyCandidate> bw = feed.window(bucket);
 
         // Synchronize the adjacency view. With the incremental store this
@@ -294,22 +298,23 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
         adapter.snapshot(h);
         if (options_.on_bucket) options_.on_bucket(h, bucket.lo);
 
-        // The thin stage-2 -> stage-3 handoff: one Weight slot and two
-        // verdict bits per candidate, all bucket-local. Bounds die with
+        // The thin stage-2 -> stage-3 handoff: one state byte and two
+        // verdict bits per candidate, all bucket-local. States die with
         // the bucket by design: nothing persists across buckets, so the
-        // engine's memory stays O(n) plus one bucket, never O(m).
-        if (track_bounds) bound.assign(bucket.size(), kInfiniteWeight);
-        // Per-member far certificates from group probes: the epoch at
-        // which a probe certified this member far (0 = never). Unlike the
-        // published ball slot, these survive the probe's early exit shrinking
-        // the certified radius below a heavy member's threshold.
-        if (group_probe) far_mark.assign(bucket.size(), 0);
+        // engine's memory stays O(n) plus one bucket, never O(m). The far
+        // state is the per-member certificate of the serial group probes;
+        // unlike the published ball slot, it survives the probe's early
+        // exit shrinking the certified radius below a heavy member's
+        // threshold. far_list holds the members marked far since the last
+        // insertion, which reopens them.
+        if (track_state) state.assign(bucket.size(), CandidateState::kOpen);
+        far_list.clear();
         if (parallel) prefilter_stage.begin_bucket(bw.size());
         // Logical footprint, not vector capacities: capacities depend on
         // what earlier (possibly larger) runs left in a warm session, and
         // the handoff counter must be a pure function of this run.
         const std::size_t handoff_bytes =
-            (track_bounds ? bound.size() * sizeof(Weight) : 0) +
+            (track_state ? state.size() * sizeof(CandidateState) : 0) +
             (parallel ? prefilter_stage.verdict_bytes() : 0);
         stats.handoff_peak_bytes = std::max(stats.handoff_peak_bytes, handoff_bytes);
 
@@ -347,7 +352,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
 
         // --- Stage 2: parallel reject-only prefilter of the whole bucket,
         // one task per source group, against the bucket-start view. Its
-        // bounds stay sound whatever stage 3 inserts later; its far bits
+        // witnesses stay sound whatever stage 3 inserts later; its far bits
         // hold only while nothing has been inserted. ---
         if (run_stage2) {
             PrefilterContext ctx;
@@ -361,7 +366,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                              ? &options_.concurrent_prefilter
                              : nullptr;
             ctx.simd = &simd_k;
-            prefilter_stage.run_bucket(*pool_, ws_pool, adapter.view(), ctx, bound,
+            prefilter_stage.run_bucket(*pool_, ws_pool, adapter.view(), ctx, state,
                                        ball_bucket, ball_epoch, ball_radius, stats);
         }
 
@@ -376,7 +381,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
             // mode, the hub endpoint in cell-batched mode) and the other
             // endpoint. Distances are symmetric, so every exact path
             // below may run anchor -> target instead of u -> v.
-            const VertexId anchor = sharing ? groups.anchor_of(li) : c.u;
+            const VertexId anchor = sharing ? groups.anchor_of(li, c) : c.u;
             const VertexId target = SourceGroups::other_of(c, anchor);
             // This candidate is decided this iteration, whichever path runs.
             if (sharing) groups.decrement_remaining(anchor);
@@ -417,10 +422,10 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
             };
 
             bool accept = false;
-            if (track_bounds && bound[li] <= threshold) {
+            if (track_state && state[li] == CandidateState::kWitnessed) {
                 // A realizable witness path no heavier than the threshold
                 // is already known (harvested serially or by stage 2); the
-                // spanner only grows, so the bound can only have improved.
+                // spanner only grows, so the path is still there.
                 ++stats.cache_hits;
                 record_exact();
                 continue;
@@ -433,7 +438,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                 // below re-decides the candidate on the current view.
                 ++stats.snapshot_accepts;
                 accept = true;
-            } else if (group_probe && far_mark[li] == insert_epoch) {
+            } else if (group_probe && state[li] == CandidateState::kFar) {
                 // A group probe certified this member far on the current
                 // view and nothing was inserted since: d(u, v) > threshold
                 // stands. The per-member twin of the shared-ball lazy
@@ -444,7 +449,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                 accept = true;
             } else if (sharing) {
                 const std::uint32_t peers = groups.remaining(anchor);
-                const auto& grp = groups.of(anchor);
+                const std::span<const std::uint32_t> grp = groups.of(anchor);
                 // Shared-traversal gate: does this group take one shared
                 // traversal (the cell ball of anchored runs, the group
                 // probe of every other run) instead of a point query?
@@ -458,8 +463,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         // which settles the typical witness of every rep
                         // candidate the cell emits into the window, so its
                         // harvest decides the group's rejects in one
-                        // traversal. Its harvested bounds are upper bounds
-                        // -- sound forever -- so the group's rejects stay
+                        // traversal. Its harvested witnesses are realizable
+                        // paths -- sound forever -- so the group's rejects stay
                         // decided across the bucket's insertions, and the
                         // few members an insertion un-certifies (the
                         // accept side needs the epoch) go to a cheap
@@ -515,7 +520,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         // When the shave leaves li itself unsettled below
                         // its threshold, li is simply undecided and falls
                         // through to its own point query below. Cost,
-                        // never correctness: a settled bound is an exact
+                        // never correctness: a settled distance is an exact
                         // witness either way.
                         const Weight radius =
                             kCellRejectRadiusFactor * cand_at(grp.back()).weight;
@@ -527,16 +532,17 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         for (std::uint32_t idx : grp) {
                             const Weight d =
                                 ws.settled_distance(SourceGroups::other_of(cand_at(idx), anchor));
-                            if (d < bound[idx]) {
-                                bound[idx] = d;
-                                if (idx > li && d <= t * cand_at(idx).weight) ++resolved;
+                            if (d <= t * cand_at(idx).weight &&
+                                state[idx] != CandidateState::kWitnessed) {
+                                state[idx] = CandidateState::kWitnessed;
+                                if (idx > li) ++resolved;
                             }
                         }
                         stats.cell_ball_decisions += resolved;
                         ball_bucket[anchor] = bucket_seq;
                         ball_epoch[anchor] = insert_epoch;
                         ball_radius[anchor] = radius;
-                        if (bound[li] <= threshold) {
+                        if (state[li] == CandidateState::kWitnessed) {
                             accept = false;  // exact witness settled by the ball
                         } else if (radius >= threshold) {
                             accept = true;  // unsettled at a covering radius: far
@@ -550,10 +556,10 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         // reaches them, and stops the moment the last is
                         // decided or the frontier passes the largest
                         // undecided bound -- the serial twin of the
-                        // stage-2 kernel path. Settled members land as
-                        // exact bounds (cache-hit rejects when their turn
-                        // comes); far members get a per-member far mark
-                        // and also ride the published certified-radius
+                        // stage-2 kernel path. Settled members are marked
+                        // witnessed (cache-hit rejects when their turn
+                        // comes); far members get the far state and also
+                        // ride the published certified-radius
                         // ball slot. A member whose threshold outruns the
                         // certified radius (possible after early
                         // termination) fails revalidation and falls
@@ -563,17 +569,19 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         bool li_far = false;
                         const auto is_undecided = [&](std::uint32_t local) {
                             return local == li ||
-                                   (local > li &&
-                                    bound[local] > t * cand_at(local).weight);
+                                   (local > li && state[local] != CandidateState::kWitnessed);
                         };
                         const auto mark_far = [&](std::uint32_t local) {
-                            far_mark[local] = insert_epoch;
+                            if (state[local] == CandidateState::kOpen) {
+                                state[local] = CandidateState::kFar;
+                                far_list.push_back(local);
+                            }
                             if (local == li) li_far = true;
                         };
                         const PrefilterKernel::Outcome outcome =
                             res.prefilter_kernel_.decide_group(
                                 probe, adapter.view(), anchor, bw, grp, t,
-                                is_undecided, bound, mark_far);
+                                is_undecided, state, mark_far);
                         ++stats.dijkstra_runs;
                         ++stats.balls_computed;
                         ++stats.group_probes;
@@ -599,7 +607,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         // Small group (or a ball-undecided member): an
                         // early-exit point query decides this candidate, and
                         // every label it touched is a realizable path length --
-                        // harvest them as upper bounds for the anchor's (and,
+                        // harvest them as witnesses for the anchor's (and,
                         // bidirectionally, the target's) other candidates in
                         // the bucket.
                         ++stats.dijkstra_runs;
@@ -609,14 +617,18 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                             if (idx <= li) continue;
                             const Weight b = ws.last_forward_bound(
                                 SourceGroups::other_of(cand_at(idx), anchor));
-                            if (b < bound[idx]) bound[idx] = b;
+                            if (b <= t * cand_at(idx).weight) {
+                                state[idx] = CandidateState::kWitnessed;
+                            }
                         }
                         if (options_.goal_bound == nullptr && options_.bidirectional) {
                             for (std::uint32_t idx : groups.of(target)) {
                                 if (idx <= li) continue;
                                 const Weight b = ws.last_backward_bound(
                                     SourceGroups::other_of(cand_at(idx), target));
-                                if (b < bound[idx]) bound[idx] = b;
+                                if (b <= t * cand_at(idx).weight) {
+                                    state[idx] = CandidateState::kWitnessed;
+                                }
                             }
                         }
                         accept = d > threshold;
@@ -633,31 +645,35 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
             adapter.add_edge(c.u, c.v, c.weight, id);
             ++stats.edges_added;
             ++insert_epoch;
+            // The insertion stales every far certificate: reopen them.
+            for (std::uint32_t idx : far_list) {
+                if (state[idx] == CandidateState::kFar) state[idx] = CandidateState::kOpen;
+            }
+            far_list.clear();
             if (sharing) {
                 // Parallel candidates of the same pair now have a one-edge
-                // witness; lower their bounds so they hit the cache. A
-                // duplicate is always anchored at one of its own
-                // endpoints, so the two groups below cover every copy.
+                // witness; mark them so they hit the cache. A duplicate is
+                // always anchored at one of its own endpoints, so the two
+                // groups below cover every copy.
                 for (std::uint32_t idx : groups.of(c.u)) {
                     if (idx > li && SourceGroups::other_of(cand_at(idx), c.u) == c.v &&
-                        c.weight < bound[idx]) {
-                        bound[idx] = c.weight;
+                        c.weight <= t * cand_at(idx).weight) {
+                        state[idx] = CandidateState::kWitnessed;
                     }
                 }
                 for (std::uint32_t idx : groups.of(c.v)) {
                     if (idx > li && SourceGroups::other_of(cand_at(idx), c.v) == c.u &&
-                        c.weight < bound[idx]) {
-                        bound[idx] = c.weight;
+                        c.weight <= t * cand_at(idx).weight) {
+                        state[idx] = CandidateState::kWitnessed;
                     }
                 }
             }
         }
         // Tracked for serial runs too since the cell-batched ball rule
         // reads it.
-        if (!bw.empty()) {
-            last_accept_rate = static_cast<double>(stats.edges_added - accepts_before) /
-                               static_cast<double>(bw.size());
-        }
+        last_accept_rate = static_cast<double>(stats.edges_added - accepts_before) /
+                           static_cast<double>(bw.size());
+        widen = stats.edges_added == accepts_before;
     }
     stats.bidirectional_meets =
         ws.meet_events() + ws_pool.total_meet_events() - meets_before;
@@ -689,27 +705,5 @@ std::vector<GreedyCandidate> sorted_graph_candidates(const Graph& g) {
     append_sorted_graph_candidates(g, cands);
     return cands;
 }
-
-#ifndef GSP_NO_DEPRECATED
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-Graph greedy_spanner_with(const Graph& g, const GreedyEngineOptions& options,
-                          GreedyStats* stats) {
-    // Zero the out-param before any work: a throw below must not leave a
-    // previous run's counters behind (the additive-stats footgun).
-    if (stats != nullptr) *stats = GreedyStats{};
-    const Timer timer;  // include the candidate sort, as the naive kernel did
-    GreedyEngine engine(g.num_vertices(), options);
-    WholeListChunkSource candidates(
-        [&g](std::vector<GreedyCandidate>& out) { append_sorted_graph_candidates(g, out); });
-    std::vector<GreedyCandidate> buffer;
-    GreedyStats local;
-    Graph h = engine.run(Graph(g.num_vertices()), candidates, buffer, &local);
-    local.seconds = timer.seconds();
-    if (stats != nullptr) *stats = local;
-    return h;
-}
-#pragma GCC diagnostic pop
-#endif  // GSP_NO_DEPRECATED
 
 }  // namespace gsp

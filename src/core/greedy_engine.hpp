@@ -10,23 +10,24 @@
 // explicit three-stage pipeline per weight bucket:
 //
 //   [1] candidate stream   (core/candidate_stream) -- pull the bucket
-//       [w, bucket_ratio * w) out of the resident candidate chunk and
-//       group its candidates by source (bucket-local indices);
+//       [w, 2 * w] out of the resident candidate chunk (the rest of the
+//       chunk after a bucket that accepted nothing) and group its
+//       candidates by source (bucket-local indices);
 //   [2] bucket-wide probe  (core/prefilter_stage)  -- parallel runs only,
 //       and only for buckets predicted reject-heavy (the previous
 //       bucket's accept rate at or below parallel_accept_gate): fan the
 //       whole bucket's source groups out to a work-stealing worker pool.
 //       Each worker owns a DijkstraWorkspace and probes the bucket-start
 //       incremental CSR view, recording per-candidate facts in a thin
-//       handoff (packed verdict bitsets + a bucket-local bound slot per
-//       candidate): witness-bound rejects and "far at bucket start" bits;
+//       handoff (packed verdict bitsets + one bucket-local state byte per
+//       candidate): witnessed rejects and "far at bucket start" bits;
 //   [3] insertion loop     -- walks the bucket in deterministic tie order,
 //       consumes the recorded facts, and decides everything else with the
 //       serial exact machinery (group probes, cell balls, point queries).
 //
-// Soundness rests on two facts. A stage-2 bound is the length of a
-// realizable path in the bucket-start spanner, which is a subgraph of
-// every later spanner, so a bound within the threshold rejects for good.
+// Soundness rests on two facts. A stage-2 witness is a realizable path
+// within the threshold in the bucket-start spanner, which is a subgraph of
+// every later spanner, so a witnessed candidate is rejected for good.
 // A far bit is exact on the bucket-start view only, so stage 3 accepts on
 // it alone only while insert_epoch == snapshot_epoch (no insertion since
 // the bucket began) and re-decides the candidate otherwise. Every accept
@@ -36,8 +37,8 @@
 // The serial kernel's stacked optimisations (bidirectional, ball_sharing,
 // csr_snapshot -- see core/engine_tuning.hpp) are individually toggleable
 // for the ablation benches and *decision preserving*: every configuration
-// returns the same edge set. Every bound the engine keeps is bucket-local;
-// nothing is cached across buckets.
+// returns the same edge set. Every fact the engine keeps about a candidate
+// is bucket-local; nothing is cached across buckets.
 //
 // Resource model: the thread pool and the per-worker workspace pool are the
 // expensive part of an engine. They live in an EngineResources, which a
@@ -154,8 +155,8 @@ private:
 
     // Ball-sharing / prefilter scratch, reused across runs. Groups are
     // cleared lazily so a bucket costs O(its candidates), not O(n).
-    std::vector<Weight> bound_;              ///< bucket-local candidate upper bounds
-    std::vector<std::uint64_t> far_mark_;    ///< bucket-local per-member far epoch (group probes)
+    std::vector<CandidateState> state_;      ///< bucket-local candidate states
+    std::vector<std::uint32_t> far_list_;    ///< members marked far since the last insertion
     std::vector<std::uint64_t> ball_bucket_; ///< ball-reuse scope (bucket seq) per source
     std::vector<std::uint64_t> ball_epoch_;  ///< insert epoch of last ball
     std::vector<Weight> ball_radius_;        ///< radius of last ball
@@ -226,15 +227,5 @@ private:
 /// allocation on the warm path); the value form allocates.
 void append_sorted_graph_candidates(const Graph& g, std::vector<GreedyCandidate>& out);
 std::vector<GreedyCandidate> sorted_graph_candidates(const Graph& g);
-
-#ifndef GSP_NO_DEPRECATED
-/// greedy_spanner with explicit engine configuration. Legacy front door:
-/// prefer a SpannerSession + BuildOptions (src/api/session.hpp), which
-/// reuses the pools and workspaces this wrapper reconstructs per call.
-/// `*stats` is zeroed before delegating.
-[[deprecated("use SpannerSession::build with BuildOptions (src/api/session.hpp)")]]
-Graph greedy_spanner_with(const Graph& g, const GreedyEngineOptions& options,
-                          GreedyStats* stats = nullptr);
-#endif
 
 }  // namespace gsp

@@ -5,16 +5,12 @@
 
 namespace gsp {
 
-namespace {
-
-Graph run_metric(const MetricSpace& m, double t, const EngineTuning& tuning,
-                 GreedyStats* stats) {
+Graph greedy_spanner_metric(const MetricSpace& m, double t, GreedyStats* stats) {
     // Zero the out-param before any work (never additive, even on throw).
     if (stats != nullptr) *stats = GreedyStats{};
     SpannerSession session;
-    BuildOptions options;
+    BuildOptions options;  // all engine optimisations on by default
     options.stretch = t;
-    options.engine = tuning;
     MetricCandidateSource source(m);
     BuildReport report;
     Graph h = session.build(source, options, &report);
@@ -26,26 +22,5 @@ Graph run_metric(const MetricSpace& m, double t, const EngineTuning& tuning,
     }
     return h;
 }
-
-}  // namespace
-
-Graph greedy_spanner_metric(const MetricSpace& m, double t, GreedyStats* stats) {
-    return run_metric(m, t, EngineTuning{}, stats);
-}
-
-#ifndef GSP_NO_DEPRECATED
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-Graph greedy_spanner_metric(const MetricSpace& m, const MetricGreedyOptions& options,
-                            GreedyStats* stats) {
-    // The naive variant is the reference kernel: one one-sided
-    // distance-limited Dijkstra per pair. The cached variant is whatever
-    // the embedded engine block says (full engine by default).
-    const EngineTuning tuning =
-        options.use_distance_cache ? options.engine : EngineTuning::naive();
-    return run_metric(m, options.stretch, tuning, stats);
-}
-#pragma GCC diagnostic pop
-#endif  // GSP_NO_DEPRECATED
 
 }  // namespace gsp

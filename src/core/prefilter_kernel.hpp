@@ -11,8 +11,8 @@
 //
 // The contract an alternative backend must honor to slot in here is
 // exactly the verdict-bitset contract of core/prefilter_stage.hpp:
-//   * a returned bound is the length of a realizable path on the probed
-//     view (sound forever as a reject witness);
+//   * a returned distance is the length of a realizable path on the
+//     probed view (sound forever as a reject witness);
 //   * a far verdict certifies d(source, target) > radius ON THAT VIEW
 //     (stage 3 treats it as "far at snapshot": accept-on-certificate only
 //     while nothing was inserted since, re-verify otherwise);
@@ -43,6 +43,19 @@
 
 namespace gsp {
 
+/// What the engine knows about one candidate of the current bucket: the
+/// per-candidate half of the stage-2 -> stage-3 handoff, one byte each.
+/// Every harvested path length was only ever compared with its own
+/// candidate's threshold t * w, so the byte keeps the verdict of that
+/// comparison instead of the length.
+enum class CandidateState : std::uint8_t {
+    kOpen = 0,       ///< nothing decided yet
+    kWitnessed = 1,  ///< a realizable path <= t * w is known: reject. Sticky
+                     ///< (the spanner only grows); a far mark never overwrites it
+    kFar = 2,        ///< a serial group probe certified d > t * w, and no edge
+                     ///< was inserted since (each insertion reopens it)
+};
+
 class PrefilterKernel {
 public:
     struct Outcome {
@@ -56,16 +69,16 @@ public:
     /// into the bucket window `candidates`, anchored at `source`) with one
     /// batched probe on `view`. `undecided(local)` filters members already
     /// decided upstream (oracle, earlier harvests); every carried
-    /// member gets one of two verdicts -- settled members write their
-    /// exact distance into `bounds[local]`, far members are reported
-    /// through `mark_far(local)` (the caller owns the verdict encoding:
-    /// stage 2 sets far bits; the serial loop folds the verdict into its
-    /// accept flag).
+    /// member gets one of two verdicts -- a settled member whose distance
+    /// is within its radius is marked witnessed in `state[local]`, far
+    /// members are reported through `mark_far(local)` (the caller owns the
+    /// far encoding: stage 2 sets far bits; the serial loop sets the far
+    /// state and folds the verdict into its accept flag).
     template <class View, class Undecided, class FarSink>
     GSP_DECISION_PURE GSP_HOT_PATH Outcome decide_group(BatchedProbe& probe, const View& view, VertexId source,
                          std::span<const GreedyCandidate> candidates,
-                         const std::vector<std::uint32_t>& grp, double stretch,
-                         Undecided&& undecided, std::vector<Weight>& bounds,
+                         std::span<const std::uint32_t> grp, double stretch,
+                         Undecided&& undecided, std::vector<CandidateState>& state,
                          FarSink&& mark_far) {
         Outcome out;
         locals_.clear();
@@ -87,9 +100,8 @@ public:
             if (probe.target_far(j)) {
                 mark_far(local);
                 ++out.far_members;
-            } else {
-                const Weight d = probe.target_bound(j);
-                if (d < bounds[local]) bounds[local] = d;
+            } else if (probe.target_bound(j) <= radii_[j]) {
+                state[local] = CandidateState::kWitnessed;
             }
         }
         out.probed = locals_.size();

@@ -10,9 +10,9 @@
 // bucket's source groups (or fixed blocks when ball sharing is off), each
 // with its own DijkstraWorkspace, and record per-candidate facts:
 //
-//  * a bound <= threshold is the length of a realizable path in the
-//    bucket-start spanner, a subgraph of every later spanner -- the
-//    candidate is rejected, permanently;
+//  * a path <= threshold found in the bucket-start spanner, a subgraph
+//    of every later spanner, marks the candidate witnessed -- it is
+//    rejected, permanently;
 //  * a probe that exceeds the threshold sets the far bit, "far at bucket
 //    start": the insertion loop may accept on it alone while no edge has
 //    been inserted since the snapshot (insert_epoch == snapshot_epoch),
@@ -28,14 +28,15 @@
 // first insertion, and for buckets that start on an edgeless spanner.
 //
 // The stage-2 -> stage-3 handoff is deliberately *thin* (the memory-wall
-// fix for metric workloads, where m = n^2 candidates): verdicts travel as
-// two packed bitsets (one oracle-reject bit, one far-at-snapshot bit per
-// candidate) and bounds as one bucket-local Weight slot addressed by the
-// same bucket-local u32 indices SourceGroups hands out -- one bit + one
-// u32 of addressing per candidate instead of per-candidate verdict/bound
-// structs sized to the whole run. Bitset words are shared between tasks,
-// so verdict writes are relaxed atomic fetch_or; the final word value is
-// an OR of task-owned bits and therefore schedule-independent.
+// fix for metric workloads, where m = n^2 candidates): 1 byte + 2 bits per
+// candidate of the bucket. The byte is the candidate's CandidateState
+// (core/prefilter_kernel.hpp), addressed by the same bucket-local u32
+// indices SourceGroups hands out; a task writes only its own group's
+// bytes, so the writes need no atomics. The two bits are packed bitsets
+// (one oracle-reject bit, one far-at-snapshot bit per candidate). Bitset
+// words are shared between tasks, so verdict writes are relaxed atomic
+// fetch_or; the final word value is an OR of task-owned bits and
+// therefore schedule-independent.
 //
 // Determinism: tasks are claimed dynamically for load balance, but every
 // recorded fact lands in a task-owned slot (groups own disjoint candidate
@@ -65,8 +66,8 @@ namespace gsp {
 /// Inputs of one bucket's prefilter pass that are independent of the
 /// adjacency view type.
 struct PrefilterContext {
-    /// The bucket's candidates: every index below (groups, bounds, verdict
-    /// bits) is bucket-local, i.e. an index into this span.
+    /// The bucket's candidates: every index below (groups, state bytes,
+    /// verdict bits) is bucket-local, i.e. an index into this span.
     std::span<const GreedyCandidate> candidates;
     /// Grouping by source; null => ball sharing is off, partition the
     /// bucket into fixed blocks and probe each candidate independently.
@@ -75,7 +76,7 @@ struct PrefilterContext {
     bool bidirectional = true;
     /// Ball-reuse scope (the engine's bucket sequence number): a published
     /// ball may only be revalidated by candidates of the same bucket,
-    /// whose bounds its harvest wrote.
+    /// whose states its harvest wrote.
     std::uint64_t ball_scope = 0;
     std::uint64_t snapshot_epoch = 0;
     /// Optional concurrent reject-only oracle (worker, u, v, threshold);
@@ -129,14 +130,14 @@ public:
     }
 
     /// Fan one whole bucket out over the pool: one task per source group
-    /// (or per fixed block without grouping). `bounds` collects
-    /// realizable-path upper bounds (bucket-local slots); the ball_*
+    /// (or per fixed block without grouping). `state` collects the
+    /// witnessed verdicts (bucket-local slots); the ball_*
     /// arrays (source-indexed) record grown balls so the insertion loop's
     /// lazy-revalidation path can reuse them. Worker counters are merged
     /// into `stats` (sums, so the totals are schedule-independent).
     template <class View>
     GSP_SERIAL_ONLY void run_bucket(ThreadPool& pool, DijkstraWorkspacePool& ws_pool, const View& view,
-                   const PrefilterContext& ctx, std::vector<Weight>& bounds,
+                   const PrefilterContext& ctx, std::vector<CandidateState>& state,
                    std::vector<std::uint64_t>& ball_bucket,
                    std::vector<std::uint64_t>& ball_epoch,
                    std::vector<Weight>& ball_radius, GreedyStats& stats);
@@ -179,7 +180,7 @@ private:
     template <class View>
     GSP_HOT_PATH void process_group(DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
                        const PrefilterContext& ctx, std::size_t worker, VertexId source,
-                       std::vector<Weight>& bounds,
+                       std::vector<CandidateState>& state,
                        std::vector<std::uint64_t>& ball_bucket,
                        std::vector<std::uint64_t>& ball_epoch,
                        std::vector<Weight>& ball_radius);
@@ -187,13 +188,14 @@ private:
     template <class View>
     GSP_HOT_PATH void probe_one(DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
                    const PrefilterContext& ctx, std::size_t worker, std::uint32_t local,
-                   std::vector<Weight>& bounds);
+                   std::vector<CandidateState>& state);
 
     /// One early-exit point query from -> to deciding candidate `local`.
     template <class View>
     GSP_HOT_PATH void point_probe(DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
                                   const PrefilterContext& ctx, std::uint32_t local,
-                                  VertexId from, VertexId to, std::vector<Weight>& bounds);
+                                  VertexId from, VertexId to,
+                                  std::vector<CandidateState>& state);
 
     std::vector<std::uint64_t> oracle_bits_; ///< oracle certified a witness path
     std::vector<std::uint64_t> far_bits_;    ///< probe exceeded threshold at snapshot
@@ -205,7 +207,7 @@ template <class View>
 GSP_SERIAL_ONLY void PrefilterStage::run_bucket(
     ThreadPool& pool, DijkstraWorkspacePool& ws_pool,
                                const View& view, const PrefilterContext& ctx,
-                               std::vector<Weight>& bounds,
+                               std::vector<CandidateState>& state,
                                std::vector<std::uint64_t>& ball_bucket,
                                std::vector<std::uint64_t>& ball_epoch,
                                std::vector<Weight>& ball_radius, GreedyStats& stats) {
@@ -217,13 +219,13 @@ GSP_SERIAL_ONLY void PrefilterStage::run_bucket(
         DijkstraWorkspace& ws = ws_pool.at(worker);
         WorkerCounters& wc = counters_[worker];
         if (ctx.groups != nullptr) {
-            process_group(ws, wc, view, ctx, worker, ctx.groups->sources()[task], bounds,
+            process_group(ws, wc, view, ctx, worker, ctx.groups->sources()[task], state,
                           ball_bucket, ball_epoch, ball_radius);
         } else {
             const std::size_t first = task * kBlock;
             const std::size_t last = std::min(first + kBlock, ctx.candidates.size());
             for (std::size_t i = first; i < last; ++i) {
-                probe_one(ws, wc, view, ctx, worker, static_cast<std::uint32_t>(i), bounds);
+                probe_one(ws, wc, view, ctx, worker, static_cast<std::uint32_t>(i), state);
             }
         }
     });
@@ -241,11 +243,11 @@ GSP_HOT_PATH void PrefilterStage::process_group(
     DijkstraWorkspace& ws, WorkerCounters& wc,
                                    const View& view, const PrefilterContext& ctx,
                                    std::size_t worker, VertexId source,
-                                   std::vector<Weight>& bounds,
+                                   std::vector<CandidateState>& state,
                                    std::vector<std::uint64_t>& ball_bucket,
                                    std::vector<std::uint64_t>& ball_epoch,
                                    std::vector<Weight>& ball_radius) {
-    const auto& grp = ctx.groups->of(source);
+    const std::span<const std::uint32_t> grp = ctx.groups->of(source);
     const std::span<const GreedyCandidate> cands = ctx.candidates;
     const auto cand_at = [&](std::uint32_t local) -> const GreedyCandidate& {
         return cands[local];
@@ -275,12 +277,11 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         BatchedProbe& probe = ws.batched();
         probe.set_kernels(ctx.simd);  // pin the run's resolved backend
         const auto is_undecided = [&](std::uint32_t local) {
-            if (oracle_reject(local)) return false;
-            return bounds[local] > ctx.stretch * cand_at(local).weight;
+            return !oracle_reject(local) && state[local] != CandidateState::kWitnessed;
         };
         const PrefilterKernel::Outcome outcome = kernels_[worker].decide_group(
             probe, view, source, cands, grp, ctx.stretch, is_undecided,
-            bounds, [&](std::uint32_t local) { set_bit(far_bits_, local); });
+            state, [&](std::uint32_t local) { set_bit(far_bits_, local); });
         ++wc.dijkstra_runs;
         ++wc.group_probes;
         wc.group_probe_decisions += outcome.probed;
@@ -298,7 +299,7 @@ GSP_HOT_PATH void PrefilterStage::process_group(
     for (std::uint32_t local : grp) {
         if (oracle_reject(local)) continue;
         point_probe(ws, wc, view, ctx, local, source,
-                    SourceGroups::other_of(cand_at(local), source), bounds);
+                    SourceGroups::other_of(cand_at(local), source), state);
         return;
     }
 }
@@ -307,13 +308,13 @@ template <class View>
 GSP_HOT_PATH void PrefilterStage::point_probe(DijkstraWorkspace& ws, WorkerCounters& wc,
                                               const View& view, const PrefilterContext& ctx,
                                               std::uint32_t local, VertexId from, VertexId to,
-                                              std::vector<Weight>& bounds) {
+                                              std::vector<CandidateState>& state) {
     const Weight threshold = ctx.stretch * ctx.candidates[local].weight;
     ++wc.dijkstra_runs;
     const Weight d = ctx.bidirectional ? ws.distance_bidirectional(view, from, to, threshold)
                                        : ws.distance(view, from, to, threshold);
     if (d <= threshold) {
-        if (d < bounds[local]) bounds[local] = d;
+        state[local] = CandidateState::kWitnessed;
     } else {
         set_bit(far_bits_, local);
     }
@@ -323,13 +324,13 @@ template <class View>
 GSP_HOT_PATH void PrefilterStage::probe_one(
     DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
                                const PrefilterContext& ctx, std::size_t worker,
-                               std::uint32_t local, std::vector<Weight>& bounds) {
+                               std::uint32_t local, std::vector<CandidateState>& state) {
     const GreedyCandidate& c = ctx.candidates[local];
     if (ctx.oracle != nullptr && (*ctx.oracle)(worker, c.u, c.v, ctx.stretch * c.weight)) {
         set_bit(oracle_bits_, local);
         return;
     }
-    point_probe(ws, wc, view, ctx, local, c.u, c.v, bounds);
+    point_probe(ws, wc, view, ctx, local, c.u, c.v, state);
 }
 
 }  // namespace gsp

@@ -33,16 +33,6 @@
 //                      body.
 //                      [checker: gsp-serial-only]
 //
-//   GSP_EPOCH_GUARDED  The field is epoch- or scope-tagged: its raw value
-//                      is meaningless without the tag check its accessor
-//                      performs. Readable only inside the declaring
-//                      class's own translation units; everyone else goes
-//                      through the checked accessors. No field carries it
-//                      at present; the macro and its checker (with its
-//                      golden fixtures) stay for the next epoch-tagged
-//                      field.
-//                      [checker: gsp-epoch-guarded]
-//
 // Under clang (and libclang, which is how gsp_lint.py's clang engine sees
 // the code) the macros expand to annotate attributes so cursor walks can
 // find them; under gcc they expand to nothing. The linter's textual engine
@@ -59,4 +49,3 @@
 #define GSP_HOT_PATH GSP_ANNOTATE("gsp::hot_path")
 #define GSP_DECISION_PURE GSP_ANNOTATE("gsp::decision_pure")
 #define GSP_SERIAL_ONLY GSP_ANNOTATE("gsp::serial_only")
-#define GSP_EPOCH_GUARDED GSP_ANNOTATE("gsp::epoch_guarded")

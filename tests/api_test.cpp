@@ -11,6 +11,8 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/audit.hpp"
 #include "api/build_options.hpp"
@@ -18,8 +20,10 @@
 #include "api/candidate_source.hpp"
 #include "api/registry.hpp"
 #include "core/greedy.hpp"
+#include "core/greedy_metric.hpp"
 #include "gen/graphs.hpp"
 #include "gen/points.hpp"
+#include "metric/euclidean.hpp"
 #include "metric/matrix_metric.hpp"
 #include "spanners/reroute.hpp"
 #include "util/random.hpp"
@@ -39,10 +43,6 @@ TEST(BuildOptionsTest, ValidatesTheSharedFields) {
     BuildOptions nan_stretch;
     nan_stretch.stretch = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(nan_stretch.validate(), std::invalid_argument);
-
-    BuildOptions bad_ratio;
-    bad_ratio.engine.bucket_ratio = 1.0;
-    EXPECT_THROW(bad_ratio.validate(), std::invalid_argument);
 
     BuildOptions bad_chunk;
     bad_chunk.engine.chunk_soft_cap = 0;
@@ -109,6 +109,29 @@ TEST(RegistryTest, RejectsUnknownNamesAndInputMismatches) {
     EXPECT_THROW(registry.build("greedy-wspd", session, BuildInput::of(mat), options),
                  std::invalid_argument);
     EXPECT_NO_THROW(registry.build("greedy-wspd", session, BuildInput::of(pts), options));
+}
+
+TEST(RegistryTest, DuplicatePointsFailAtTheFrontDoorWithOneMessage) {
+    // Two coincident points among six: every point algorithm fails before
+    // any work, with one message naming both indices.
+    const std::vector<std::pair<double, double>> xy = {
+        {0.0, 0.0}, {3.0, 1.0}, {1.0, 4.0}, {5.0, 2.0}, {3.0, 1.0}, {2.0, 6.0}};
+    const EuclideanMetric pts = make_euclidean_2d(xy);
+    SpannerSession session;
+    const BuildOptions options;
+    std::size_t swept = 0;
+    for (const AlgorithmInfo* info : AlgorithmRegistry::global().algorithms()) {
+        if (info->input == InputKind::kGraph) continue;
+        ++swept;
+        try {
+            (void)AlgorithmRegistry::global().build(info->name, session,
+                                                    BuildInput::of(pts), options);
+            ADD_FAILURE() << info->name << " accepted duplicate points";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_STREQ(e.what(), "AlgorithmRegistry: points 1 and 4 coincide") << info->name;
+        }
+    }
+    EXPECT_EQ(swept, 8u);
 }
 
 TEST(SpannerSessionTest, WarmBuildsConstructNoPoolsOrWorkspaces) {
@@ -201,6 +224,14 @@ TEST(BuildReportTest, LegacyStatsOutParamsAreZeroedBeforeWork) {
     EXPECT_THROW((void)greedy_spanner(g, 0.5, &stats), std::invalid_argument);
     EXPECT_EQ(stats.edges_examined, 0u);  // zeroed, not stale
     EXPECT_EQ(stats.dijkstra_runs, 0u);
+
+    const EuclideanMetric pts = uniform_points(20, 2, 10.0, rng);
+    GreedyStats metric_stats;
+    (void)greedy_spanner_metric(pts, 1.5, &metric_stats);
+    ASSERT_GT(metric_stats.edges_examined, 0u);
+    EXPECT_THROW((void)greedy_spanner_metric(pts, 0.1, &metric_stats),
+                 std::invalid_argument);
+    EXPECT_EQ(metric_stats.edges_examined, 0u);
 }
 
 TEST(BuildReportTest, JsonCarriesTheWholeReport) {

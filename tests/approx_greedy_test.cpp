@@ -21,12 +21,11 @@ namespace {
 /// Configured approximate-greedy through the unified API (one-shot
 /// session).
 ApproxGreedyResult approx_with(const MetricSpace& m, const ApproxParams& params,
-                               std::size_t threads = 1, double bucket_ratio = 2.0) {
+                               std::size_t threads = 1) {
     SpannerSession session;
     BuildOptions options;
     options.approx = params;
     options.engine.num_threads = threads;
-    options.engine.bucket_ratio = bucket_ratio;
     return approx_greedy_build(session, m, options);
 }
 
@@ -140,9 +139,6 @@ TEST(ApproxGreedyTest, InputValidation) {
     const EuclideanMetric pts = uniform_points(10, 2, 1.0, rng);
     EXPECT_THROW(approx_greedy_spanner(pts, 0.0), std::invalid_argument);
     EXPECT_THROW(approx_greedy_spanner(pts, 1.5), std::invalid_argument);
-    // A degenerate bucket ratio now fails BuildOptions::validate.
-    EXPECT_THROW(approx_with(pts, ApproxParams{.epsilon = 0.5}, 1, /*bucket_ratio=*/1.0),
-                 std::invalid_argument);
 }
 
 TEST(ApproxGreedyTest, TrivialInputs) {

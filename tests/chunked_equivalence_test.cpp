@@ -168,6 +168,55 @@ TEST_P(ChunkedEquivalenceTest, GridSourceStreamsIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChunkedEquivalenceTest, ::testing::Values(2u, 83u, 641u));
 
+/// Every thread count x chunk cap {1, 7, 2^16, one chunk} against the naive
+/// kernel. A bucket after one that accepted nothing runs to the end of the
+/// chunk, so the caps move the widened buckets' ends.
+void check_against_naive(CandidateSource& source, CandidateSource& sliced, double stretch,
+                         const std::string& what) {
+    BuildOptions naive;
+    naive.stretch = stretch;
+    naive.engine = EngineTuning::naive();
+    naive.engine.chunk_soft_cap = kOneChunk;
+    SpannerSession reference_session;
+    BuildReport reference_report;
+    const Graph reference = reference_session.build(source, naive, &reference_report);
+
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        for (const std::size_t cap : {std::size_t{1}, std::size_t{7}, std::size_t{1} << 16,
+                                      kOneChunk}) {
+            const std::string label =
+                what + " threads=" + std::to_string(threads) + " cap=" + std::to_string(cap);
+            BuildOptions options;
+            options.stretch = stretch;
+            options.engine.num_threads = threads;
+            options.engine.chunk_soft_cap = cap;
+            SpannerSession session;
+            BuildReport report;
+            const Graph h = session.build(sliced, options, &report);
+            EXPECT_TRUE(same_edge_set(h, reference)) << label;
+            expect_decisions_equal(report.stats, reference_report.stats, label);
+        }
+    }
+}
+
+TEST(ChunkedEquivalenceTest, ClusteredAllPairsWidenBucketsThatStillAccept) {
+    // Tight blobs: the bucket after a blob's last accepting octave is
+    // widened and still carries the inter-blob accepts.
+    Rng rng(808);
+    const EuclideanMetric pts = clustered_points(300, 2, 4, 100.0, 0.5, rng);
+    MetricCandidateSource source(pts);
+    SlicedSource sliced(source);
+    check_against_naive(source, sliced, 1.5, "clustered all-pairs");
+}
+
+TEST(ChunkedEquivalenceTest, WideWeightRangeGraphDecidesIdentically) {
+    Rng rng(809);
+    const Graph g = random_graph_nm(200, 1600, {.lo = 1.0, .hi = 1000.0}, rng);
+    GraphCandidateSource source(g);
+    SlicedSource sliced(source);
+    check_against_naive(source, sliced, 2.0, "wide-range G(n, m)");
+}
+
 std::vector<GreedyCandidate> drain(CandidateSource& source, std::size_t cap) {
     const auto chunks = source.chunks();
     std::vector<GreedyCandidate> streamed;

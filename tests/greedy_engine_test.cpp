@@ -61,7 +61,7 @@ Graph run_list(GreedyEngine& engine, Graph h, const std::vector<GreedyCandidate>
 /// buckets, so this places bucket boundaries between tie-weight
 /// candidates at will.
 Graph run_sliced(GreedyEngine& engine, Graph h, const std::vector<GreedyCandidate>& cands,
-                 std::size_t slice) {
+                 std::size_t slice, GreedyStats* stats = nullptr) {
     class Slices final : public CandidateChunkSource {
     public:
         Slices(const std::vector<GreedyCandidate>& all, std::size_t width)
@@ -82,12 +82,11 @@ Graph run_sliced(GreedyEngine& engine, Graph h, const std::vector<GreedyCandidat
     };
     Slices source(cands, slice);
     std::vector<GreedyCandidate> buffer;
-    return engine.run(std::move(h), source, buffer);
+    return engine.run(std::move(h), source, buffer, stats);
 }
 
-/// Run a configured engine over a graph's sorted edge candidates -- the
-/// engine-layer equivalent of the deprecated greedy_spanner_with wrapper
-/// (this suite tests the engine itself, not the front doors).
+/// Run a configured engine over a graph's sorted edge candidates (this
+/// suite tests the engine itself, not the front doors).
 Graph run_with(const Graph& g, const GreedyEngineOptions& options,
                GreedyStats* stats = nullptr) {
     GreedyEngine engine(g.num_vertices(), options);
@@ -188,9 +187,113 @@ TEST(GreedyEngineTest, RejectsBadOptions) {
     GreedyEngineOptions nan_stretch;
     nan_stretch.stretch = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(GreedyEngine(3, nan_stretch), std::invalid_argument);
-    GreedyEngineOptions bad_ratio;
-    bad_ratio.bucket_ratio = 1.0;
-    EXPECT_THROW(GreedyEngine(3, bad_ratio), std::invalid_argument);
+    GreedyEngineOptions bad_chunk;
+    bad_chunk.chunk_soft_cap = 0;
+    EXPECT_THROW(GreedyEngine(3, bad_chunk), std::invalid_argument);
+}
+
+TEST(GreedyEngineTest, BucketAfterAZeroAcceptBucketRunsToTheChunkEnd) {
+    // A bucket is the octave [lo, 2 lo], except that the bucket after one
+    // that accepted no edge takes the rest of the resident chunk. At
+    // t = 1.5: bucket 1 accepts the path 0-1-2-3, bucket 2 = [3, 6]
+    // rejects its three chords, so bucket 3 spans the two octaves from 7
+    // to 40 (two accepts, two rejects) -- 3 buckets where octaves alone
+    // make 4.
+    const std::vector<GreedyCandidate> cands = {
+        {0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0},  // [1, 2]: accepts
+        {0, 2, 3.0}, {1, 3, 3.0}, {0, 3, 4.0},  // [3, 6]: rejects only
+        {3, 4, 7.0}, {4, 5, 20.0},              // widened: two accepts ...
+        {0, 4, 30.0}, {1, 5, 40.0},             // ... and two rejects
+    };
+    GreedyEngineOptions naive_options = config_from_mask(1.5, 0);
+    GreedyEngine naive(6, naive_options);
+    GreedyStats naive_stats;
+    const Graph want = run_list(naive, Graph(6), cands, &naive_stats);
+    ASSERT_EQ(want.num_edges(), 5u);
+    EXPECT_EQ(naive_stats.buckets, 3u);  // the rule is the stream's, not a config's
+
+    for (const std::size_t threads : {1u, 2u}) {
+        for (const bool sharing : {true, false}) {
+            GreedyEngineOptions options;
+            options.stretch = 1.5;
+            options.num_threads = threads;
+            options.ball_sharing = sharing;
+            GreedyEngine engine(6, options);
+            GreedyStats stats;
+            const Graph h = run_list(engine, Graph(6), cands, &stats);
+            EXPECT_TRUE(same_edge_set(h, want));
+            EXPECT_EQ(stats.buckets, 3u);
+            // A chunk boundary still cuts the widened bucket: slices of 8
+            // split it into [7, 20] (chunk end) and [30, 40].
+            GreedyEngine sliced_engine(6, options);
+            GreedyStats sliced_stats;
+            EXPECT_TRUE(same_edge_set(
+                run_sliced(sliced_engine, Graph(6), cands, 8, &sliced_stats), want));
+            EXPECT_EQ(sliced_stats.buckets, 4u);
+        }
+    }
+}
+
+TEST(GreedyEngineTest, WidenedBucketsThatStillAcceptMatchNaive) {
+    // Tight blobs: once a blob's internal octaves stop accepting, the next
+    // bucket runs to the end of the list and carries the inter-blob
+    // accepts. on_bucket sees each bucket start, so the test can check that
+    // some bucket following a zero-accept bucket really does accept.
+    Rng rng(404);
+    const EuclideanMetric pts = clustered_points(300, 2, 4, 100.0, 0.5, rng);
+    std::vector<GreedyCandidate> cands;
+    MetricCandidateSource(pts).materialize(cands);
+    GreedyEngine naive(pts.size(), config_from_mask(1.5, 0));
+    const Graph want = run_list(naive, Graph(pts.size()), cands);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        GreedyEngineOptions options;
+        options.stretch = 1.5;
+        options.num_threads = threads;
+        std::vector<std::size_t> edges_at_start;
+        options.on_bucket = [&](const Graph& h, Weight) { edges_at_start.push_back(h.num_edges()); };
+        GreedyEngine engine(pts.size(), options);
+        const Graph h = run_list(engine, Graph(pts.size()), cands);
+        EXPECT_TRUE(same_edge_set(h, want)) << "threads " << threads;
+        edges_at_start.push_back(h.num_edges());
+        bool widened_accept = false;
+        for (std::size_t b = 1; b + 1 < edges_at_start.size(); ++b) {
+            widened_accept |= edges_at_start[b] == edges_at_start[b - 1] &&
+                              edges_at_start[b + 1] > edges_at_start[b];
+        }
+        EXPECT_TRUE(widened_accept) << "threads " << threads;
+    }
+}
+
+TEST(GreedyEngineTest, HandoffCostsOneByteAndTwoBitsPerCandidate) {
+    // The stage-2 -> stage-3 handoff is one state byte per candidate of
+    // the bucket, plus two verdict bits in parallel runs. Unit weights put
+    // all 64 * 100 candidates in one bucket, so the bound is exact.
+    Rng rng(64);
+    const Graph g = random_graph_nm(300, 6400 - 299, {.lo = 1.0, .hi = 1.0}, rng);
+    ASSERT_EQ(g.num_edges(), 6400u);
+    for (const std::size_t threads : {1u, 2u}) {
+        GreedyEngineOptions options;
+        options.stretch = 2.0;
+        options.num_threads = threads;
+        GreedyStats stats;
+        (void)run_with(g, options, &stats);
+        EXPECT_EQ(stats.buckets, 1u);
+        EXPECT_EQ(stats.handoff_peak_bytes, threads == 1 ? 6400u : 6400u + 6400u / 4u);
+    }
+    // Whatever the bucket shapes, the peak stays within (1 B + 2 bits)
+    // times the largest bucket, which is at most every candidate.
+    Rng prng(65);
+    const EuclideanMetric pts = uniform_points(400, 2, 200.0, prng);
+    BuildOptions options;
+    options.stretch = 1.5;
+    options.engine.num_threads = 4;
+    MetricCandidateSource source(pts);
+    SpannerSession session;
+    BuildReport report;
+    (void)session.build(source, options, &report);
+    const std::size_t words = (report.candidates + 63) / 64;
+    EXPECT_LE(report.stats.handoff_peak_bytes,
+              report.candidates + 2 * words * sizeof(std::uint64_t));
 }
 
 TEST(GreedyEngineTest, PrefilterOnlyShortCircuitsNeverChangesOutput) {

@@ -1,5 +1,5 @@
-// Golden fixture asserted SILENT: annotated functions and a guarded field
-// that obey every contract, plus benign look-alikes (resize/assign are the
+// Golden fixture asserted SILENT: annotated functions that obey every
+// contract, plus benign look-alikes (resize/assign are the
 // sanctioned warm-capacity idiom, std::sort allocates nothing, an ordered
 // map iterates deterministically).
 // Lint-only input; never compiled or linked into any target.
@@ -34,11 +34,5 @@ GSP_DECISION_PURE inline int fixture_clean_ordered(const std::map<int, int>& m) 
     for (const auto& kv : m) acc += kv.second;
     return acc;
 }
-
-struct FixtureCleanSketch {
-    [[nodiscard]] unsigned checked() const { return clean_tag_; }
-
-    GSP_EPOCH_GUARDED unsigned clean_tag_ = 0;
-};
 
 }  // namespace gsp_fixture

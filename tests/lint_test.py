@@ -23,16 +23,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 LINTER = REPO_ROOT / "scripts" / "lint" / "gsp_lint.py"
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
 
-# fixture file(s) -> the one check expected to fire there. The
-# epoch-guarded rule is cross-file by construction (declaring stem vs
-# accessing stem), so its fixture is a two-file batch; the finding must
-# land in the accessing file.
+# fixture file(s) -> the one check expected to fire there.
 BAD_CASES = [
     (["bad_hot_path_alloc.cpp"], "gsp-hot-path-alloc", "bad_hot_path_alloc.cpp"),
     (["bad_decision_pure.cpp"], "gsp-decision-pure", "bad_decision_pure.cpp"),
     (["bad_serial_only.cpp"], "gsp-serial-only", "bad_serial_only.cpp"),
-    (["bad_epoch_guarded_decl.hpp", "bad_epoch_guarded.cpp"],
-     "gsp-epoch-guarded", "bad_epoch_guarded.cpp"),
     (["bad_relaxed_atomic.cpp"], "gsp-relaxed-atomic", "bad_relaxed_atomic.cpp"),
     (["bad_no_fma.cpp"], "gsp-no-fma", "bad_no_fma.cpp"),
 ]
