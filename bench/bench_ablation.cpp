@@ -1,12 +1,11 @@
-// Ablations of this implementation's own design choices (DESIGN.md §2.3),
-// so each engineering decision is backed by a measurement:
+// Ablations of this implementation's own design choices, so each
+// engineering decision is backed by a measurement:
 //   A. Farshi-Gudmundsson distance cache in the metric greedy
 //      (identical output -- how much time does it actually save?);
-//   B. cluster-oracle fast path in approximate-greedy
-//      (identical output -- share of queries short-circuited, time saved);
-//   C. theta-graph base cone count for approximate-greedy
-//      (base quality vs final spanner quality);
-//   D. the paper-Remark alternative to Theorem 6: reroute the greedy (light,
+//   B. theta-graph base cone count for approximate-greedy
+//      (base quality vs final spanner quality; a practical count below the
+//      provable one is safe because the greedy simulation absorbs it);
+//   C. the paper-Remark alternative to Theorem 6: reroute the greedy (light,
 //      possibly huge-degree) spanner through a bounded-degree spanner, and
 //      compare with approximate-greedy on the degree-blowup metric.
 #include <iostream>
@@ -79,33 +78,7 @@ int main() {
         t.print(std::cout);
     }
 
-    std::cout << "\n== B. Cluster-oracle fast path in approximate-greedy ==\n";
-    {
-        Table t({"n", "oracle off (s)", "oracle on (s)", "speedup", "queries skipped"});
-        for (std::size_t n : {4096u, 16384u}) {
-            Rng rng(5 * n + 1);
-            const EuclideanMetric pts =
-                uniform_points(n, 2, std::sqrt(static_cast<double>(n)) * 10.0, rng);
-            const auto off =
-                approx_with(pts, ApproxParams{.epsilon = 0.5,
-                                              .theta_cones_override = 16,
-                                              .use_cluster_oracle = false});
-            const auto on =
-                approx_with(pts, ApproxParams{.epsilon = 0.5,
-                                              .theta_cones_override = 16,
-                                              .use_cluster_oracle = true});
-            t.add_row({std::to_string(n), fmt(off.seconds_total, 2),
-                       fmt(on.seconds_total, 2),
-                       fmt_ratio(off.seconds_total / on.seconds_total),
-                       fmt(100.0 * static_cast<double>(on.oracle_rejects) /
-                               static_cast<double>(on.oracle_rejects + on.exact_queries),
-                           1) + "%"});
-        }
-        t.print(std::cout);
-        std::cout << "(outputs are bit-identical either way; asserted in the test suite)\n";
-    }
-
-    std::cout << "\n== C. Base-spanner quality (theta cones) vs final spanner ==\n";
+    std::cout << "\n== B. Base-spanner quality (theta cones) vs final spanner ==\n";
     {
         Rng rng(77);
         const EuclideanMetric pts = uniform_points(4096, 2, 640.0, rng);
@@ -129,7 +102,7 @@ int main() {
                      "which is why the override is safe)\n";
     }
 
-    std::cout << "\n== D. Theorem 6 vs the paper-Remark alternative (degree-blowup metric) ==\n";
+    std::cout << "\n== C. Theorem 6 vs the paper-Remark alternative (degree-blowup metric) ==\n";
     {
         const std::size_t n = 128;
         const MatrixMetric star = geometric_star_metric(n, 1.7);

@@ -13,8 +13,6 @@ void append_greedy_stats(JsonWriter& w, const GreedyStats& stats) {
     w.member("cell_balls", stats.cell_balls);
     w.member("cell_ball_decisions", stats.cell_ball_decisions);
     w.member("bidirectional_meets", stats.bidirectional_meets);
-    w.member("prefilter_rejects", stats.prefilter_rejects);
-    w.member("prefilter_gated_off", stats.prefilter_gated_off);
     w.member("snapshot_accepts", stats.snapshot_accepts);
     w.member("group_probes", stats.group_probes);
     w.member("group_probe_decisions", stats.group_probe_decisions);

@@ -10,7 +10,6 @@
 #include "api/session.hpp"
 #include "spanners/net_spanner.hpp"
 #include "spanners/theta_graph.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "wspd/quadtree.hpp"
 #include "wspd/wspd.hpp"
@@ -19,7 +18,7 @@ namespace gsp {
 
 void CandidateSource::seed(Graph&) {}
 
-void CandidateSource::configure_engine(GreedyEngineOptions&, SpannerSession&) {}
+void CandidateSource::configure_engine(GreedyEngineOptions&) {}
 
 double CandidateSource::stretch_target(double engine_stretch) const {
     return engine_stretch;
@@ -76,8 +75,7 @@ void MetricCandidateSource::append_sorted_pairs(std::vector<GreedyCandidate>& ou
               });
 }
 
-void MetricCandidateSource::configure_engine(GreedyEngineOptions& options,
-                                             SpannerSession&) {
+void MetricCandidateSource::configure_engine(GreedyEngineOptions& options) {
     // Pin the candidate-weight batches to the run's resolved backend
     // (configure_engine runs before chunks() in a session build).
     simd_ = &resolve_simd_kernels(options.simd_backend);
@@ -332,43 +330,10 @@ void BaseSpannerCandidateSource::seed(Graph& h) {
     for (const Edge& e : light_) h.add_edge(e.u, e.v, e.weight);
 }
 
-void BaseSpannerCandidateSource::configure_engine(GreedyEngineOptions& options,
-                                                  SpannerSession& session) {
+void BaseSpannerCandidateSource::configure_engine(GreedyEngineOptions& options) {
     // The simulation runs at its own stretch budget, whatever the caller
     // put in BuildOptions::stretch.
     options.stretch = t_sim_;
-    if (!params_.use_cluster_oracle) return;
-
-    const double eps = params_.epsilon;
-    const std::size_t n = m_.size();
-    // Rebuild the coarse oracle at each bucket boundary, on the session's
-    // serial workspace (on_bucket runs strictly before stage 2 fans out,
-    // so sharing it with the insertion loop is race-free) -- no ad-hoc
-    // O(n) workspace allocation per build.
-    DijkstraWorkspace& oracle_ws = session.workspace();
-    oracle_ws.resize(n);
-    options.on_bucket = [this, eps, &oracle_ws](const Graph& spanner, Weight bucket_lo) {
-        oracle_ = std::make_unique<ClusterGraph>(spanner, (eps / 16.0) * bucket_lo,
-                                                 &oracle_ws);
-    };
-    // Sound reject-only fast path: a bound within the threshold is the
-    // length of a realizable witness path. The engine counts rejects
-    // (stats.prefilter_rejects) and gates the oracle off mid-run if its
-    // measured cost exceeds the exact work it saves.
-    options.prefilter = [this](VertexId u, VertexId v, Weight threshold) {
-        return oracle_->upper_bound_distance(u, v, threshold) <= threshold;
-    };
-    // Concurrent variant for the parallel prefilter stage: one query
-    // scratch per worker, sized from the same resolution rule the engine
-    // applies.
-    oracle_scratch_.resize(options.parallel_prefilter
-                               ? ThreadPool::resolve_workers(options.num_threads)
-                               : 1);
-    options.concurrent_prefilter = [this](std::size_t worker, VertexId u, VertexId v,
-                                          Weight threshold) {
-        return oracle_->upper_bound_distance(u, v, threshold,
-                                             oracle_scratch_[worker]) <= threshold;
-    };
 }
 
 ApproxGreedyResult approx_greedy_build(SpannerSession& session, const MetricSpace& m,
@@ -397,10 +362,9 @@ ApproxGreedyResult approx_greedy_build(SpannerSession& session, const MetricSpac
     result.spanner = session.build(source, options, &local_report);
     local_report.algorithm = "greedy-approx";
     result.buckets = local_report.stats.buckets;
-    result.oracle_rejects = local_report.stats.prefilter_rejects;
-    // Candidates that got past the oracle were decided by the exact kernel
-    // (cached witnesses included).
-    result.exact_queries = local_report.stats.edges_examined - result.oracle_rejects;
+    // Every simulated candidate is decided by the exact kernel (cached
+    // witnesses included).
+    result.exact_queries = local_report.stats.edges_examined;
     result.seconds_total = total_timer.seconds();
     if (report != nullptr) *report = local_report;
     return result;

@@ -7,8 +7,8 @@
 // weight-sorted candidate sequence through the chunk protocol (with its
 // deterministic tie rule -- the engine preserves order, so the source owns
 // reproducibility), optionally seeds edges into the spanner before the
-// loop (the approximate-greedy E0 set), and optionally installs
-// per-algorithm engine hooks (the cluster oracle). SpannerSession::build
+// loop (the approximate-greedy E0 set), and optionally adjusts the engine
+// options (the simulation stretch, cell batching). SpannerSession::build
 // consumes any source through the one shared GreedyEngine.
 //
 // Shipped sources:
@@ -20,7 +20,7 @@
 //                               the Greedy Spanner in Linear Space")
 //                               driving seam;
 //   BaseSpannerCandidateSource  the §5 simulation: base spanner G',
-//                               E0 seeding, cluster-oracle hooks.
+//                               E0 seeding, the simulation stretch.
 //
 // A new scenario (e.g. the Bar-On--Carmi distribution-sensitive stream) is
 // a new subclass, not a new front door.
@@ -32,7 +32,6 @@
 
 #include "api/build_options.hpp"
 #include "api/build_report.hpp"
-#include "cluster/cluster_graph.hpp"
 #include "core/approx_greedy.hpp"
 #include "core/candidate_stream.hpp"
 #include "core/greedy_engine.hpp"
@@ -82,12 +81,10 @@ public:
     /// approximate-greedy E0 set). Default: none.
     virtual void seed(Graph& h);
 
-    /// Install per-algorithm engine hooks (prefilter oracles, bucket
-    /// callbacks) and per-source overrides (the simulation stretch) on the
-    /// already-populated options. Called once per build, before the engine
-    /// is constructed; `session` provides the reusable workspaces a hook
-    /// may need. Default: nothing.
-    virtual void configure_engine(GreedyEngineOptions& options, SpannerSession& session);
+    /// Apply per-source overrides (the simulation stretch, cell batching)
+    /// to the already-populated options. Called once per build, before the
+    /// engine is constructed. Default: nothing.
+    virtual void configure_engine(GreedyEngineOptions& options);
 
     /// The stretch guarantee a build over this source carries, given the
     /// engine stretch actually used -- what BuildReport::stretch_target
@@ -120,7 +117,7 @@ public:
     [[nodiscard]] const char* kind() const override { return "metric-pairs"; }
     [[nodiscard]] std::size_t num_vertices() const override { return m_.size(); }
     [[nodiscard]] std::unique_ptr<CandidateChunkSource> chunks() override;
-    void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
+    void configure_engine(GreedyEngineOptions& options) override;
 
 private:
     void append_sorted_pairs(std::vector<GreedyCandidate>& out) const;
@@ -176,10 +173,8 @@ private:
 /// The §5 simulation as a candidate source: builds the base spanner G'
 /// (theta graph for 2D Euclidean inputs, net-tree spanner otherwise) in
 /// the constructor, seeds the light E0 edges, streams the remaining edges
-/// of G' ordered by (weight, u, v), overrides the engine stretch with
-/// t_sim, and -- when ApproxParams::use_cluster_oracle is set -- installs
-/// the per-bucket ClusterGraph reject oracle (serial + concurrent hooks),
-/// reusing the session's workspaces for its rebuilds.
+/// of G' ordered by (weight, u, v), and overrides the engine stretch with
+/// t_sim.
 class BaseSpannerCandidateSource final : public CandidateSource {
 public:
     BaseSpannerCandidateSource(const MetricSpace& m, const BuildOptions& options);
@@ -188,7 +183,7 @@ public:
     [[nodiscard]] std::size_t num_vertices() const override { return m_.size(); }
     [[nodiscard]] std::unique_ptr<CandidateChunkSource> chunks() override;
     void seed(Graph& h) override;
-    void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
+    void configure_engine(GreedyEngineOptions& options) override;
     [[nodiscard]] double stretch_target(double) const override {
         return 1.0 + params_.epsilon;  // t_base * t_sim, the overall budget
     }
@@ -210,14 +205,6 @@ private:
     double t_base_ = 0.0;
     double t_sim_ = 0.0;
     double seconds_base_ = 0.0;
-
-    // Cluster-oracle state the engine hooks close over. The oracle is
-    // rebuilt at each bucket boundary (on_bucket, serial -- stage 2 only
-    // fans out afterwards, so replacing it is race-free) and queried from
-    // the insertion loop and, once the measured-cost gate passes it, from
-    // stage-2 workers through per-worker scratches.
-    std::unique_ptr<ClusterGraph> oracle_;
-    std::vector<ClusterGraph::QueryScratch> oracle_scratch_;
 };
 
 /// Run Algorithm Approximate-Greedy through `session`: the §5 pipeline as

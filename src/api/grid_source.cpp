@@ -25,7 +25,7 @@ std::unique_ptr<CandidateChunkSource> GridCandidateSource::chunks() {
     return std::make_unique<GridChunkSource>(grid_);
 }
 
-void GridCandidateSource::configure_engine(GreedyEngineOptions& options, SpannerSession&) {
+void GridCandidateSource::configure_engine(GreedyEngineOptions& options) {
     if (options.cell_batching == EngineTuning::CellBatching::kAuto) {
         options.cell_batching = EngineTuning::CellBatching::kOn;
     }

@@ -49,7 +49,7 @@ public:
     /// cell representative decides the whole window of rep candidates the
     /// cell emits (the representatives are exactly the hubs the anchored
     /// rebuild elects). An explicit kOn/kOff is left alone.
-    void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
+    void configure_engine(GreedyEngineOptions& options) override;
 
     [[nodiscard]] double separation() const { return grid_.separation(); }
     [[nodiscard]] const UniformGrid2D& grid() const { return grid_; }

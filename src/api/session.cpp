@@ -22,7 +22,7 @@ GSP_SERIAL_ONLY Graph SpannerSession::build(CandidateSource& source,
     GreedyEngineOptions engine_options;
     static_cast<EngineTuning&>(engine_options) = options.engine;
     engine_options.stretch = options.stretch;
-    source.configure_engine(engine_options, *this);
+    source.configure_engine(engine_options);
 
     const std::size_t pools_before = resources_.pools_constructed();
     const std::size_t workspaces_before = resources_.workspaces_constructed();

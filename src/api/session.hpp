@@ -62,10 +62,6 @@ public:
     /// -- what the engine borrows each build.
     [[nodiscard]] EngineResources& resources() { return resources_; }
 
-    /// The serial-loop workspace: reuse it for audits and reroutes between
-    /// builds instead of allocating ad-hoc workspaces.
-    [[nodiscard]] DijkstraWorkspace& workspace() { return resources_.workspace(); }
-
     /// The per-worker workspace pool (analysis/audit and spanners/reroute
     /// take it directly via their pool overloads).
     [[nodiscard]] DijkstraWorkspacePool& workspace_pool() {

@@ -7,9 +7,9 @@
 // Every field here is *decision preserving*: the greedy edge set is
 // bit-identical at every setting (the knobs trade work, not output).
 //
-// Parallelism has three knobs: num_threads, parallel_prefilter and
-// parallel_accept_gate. Stage 2 always probes a whole weight bucket
-// against the bucket-start spanner, so there is no batch width to tune.
+// Parallelism has two knobs: num_threads and parallel_accept_gate. Stage 2
+// always probes a whole weight bucket against the bucket-start spanner, so
+// there is no batch width to tune.
 // Bucket widths are not a knob either: the candidate stream keeps a
 // bucket to one octave [lo, 2 * lo] and widens it to the rest of the
 // resident chunk after a bucket that accepted nothing
@@ -28,17 +28,12 @@ struct EngineTuning {
     bool csr_snapshot = true;   ///< incremental gap-buffered CSR adjacency
 
     /// Worker count for the parallel prefilter stage: 1 = fully serial
-    /// (the default -- parallelism is opt-in so the serial entry points
-    /// keep schedule-free stats), 0 = hardware concurrency, k = exactly k
-    /// workers. The edge set is identical at every value.
+    /// (the default: buckets flow straight from the candidate stream into
+    /// the serialized insertion loop), 0 = hardware concurrency, k =
+    /// exactly k workers. Above 1, stage 2 probes each whole weight bucket
+    /// against the bucket-start spanner, one task per source group. The
+    /// edge set is identical at every value.
     std::size_t num_threads = 1;
-
-    /// Master switch for stage 2. With it off (or num_threads resolving to
-    /// 1) buckets flow straight from the candidate stream into the
-    /// serialized insertion loop. When on, stage 2 probes each whole
-    /// weight bucket against the bucket-start spanner, one task per
-    /// source group.
-    bool parallel_prefilter = true;
 
     /// Accept-rate boundary for stage 2, keyed on the previous bucket's
     /// measured accept rate (a pure function of the greedy decisions,
@@ -120,7 +115,6 @@ struct EngineTuning {
         t.ball_sharing = false;
         t.csr_snapshot = false;
         t.num_threads = 1;
-        t.parallel_prefilter = false;
         return t;
     }
 };

@@ -22,11 +22,11 @@
 namespace gsp {
 
 /// Counters describing one greedy run (for the runtime experiments and the
-/// BENCH_greedy.json kernel-ablation artifact). Stage-2 work is decided
-/// per whole-bucket source group against the bucket-start spanner, so a
-/// parallel build reports the same counters at every worker count and
-/// schedule (`seconds`, and runs whose prefilter hook the timed
-/// kAdaptive gate calibrates, excepted).
+/// BENCH_greedy.json kernel-ablation artifact). Every counter except
+/// `seconds` is a pure function of (candidates, options): no decision
+/// reads a clock, and stage-2 work is decided per whole-bucket source
+/// group against the bucket-start spanner, so a parallel build reports
+/// the same counters at every worker count >= 2 and every schedule.
 struct GreedyStats {
     std::size_t edges_examined = 0;  ///< candidate edges processed
     std::size_t edges_added = 0;     ///< edges kept in the spanner
@@ -41,22 +41,23 @@ struct GreedyStats {
                                           ///< incremental store: one per run, not per bucket)
     std::size_t csr_compactions = 0;      ///< incremental-CSR arena compactions
     std::size_t bidirectional_meets = 0;  ///< improving frontier-meet events
-    std::size_t prefilter_rejects = 0;    ///< candidates rejected by the prefilter hook
     std::size_t buckets = 0;              ///< weight buckets processed
 
     // Pipeline counters (zero when the parallel prefilter stage is off).
     std::size_t snapshot_accepts = 0;   ///< accepts certified by the bucket-start probe
                                         ///< (stage-2 far bit, no insertion since)
-    std::size_t prefilter_gated_off = 0;  ///< 1 if the measured-cost gate disabled the prefilter
 
-    // Retired counters, kept so existing readers still compile; all four
+    // Retired counters, kept so existing readers still compile; all six
     // always read zero. Parallel builds no longer repair stale stage-2
     // certificates (a stale far bit simply falls through to the exact
-    // machinery), and no cross-bucket bound sketch exists to hit.
-    std::size_t repairs = 0;           ///< always 0
-    std::size_t repair_fallbacks = 0;  ///< always 0
-    std::size_t sketch_hits = 0;       ///< always 0
-    std::size_t coarse_rejects = 0;    ///< always 0
+    // machinery), no cross-bucket bound sketch exists to hit, and no
+    // reject-only prefilter hook (or its timed gate) exists to count.
+    std::size_t repairs = 0;              ///< always 0
+    std::size_t repair_fallbacks = 0;     ///< always 0
+    std::size_t sketch_hits = 0;          ///< always 0
+    std::size_t coarse_rejects = 0;       ///< always 0
+    std::size_t prefilter_rejects = 0;    ///< always 0
+    std::size_t prefilter_gated_off = 0;  ///< always 0
 
     // Group-probe counters (zero when ball_sharing is off; with anchored
     // cell-batched groups only stage 2 probes groups). All three are per-group facts of deterministic probes, so they are
@@ -76,9 +77,9 @@ struct GreedyStats {
     std::size_t cell_ball_decisions = 0; ///< candidates decided by those balls
 
     /// Peak resident bytes of the stage-2 -> stage-3 handoff (one state
-    /// byte per candidate of the bucket + two packed verdict bits in
-    /// parallel runs); the bytes-per-candidate
-    /// numerator tracked in BENCH_greedy.json.
+    /// byte per candidate of the bucket + one packed far bit in parallel
+    /// runs); the bytes-per-candidate numerator tracked in
+    /// BENCH_greedy.json.
     std::size_t handoff_peak_bytes = 0;
 
     // Candidate-memory counters (the chunk stream). For a whole-list

@@ -1,7 +1,6 @@
 #include "core/greedy_engine.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -61,40 +60,6 @@ struct IncrementalAdapter {
     [[nodiscard]] std::size_t compactions() const { return v.compactions(); }
 };
 
-/// Measured-cost gate for the prefilter hooks: a calibration window times
-/// each (serial) prefilter call and each exact decision of a candidate the
-/// prefilter let through, then keeps the prefilter only if the exact work
-/// it is expected to save per call exceeds its per-call cost.
-struct PrefilterGateState {
-    bool live = false;         ///< prefilter hooks still consulted
-    bool calibrating = false;  ///< inside the timing window
-    std::size_t calls = 0;
-    std::size_t rejects = 0;
-    std::size_t exact_decisions = 0;
-    double prefilter_seconds = 0.0;
-    double exact_seconds = 0.0;
-
-    static constexpr std::size_t kWindow = 384;       ///< prefilter-call samples
-    static constexpr std::size_t kMinExact = 16;      ///< exact-decision samples
-    static constexpr std::size_t kForceSettle = 1536; ///< settle even if starved
-
-    void maybe_settle(GreedyStats& stats) {
-        if (calls < kWindow) return;
-        if (exact_decisions < kMinExact && calls < kForceSettle) return;
-        calibrating = false;
-        if (exact_decisions == 0) return;  // everything rejected: clearly paying off
-        const double avg_prefilter = prefilter_seconds / static_cast<double>(calls);
-        const double avg_exact = exact_seconds / static_cast<double>(exact_decisions);
-        const double reject_rate =
-            static_cast<double>(rejects) / static_cast<double>(calls);
-        // Expected exact seconds saved per call vs seconds spent per call.
-        if (avg_prefilter > reject_rate * avg_exact) {
-            live = false;
-            stats.prefilter_gated_off = 1;
-        }
-    }
-};
-
 }  // namespace
 
 ThreadPool& EngineResources::acquire_pool(std::size_t workers) {
@@ -125,9 +90,7 @@ void GreedyEngine::init() {
     if (options_.chunk_soft_cap == 0) {
         throw std::invalid_argument("GreedyEngine: chunk_soft_cap must be >= 1");
     }
-    workers_ = options_.parallel_prefilter
-                   ? ThreadPool::resolve_workers(options_.num_threads)
-                   : 1;
+    workers_ = ThreadPool::resolve_workers(options_.num_threads);
     if (workers_ > 1) {
         pool_ = &res_->acquire_pool(workers_);
         // Worker workspaces are sized lazily by run_impl on first use.
@@ -159,8 +122,9 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h, CandidateChunkSource& source,
 }
 
 template <class Adapter>
-GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, CandidateStream& feed,
-                                             GreedyStats& stats) {
+GSP_DECISION_PURE GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h,
+                                                               CandidateStream& feed,
+                                                               GreedyStats& stats) {
     // Every expensive array below lives in the (possibly session-shared)
     // resources; a warm build reuses them all. Per-run state is reset
     // explicitly here, so a run's decisions *and stats* are a pure
@@ -211,20 +175,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
         ball_radius.assign(n_, 0.0);
     }
     if (parallel) prefilter_stage.begin_run(workers_);
-
-    PrefilterGateState gate;
-    const bool have_serial_pf = static_cast<bool>(options_.prefilter);
-    const bool have_concurrent_pf =
-        parallel && static_cast<bool>(options_.concurrent_prefilter);
-    gate.live = have_serial_pf || static_cast<bool>(options_.concurrent_prefilter);
-    // kAdaptive calibrates on the *serial* hook's timings, so while the
-    // window is open the insertion loop consults the serial prefilter even
-    // when a concurrent variant exists; stage 2 takes the oracle over only
-    // after it survives calibration. A concurrent-only installation has
-    // nothing to time and runs ungated.
-    gate.calibrating =
-        gate.live && have_serial_pf &&
-        options_.prefilter_gate == GreedyEngineOptions::PrefilterGate::kAdaptive;
 
     std::uint64_t insert_epoch = 1;  // bumped on every accepted edge
     // Stage-2 accept-rate gate state: optimistic start (a first bucket
@@ -296,12 +246,11 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
         // is a full build exactly once per run (then a free no-op: the
         // view mirrors every insertion at O(degree) as it happens).
         adapter.snapshot(h);
-        if (options_.on_bucket) options_.on_bucket(h, bucket.lo);
 
-        // The thin stage-2 -> stage-3 handoff: one state byte and two
-        // verdict bits per candidate, all bucket-local. States die with
-        // the bucket by design: nothing persists across buckets, so the
-        // engine's memory stays O(n) plus one bucket, never O(m). The far
+        // The thin stage-2 -> stage-3 handoff: one state byte and one far
+        // bit per candidate, all bucket-local. States die with the bucket
+        // by design: nothing persists across buckets, so the engine's
+        // memory stays O(n) plus one bucket, never O(m). The far
         // state is the per-member certificate of the serial group probes;
         // unlike the published ball slot, it survives the probe's early
         // exit shrinking the certified radius below a heavy member's
@@ -324,16 +273,13 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
 
         // Stage 2 runs over the whole bucket or not at all. It is keyed on
         // the previous bucket's accept rate -- a pure function of the
-        // greedy decisions, hence identical at every thread count -- and
-        // never runs during the prefilter gate's calibration window
-        // (calibration times the *serial* economics; stage-2 probes would
-        // hollow out the exact decisions it measures and double-consult
-        // the oracle). An accept-predicted bucket goes straight to the
-        // insertion loop: its far bits would die on the first insertion.
-        // So does a bucket that starts on an edgeless spanner (the first
-        // bucket of an unseeded run): every probe there reports far, and
-        // the bucket's first accept stales all of it.
-        const bool run_stage2 = parallel && !gate.calibrating &&
+        // greedy decisions, hence identical at every thread count. An
+        // accept-predicted bucket goes straight to the insertion loop: its
+        // far bits would die on the first insertion. So does a bucket that
+        // starts on an edgeless spanner (the first bucket of an unseeded
+        // run): every probe there reports far, and the bucket's first
+        // accept stales all of it.
+        const bool run_stage2 = parallel &&
                                 last_accept_rate <= options_.parallel_accept_gate &&
                                 h.num_edges() > 0;
         if (sharing) groups.rebuild(bw, n_, anchored);
@@ -362,9 +308,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
             ctx.bidirectional = options_.bidirectional;
             ctx.ball_scope = bucket_seq;
             ctx.snapshot_epoch = snapshot_epoch;
-            ctx.oracle = (have_concurrent_pf && gate.live && !gate.calibrating)
-                             ? &options_.concurrent_prefilter
-                             : nullptr;
             ctx.simd = &simd_k;
             prefilter_stage.run_bucket(*pool_, ws_pool, adapter.view(), ctx, state,
                                        ball_bucket, ball_epoch, ball_radius, stats);
@@ -386,48 +329,12 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
             // This candidate is decided this iteration, whichever path runs.
             if (sharing) groups.decrement_remaining(anchor);
 
-            if (parallel && prefilter_stage.oracle_reject(i)) {
-                ++stats.prefilter_rejects;
-                continue;
-            }
-            if (have_serial_pf && gate.live &&
-                (!have_concurrent_pf || gate.calibrating)) {
-                bool rejected;
-                if (gate.calibrating) {
-                    const Timer call_timer;
-                    rejected = options_.prefilter(c.u, c.v, threshold);
-                    gate.prefilter_seconds += call_timer.seconds();
-                    ++gate.calls;
-                    if (rejected) ++gate.rejects;
-                    gate.maybe_settle(stats);
-                } else {
-                    rejected = options_.prefilter(c.u, c.v, threshold);
-                }
-                if (rejected) {
-                    ++stats.prefilter_rejects;
-                    continue;
-                }
-            }
-            // Calibration samples for the measured-cost gate: the cost of
-            // deciding a candidate the prefilter let through (cache hits
-            // included -- an oracle reject only saves whatever the decision
-            // would actually have cost).
-            std::optional<Timer> decide_timer;
-            if (gate.calibrating) decide_timer.emplace();
-            const auto record_exact = [&] {
-                if (decide_timer) {
-                    gate.exact_seconds += decide_timer->seconds();
-                    ++gate.exact_decisions;
-                }
-            };
-
             bool accept = false;
             if (track_state && state[li] == CandidateState::kWitnessed) {
                 // A realizable witness path no heavier than the threshold
                 // is already known (harvested serially or by stage 2); the
                 // spanner only grows, so the path is still there.
                 ++stats.cache_hits;
-                record_exact();
                 continue;
             }
             if (parallel && prefilter_stage.far_at_snapshot(i) &&
@@ -527,7 +434,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                         ++stats.dijkstra_runs;
                         ++stats.balls_computed;
                         ++stats.cell_balls;
-                        (void)ws.ball(adapter.view(), anchor, radius);
+                        ws.ball(adapter.view(), anchor, radius);
                         std::size_t resolved = 1;  // this candidate
                         for (std::uint32_t idx : grp) {
                             const Weight d =
@@ -638,7 +545,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Candidat
                 ++stats.dijkstra_runs;
                 accept = point_query(c.u, c.v, threshold) > threshold;
             }
-            record_exact();
             if (!accept) continue;
 
             const EdgeId id = h.add_edge(c.u, c.v, c.weight);

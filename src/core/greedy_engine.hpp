@@ -19,7 +19,7 @@
 //       whole bucket's source groups out to a work-stealing worker pool.
 //       Each worker owns a DijkstraWorkspace and probes the bucket-start
 //       incremental CSR view, recording per-candidate facts in a thin
-//       handoff (packed verdict bitsets + one bucket-local state byte per
+//       handoff (one bucket-local state byte and one packed far bit per
 //       candidate): witnessed rejects and "far at bucket start" bits;
 //   [3] insertion loop     -- walks the bucket in deterministic tie order,
 //       consumes the recorded facts, and decides everything else with the
@@ -47,15 +47,9 @@
 // build() calls -- the request-serving path, where a warm build pays zero
 // pool/workspace construction (counter-verified by the session-reuse bench
 // probe).
-//
-// Callers with scale-dependent side structures (the approximate-greedy
-// cluster oracle) hook the bucket boundary via `on_bucket` and may install
-// a reject-only `prefilter` (serial) and/or `concurrent_prefilter`
-// (consulted from stage-2 workers) before any exact machinery.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -73,41 +67,11 @@
 namespace gsp {
 
 /// Engine configuration: the shared tuning block (see engine_tuning.hpp)
-/// plus the per-run stretch and the caller hooks only this layer can
-/// express. Field access is flat (`options.bidirectional`) -- the base
-/// class is a layering device, not an indirection.
+/// plus the per-run stretch. Field access is flat
+/// (`options.bidirectional`) -- the base class is a layering device, not
+/// an indirection.
 struct GreedyEngineOptions : EngineTuning {
     double stretch = 2.0;  ///< t >= 1
-
-    /// Optional sound reject-only fast path, consulted first for every
-    /// candidate: return true only if a realizable witness path of length
-    /// <= threshold is known (e.g. the cluster-graph oracle). Must never
-    /// reject a candidate the exact test would keep.
-    std::function<bool(VertexId u, VertexId v, Weight threshold)> prefilter;
-
-    /// Concurrent variant of `prefilter` for the parallel stage, invoked as
-    /// (worker, u, v, threshold) with worker < num_workers(). Must be safe
-    /// to call from distinct workers simultaneously (give each worker its
-    /// own scratch, e.g. ClusterGraph::QueryScratch). When unset, the
-    /// serial `prefilter` still runs in the insertion loop.
-    std::function<bool(std::size_t worker, VertexId u, VertexId v, Weight threshold)>
-        concurrent_prefilter;
-
-    /// Economics of the prefilter hooks. ROADMAP measured the cluster
-    /// oracle as a ~0.5x *slowdown* under the bidirectional engine, so
-    /// installing a prefilter no longer implies trusting it: kAdaptive
-    /// times a calibration window (serial path) and gates the prefilter
-    /// off for the rest of the run if its per-call cost exceeds the exact
-    /// work it saves; kAlways is the explicit opt-in that trusts the hook
-    /// unconditionally.
-    enum class PrefilterGate { kAdaptive, kAlways };
-    PrefilterGate prefilter_gate = PrefilterGate::kAdaptive;
-
-    /// Called on entering each weight bucket, after the spanner reflects
-    /// every decision of earlier buckets: rebuild scale-dependent helpers
-    /// here. `bucket_lo` is the weight of the bucket's first candidate.
-    /// Always invoked from the serial thread, before stage 2 fans out.
-    std::function<void(const Graph& h, Weight bucket_lo)> on_bucket;
 };
 
 /// The heavy, reusable half of a greedy engine: thread pools (cached per
@@ -133,10 +97,6 @@ public:
         return 1 + ws_pool_.created();
     }
 
-    /// The serial insertion-loop workspace; also the reuse vehicle for the
-    /// audit/reroute helpers (grown to the largest build, never shrunk).
-    [[nodiscard]] DijkstraWorkspace& workspace() { return ws_; }
-
     /// The per-worker workspace pool (analysis/audit's pool overloads
     /// accept it directly, so audits in a session pay no allocation).
     [[nodiscard]] DijkstraWorkspacePool& workspace_pool() { return ws_pool_; }
@@ -149,7 +109,7 @@ private:
 
     DijkstraWorkspace ws_;             ///< the insertion loop's workspace
     DijkstraWorkspacePool ws_pool_;    ///< one workspace per stage-2 worker
-    PrefilterStage prefilter_stage_;   ///< stage-2 verdict bitsets + counters
+    PrefilterStage prefilter_stage_;   ///< stage-2 far bitset + counters
     SourceGroups groups_;              ///< stage-1 per-bucket grouping
     PrefilterKernel prefilter_kernel_; ///< serial-loop group-probe marshalling scratch
 
@@ -190,16 +150,13 @@ public:
 
     [[nodiscard]] const GreedyEngineOptions& options() const { return options_; }
 
-    /// Resolved worker count (>= 1): what `concurrent_prefilter` will be
-    /// called with, and how many scratches a concurrent hook needs.
-    [[nodiscard]] std::size_t num_workers() const { return workers_; }
-
 private:
     void init();  ///< shared constructor tail: validation + pool acquisition
 
     template <class Adapter>
-    GSP_SERIAL_ONLY Graph run_impl(Adapter& adapter, Graph h, CandidateStream& feed,
-                                   GreedyStats& stats);
+    GSP_DECISION_PURE GSP_SERIAL_ONLY Graph run_impl(Adapter& adapter, Graph h,
+                                                     CandidateStream& feed,
+                                                     GreedyStats& stats);
 
     [[nodiscard]] bool parallel_enabled() const { return pool_ != nullptr; }
 

@@ -68,7 +68,7 @@ public:
     /// Decide every still-undecided member of `grp` (bucket-local indices
     /// into the bucket window `candidates`, anchored at `source`) with one
     /// batched probe on `view`. `undecided(local)` filters members already
-    /// decided upstream (oracle, earlier harvests); every carried
+    /// decided upstream (earlier harvests); every carried
     /// member gets one of two verdicts -- a settled member whose distance
     /// is within its radius is marked witnessed in `state[local]`, far
     /// members are reported through `mark_far(local)` (the caller owns the

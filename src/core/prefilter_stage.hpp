@@ -1,14 +1,14 @@
 // Stage 2 of the greedy pipeline: the parallel reject-only prefilter.
 //
-// Within one weight bucket every expensive pass of the engine -- the
-// optional cluster-oracle lookup and the bounded (bi)directional distance
-// probe -- is *read-only* over the bucket-start
-// spanner: the serialized insertion loop has not run yet, so the
-// incremental view is immutable for the whole stage. That is the structure
-// (after Alewijnse et al.'s bucketed greedy, arXiv:1306.4919) that makes
-// candidate prefiltering embarrassingly parallel: workers fan out over the
-// bucket's source groups (or fixed blocks when ball sharing is off), each
-// with its own DijkstraWorkspace, and record per-candidate facts:
+// Within one weight bucket every probe of this stage -- the multi-target
+// group probe and the bounded (bi)directional point probe -- is
+// *read-only* over the bucket-start spanner: the serialized insertion
+// loop has not run yet, so the incremental view is immutable for the
+// whole stage. That is the structure (after Alewijnse et al.'s bucketed
+// greedy, arXiv:1306.4919) that makes candidate prefiltering
+// embarrassingly parallel: workers fan out over the bucket's source
+// groups (or fixed blocks when ball sharing is off), each with its own
+// DijkstraWorkspace, and record per-candidate facts:
 //
 //  * a path <= threshold found in the bucket-start spanner, a subgraph
 //    of every later spanner, marks the candidate witnessed -- it is
@@ -28,15 +28,14 @@
 // first insertion, and for buckets that start on an edgeless spanner.
 //
 // The stage-2 -> stage-3 handoff is deliberately *thin* (the memory-wall
-// fix for metric workloads, where m = n^2 candidates): 1 byte + 2 bits per
+// fix for metric workloads, where m = n^2 candidates): 1 byte + 1 bit per
 // candidate of the bucket. The byte is the candidate's CandidateState
 // (core/prefilter_kernel.hpp), addressed by the same bucket-local u32
 // indices SourceGroups hands out; a task writes only its own group's
-// bytes, so the writes need no atomics. The two bits are packed bitsets
-// (one oracle-reject bit, one far-at-snapshot bit per candidate). Bitset
-// words are shared between tasks, so verdict writes are relaxed atomic
-// fetch_or; the final word value is an OR of task-owned bits and
-// therefore schedule-independent.
+// bytes, so the writes need no atomics. The bit is the candidate's
+// far-at-snapshot bit in a packed bitset. Bitset words are shared between
+// tasks, so far-bit writes are relaxed atomic fetch_or; the final word
+// value is an OR of task-owned bits and therefore schedule-independent.
 //
 // Determinism: tasks are claimed dynamically for load balance, but every
 // recorded fact lands in a task-owned slot (groups own disjoint candidate
@@ -49,7 +48,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -79,9 +77,6 @@ struct PrefilterContext {
     /// whose states its harvest wrote.
     std::uint64_t ball_scope = 0;
     std::uint64_t snapshot_epoch = 0;
-    /// Optional concurrent reject-only oracle (worker, u, v, threshold);
-    /// null when unset or gated off.
-    const std::function<bool(std::size_t, VertexId, VertexId, Weight)>* oracle = nullptr;
     /// Vector kernel table for the group-probe traversals (null = the
     /// runtime-dispatched default). The engine resolves
     /// EngineTuning::SimdBackend once per run and threads the table here,
@@ -92,8 +87,8 @@ struct PrefilterContext {
     const simd::Kernels* simd = nullptr;
 };
 
-/// Owns the packed verdict bitsets and per-worker counters. One instance
-/// per GreedyEngine, reused across runs.
+/// Owns the packed far bitset and per-worker counters. One instance per
+/// GreedyEngine, reused across runs.
 class PrefilterStage {
 public:
     /// Reset the per-worker counters for a run. The kernel gather scratch
@@ -104,29 +99,26 @@ public:
         if (kernels_.size() < workers) kernels_.resize(workers);
     }
 
-    /// Size and zero the verdict bitsets for a bucket of `candidates`
+    /// Size and zero the far bitset for a bucket of `candidates`
     /// candidates (one bucket-local bit per candidate).
     GSP_SERIAL_ONLY void begin_bucket(std::size_t candidates) {
-        const std::size_t words = (candidates + 63) / 64;
-        oracle_bits_.assign(words, 0);
-        far_bits_.assign(words, 0);
+        far_bits_.assign((candidates + 63) / 64, 0);
     }
 
-    /// Verdict reads for the serialized insertion loop (bucket-local
-    /// candidate index; called strictly after the bucket's fan-out joined).
-    [[nodiscard]] bool oracle_reject(std::size_t local) const {
-        return test(oracle_bits_, local);
-    }
+    /// Far-bit read for the serialized insertion loop (bucket-local
+    /// candidate index). Called strictly after the bucket's fan-out
+    /// joined, and no stage-2 task reads a far bit, so a plain read
+    /// suffices.
     [[nodiscard]] bool far_at_snapshot(std::size_t local) const {
-        return test(far_bits_, local);
+        return (far_bits_[local >> 6] >> (local & 63)) & 1u;
     }
 
-    /// Current verdict-bitset footprint (for the handoff byte accounting).
+    /// Current far-bitset footprint (for the handoff byte accounting).
     /// Logical words, not capacities: the counter must be a pure function
     /// of the run, independent of what earlier (larger) runs left behind
     /// in a warm session's buffers.
     [[nodiscard]] std::size_t verdict_bytes() const {
-        return (oracle_bits_.size() + far_bits_.size()) * sizeof(std::uint64_t);
+        return far_bits_.size() * sizeof(std::uint64_t);
     }
 
     /// Fan one whole bucket out over the pool: one task per source group
@@ -158,23 +150,12 @@ private:
         std::size_t group_probe_early_exits = 0;
     };
 
-    /// Set a bucket-local verdict bit. Words are shared across tasks, so
-    /// the write is a relaxed atomic OR (commutative => deterministic;
-    /// the bucket's join publishes the result to stage 3).
-    GSP_HOT_PATH static void set_bit(std::vector<std::uint64_t>& bits,
-                                     std::size_t local) {
-        std::atomic_ref<std::uint64_t> word(bits[local >> 6]);
+    /// Set a bucket-local far bit. Words are shared across tasks, so the
+    /// write is a relaxed atomic OR (commutative => deterministic; the
+    /// bucket's join publishes the result to stage 3).
+    GSP_HOT_PATH void set_far(std::size_t local) {
+        std::atomic_ref<std::uint64_t> word(far_bits_[local >> 6]);
         word.fetch_or(std::uint64_t{1} << (local & 63), std::memory_order_relaxed);
-    }
-    /// Read a bucket-local verdict bit; atomic so stage-2 tasks may read
-    /// their own bits while other tasks write neighbors in the same word.
-    /// (atomic_ref over const is C++26; the underlying word is a non-const
-    /// member, so the cast is well-defined.)
-    [[nodiscard]] GSP_HOT_PATH static bool test(
-        const std::vector<std::uint64_t>& bits, std::size_t local) {
-        std::atomic_ref<std::uint64_t> word(
-            const_cast<std::uint64_t&>(bits[local >> 6]));
-        return (word.load(std::memory_order_relaxed) >> (local & 63)) & 1u;
     }
 
     template <class View>
@@ -185,11 +166,6 @@ private:
                        std::vector<std::uint64_t>& ball_epoch,
                        std::vector<Weight>& ball_radius);
 
-    template <class View>
-    GSP_HOT_PATH void probe_one(DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
-                   const PrefilterContext& ctx, std::size_t worker, std::uint32_t local,
-                   std::vector<CandidateState>& state);
-
     /// One early-exit point query from -> to deciding candidate `local`.
     template <class View>
     GSP_HOT_PATH void point_probe(DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
@@ -197,7 +173,6 @@ private:
                                   VertexId from, VertexId to,
                                   std::vector<CandidateState>& state);
 
-    std::vector<std::uint64_t> oracle_bits_; ///< oracle certified a witness path
     std::vector<std::uint64_t> far_bits_;    ///< probe exceeded threshold at snapshot
     std::vector<WorkerCounters> counters_;
     std::vector<PrefilterKernel> kernels_;   ///< per-worker gather scratch
@@ -225,7 +200,8 @@ GSP_SERIAL_ONLY void PrefilterStage::run_bucket(
             const std::size_t first = task * kBlock;
             const std::size_t last = std::min(first + kBlock, ctx.candidates.size());
             for (std::size_t i = first; i < last; ++i) {
-                probe_one(ws, wc, view, ctx, worker, static_cast<std::uint32_t>(i), state);
+                const GreedyCandidate& c = ctx.candidates[i];
+                point_probe(ws, wc, view, ctx, static_cast<std::uint32_t>(i), c.u, c.v, state);
             }
         }
     });
@@ -249,39 +225,20 @@ GSP_HOT_PATH void PrefilterStage::process_group(
                                    std::vector<Weight>& ball_radius) {
     const std::span<const std::uint32_t> grp = ctx.groups->of(source);
     const std::span<const GreedyCandidate> cands = ctx.candidates;
-    const auto cand_at = [&](std::uint32_t local) -> const GreedyCandidate& {
-        return cands[local];
-    };
-
-    // The cheap pass first (mirrors the serial loop's
-    // consult-before-exact order): candidates the oracle rejects need no
-    // probe at all.
-    std::size_t undecided = grp.size();
-    if (ctx.oracle != nullptr) {
-        for (std::uint32_t local : grp) {
-            const GreedyCandidate& c = cand_at(local);
-            if ((*ctx.oracle)(worker, c.u, c.v, ctx.stretch * c.weight)) {
-                set_bit(oracle_bits_, local);
-                --undecided;
-            }
-        }
-    }
-    if (undecided == 0) return;
 
     // The batched group probe: one traversal from the shared source
     // carries every undecided member's target and decision radius and
     // terminates the moment the last member is decided. The gate reads
-    // only task-owned state (oracle verdicts of this group), so it is
-    // schedule-free.
-    if (undecided >= 2) {
+    // only the group's size, so it is schedule-free.
+    if (grp.size() >= 2) {
         BatchedProbe& probe = ws.batched();
         probe.set_kernels(ctx.simd);  // pin the run's resolved backend
         const auto is_undecided = [&](std::uint32_t local) {
-            return !oracle_reject(local) && state[local] != CandidateState::kWitnessed;
+            return state[local] != CandidateState::kWitnessed;
         };
         const PrefilterKernel::Outcome outcome = kernels_[worker].decide_group(
             probe, view, source, cands, grp, ctx.stretch, is_undecided,
-            state, [&](std::uint32_t local) { set_bit(far_bits_, local); });
+            state, [&](std::uint32_t local) { set_far(local); });
         ++wc.dijkstra_runs;
         ++wc.group_probes;
         wc.group_probe_decisions += outcome.probed;
@@ -294,14 +251,11 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         return;
     }
 
-    // One undecided member: nothing to amortize, and meet-in-the-middle
-    // beats a one-sided traversal.
-    for (std::uint32_t local : grp) {
-        if (oracle_reject(local)) continue;
-        point_probe(ws, wc, view, ctx, local, source,
-                    SourceGroups::other_of(cand_at(local), source), state);
-        return;
-    }
+    // A single member: nothing to amortize, and meet-in-the-middle beats
+    // a one-sided traversal.
+    const std::uint32_t local = grp.front();
+    point_probe(ws, wc, view, ctx, local, source,
+                SourceGroups::other_of(cands[local], source), state);
 }
 
 template <class View>
@@ -316,21 +270,8 @@ GSP_HOT_PATH void PrefilterStage::point_probe(DijkstraWorkspace& ws, WorkerCount
     if (d <= threshold) {
         state[local] = CandidateState::kWitnessed;
     } else {
-        set_bit(far_bits_, local);
+        set_far(local);
     }
-}
-
-template <class View>
-GSP_HOT_PATH void PrefilterStage::probe_one(
-    DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
-                               const PrefilterContext& ctx, std::size_t worker,
-                               std::uint32_t local, std::vector<CandidateState>& state) {
-    const GreedyCandidate& c = ctx.candidates[local];
-    if (ctx.oracle != nullptr && (*ctx.oracle)(worker, c.u, c.v, ctx.stretch * c.weight)) {
-        set_bit(oracle_bits_, local);
-        return;
-    }
-    point_probe(ws, wc, view, ctx, local, c.u, c.v, state);
 }
 
 }  // namespace gsp

@@ -20,13 +20,11 @@ void DijkstraWorkspace::resize(std::size_t n) {
 void DijkstraWorkspace::begin_query() {
     ++current_;
     // Reset *all* per-query scratch here, not just what the next query kind
-    // reads: ball() used to leave heap_b_ untouched and the bidirectional
-    // query left ball_ populated, so interleaving query kinds on one
-    // workspace (the normal life of a pooled per-thread workspace) could
-    // observe a previous query's state.
+    // reads: ball() used to leave heap_b_ untouched, so interleaving query
+    // kinds on one workspace (the normal life of a pooled per-thread
+    // workspace) could observe a previous query's state.
     heap_.clear();
     heap_b_.clear();
-    ball_.clear();
     last_work_ = 0;
     // Pre-size to the historical peak so tight query loops never pay
     // reallocation churn mid-search (clear() keeps capacity, so this only

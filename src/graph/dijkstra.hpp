@@ -88,12 +88,11 @@ public:
     /// shortest path tree (kNoEdge for the source and unreached vertices).
     [[nodiscard]] const std::vector<EdgeId>& predecessor_edges() const { return pred_edge_; }
 
-    /// Settled vertices and exact distances of the ball of radius `limit`
-    /// around s. Costs O(|ball| log |ball|), *not* O(n): no dense reset.
-    /// The returned reference is valid until the next call on this workspace.
+    /// Drain the ball of radius `limit` around s; read its exact distances
+    /// through settled_distance(). Costs O(|ball| log |ball|), *not* O(n):
+    /// no dense reset.
     template <class G>
-    const std::vector<std::pair<VertexId, Weight>>& ball(const G& g, VertexId s,
-                                                         Weight limit);
+    void ball(const G& g, VertexId s, Weight limit);
 
     /// Valid immediately after ball() or all_distances(): the exact distance
     /// to v from that query's source if v was settled, +infinity otherwise.
@@ -134,9 +133,8 @@ public:
 
 private:
     // The single reset path of every query entry point. Each query kind
-    // used to clear its own subset of the scratch (ball_ here, heap_b_
-    // there), which left a workspace reused across *different* query kinds
-    // with stale state -- exactly the hazard a per-thread workspace pool
+    // used to clear its own subset of the scratch, which left a workspace
+    // reused across *different* query kinds with stale state -- exactly the hazard a per-thread workspace pool
     // cannot tolerate. begin_query resets everything a query may read.
     void begin_query();
     [[nodiscard]] bool seen(VertexId v) const { return stamp_[v] == current_; }
@@ -176,7 +174,6 @@ private:
     std::size_t peak_hint_ = 0;  ///< max heap occupancy seen; reserve() hint
     std::size_t meets_ = 0;
     std::size_t last_work_ = 0;
-    std::vector<std::pair<VertexId, Weight>> ball_;
     BatchedProbe batched_;
 };
 
@@ -379,9 +376,7 @@ Weight DijkstraWorkspace::distance_goal_directed(const G& g, VertexId s, VertexI
 }
 
 template <class G>
-const std::vector<std::pair<VertexId, Weight>>& DijkstraWorkspace::ball(const G& g,
-                                                                        VertexId s,
-                                                                        Weight limit) {
+void DijkstraWorkspace::ball(const G& g, VertexId s, Weight limit) {
     resize(g.num_vertices());
     if (s >= g.num_vertices()) {
         throw std::out_of_range("DijkstraWorkspace::ball: vertex out of range");
@@ -395,7 +390,6 @@ const std::vector<std::pair<VertexId, Weight>>& DijkstraWorkspace::ball(const G&
     while (!heap_.empty()) {
         const QueueItem top = heap_.pop_min();
         if (top.dist > dist_[top.vertex]) continue;  // stale
-        ball_.push_back({top.vertex, top.dist});     // settled: distance is final
         for (const HalfEdge& h : g.neighbors(top.vertex)) {
             const Weight nd = top.dist + h.weight;
             if (nd > limit) continue;
@@ -409,7 +403,6 @@ const std::vector<std::pair<VertexId, Weight>>& DijkstraWorkspace::ball(const G&
             }
         }
     }
-    return ball_;
 }
 
 /// Convenience wrappers (allocate a fresh workspace; fine for one-off use).

@@ -32,8 +32,9 @@ std::size_t ThreadPool::resolve_workers(std::size_t requested) {
 
 void ThreadPool::run(std::size_t num_tasks, const TaskFn& fn) {
     if (num_tasks == 0) return;
-    if (threads_.empty()) {
-        // Single-worker pool: no synchronization, just the loop.
+    if (threads_.empty() || num_tasks == 1) {
+        // Single-worker pool or a single task: worker 0 (the caller) would
+        // run every task anyway, so skip waking and joining the others.
         for (std::size_t task = 0; task < num_tasks; ++task) fn(0, task);
         return;
     }

@@ -49,7 +49,8 @@ public:
 
     /// Run fn over all task indices and block until every task finished.
     /// Tasks are dealt out as contiguous per-worker ranges; idle workers
-    /// steal from the fullest remaining range. The first exception thrown
+    /// steal from the fullest remaining range. A single task runs inline
+    /// as worker 0 on the calling thread, waking no other worker. The first exception thrown
     /// by any task is rethrown here (remaining tasks are abandoned; the
     /// pool stays usable).
     void run(std::size_t num_tasks, const TaskFn& fn);

@@ -45,10 +45,16 @@ void expect_stats_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.csr_rebuilds, b.csr_rebuilds) << label;
     EXPECT_EQ(a.csr_compactions, b.csr_compactions) << label;
     EXPECT_EQ(a.bidirectional_meets, b.bidirectional_meets) << label;
-    EXPECT_EQ(a.prefilter_rejects, b.prefilter_rejects) << label;
     EXPECT_EQ(a.buckets, b.buckets) << label;
     EXPECT_EQ(a.snapshot_accepts, b.snapshot_accepts) << label;
+    EXPECT_EQ(a.group_probes, b.group_probes) << label;
+    EXPECT_EQ(a.group_probe_decisions, b.group_probe_decisions) << label;
+    EXPECT_EQ(a.group_probe_early_exits, b.group_probe_early_exits) << label;
+    EXPECT_EQ(a.cell_balls, b.cell_balls) << label;
+    EXPECT_EQ(a.cell_ball_decisions, b.cell_ball_decisions) << label;
     EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes) << label;
+    EXPECT_EQ(a.candidates_streamed, b.candidates_streamed) << label;
+    EXPECT_EQ(a.candidate_buffer_peak_bytes, b.candidate_buffer_peak_bytes) << label;
 }
 
 class ApiEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -201,22 +207,40 @@ TEST(SessionReuseTest, ThreeHeterogeneousBuildsMatchThreeFreshSessions) {
 }
 
 TEST(SessionReuseTest, ApproxThroughOneSessionMatchesFreshSessions) {
+    // Every greedy-approx counter is a pure function of the input: no
+    // decision reads a clock, so a reused session, another worker count
+    // (>= 2) and the ignored use_cluster_oracle flag all report exactly
+    // what a fresh session at 2 threads reports.
     Rng rng(91);
     const EuclideanMetric pts = uniform_points(150, 2, 90.0, rng);
     BuildOptions options;
     options.approx.epsilon = 0.5;
     options.engine.num_threads = 2;
 
-    SpannerSession reused;
-    const ApproxGreedyResult a = approx_greedy_build(reused, pts, options);
-    const ApproxGreedyResult b = approx_greedy_build(reused, pts, options);
     SpannerSession fresh;
-    const ApproxGreedyResult c = approx_greedy_build(fresh, pts, options);
-    EXPECT_TRUE(same_edge_set(a.spanner, b.spanner));
-    EXPECT_TRUE(same_edge_set(a.spanner, c.spanner));
-    EXPECT_EQ(a.oracle_rejects, c.oracle_rejects);
-    EXPECT_EQ(a.exact_queries, c.exact_queries);
-    EXPECT_EQ(a.light_edges, c.light_edges);
+    BuildReport want;
+    const ApproxGreedyResult reference = approx_greedy_build(fresh, pts, options, &want);
+
+    const auto expect_matches = [&](SpannerSession& session, const BuildOptions& variant,
+                                    const std::string& label) {
+        BuildReport got;
+        const ApproxGreedyResult r = approx_greedy_build(session, pts, variant, &got);
+        EXPECT_TRUE(same_edge_set(r.spanner, reference.spanner)) << label;
+        EXPECT_EQ(r.exact_queries, reference.exact_queries) << label;
+        EXPECT_EQ(r.light_edges, reference.light_edges) << label;
+        expect_stats_equal(got.stats, want.stats, label);
+    };
+    SpannerSession reused;
+    expect_matches(reused, options, "first build of a session");
+    expect_matches(reused, options, "reused session");
+    BuildOptions four_threads = options;
+    four_threads.engine.num_threads = 4;
+    SpannerSession s4;
+    expect_matches(s4, four_threads, "4 threads");
+    BuildOptions oracle_flag = options;
+    oracle_flag.approx.use_cluster_oracle = true;
+    SpannerSession s_flag;
+    expect_matches(s_flag, oracle_flag, "use_cluster_oracle = true");
 }
 
 }  // namespace

@@ -48,37 +48,16 @@ INSTANTIATE_TEST_SUITE_P(UniformPoints, ApproxGreedyStretchTest,
                                             ::testing::Values(80u, 250u),
                                             ::testing::Values(0.3, 0.5, 1.0)));
 
-TEST(ApproxGreedyTest, OracleOnAndOffProduceIdenticalSpanners) {
-    // The cluster oracle only rejects edges whose witness path it has
-    // actually exhibited, so it cannot change any decision -- the outputs
-    // must be bit-identical, not merely equivalent.
-    Rng rng(5);
-    const EuclideanMetric pts = uniform_points(300, 2, 100.0, rng);
-    const ApproxGreedyResult a =
-        approx_with(pts, ApproxParams{.epsilon = 0.5, .use_cluster_oracle = true});
-    const ApproxGreedyResult b =
-        approx_with(pts, ApproxParams{.epsilon = 0.5, .use_cluster_oracle = false});
-    EXPECT_TRUE(same_edge_set(a.spanner, b.spanner));
-    EXPECT_GT(a.oracle_rejects, 0u);
-    EXPECT_EQ(b.oracle_rejects, 0u);
-    EXPECT_LT(a.exact_queries, b.exact_queries);
-}
-
-TEST(ApproxGreedyTest, ParallelPipelineMatchesSerialWithAndWithoutOracle) {
-    // The engine's parallel prefilter stage (with the concurrent cluster
-    // oracle, one QueryScratch per worker) must leave the simulation
+TEST(ApproxGreedyTest, ParallelPipelineMatchesSerial) {
+    // The engine's parallel prefilter stage must leave the simulation
     // bit-identical to the serial run.
     Rng rng(23);
     const EuclideanMetric pts = uniform_points(250, 2, 100.0, rng);
     const ApproxGreedyResult serial = approx_with(pts, ApproxParams{.epsilon = 0.5});
-    for (const bool oracle : {false, true}) {
-        for (const std::size_t threads : {2u, 4u}) {
-            const ApproxGreedyResult par = approx_with(
-                pts, ApproxParams{.epsilon = 0.5, .use_cluster_oracle = oracle},
-                threads);
-            EXPECT_TRUE(same_edge_set(par.spanner, serial.spanner))
-                << "threads=" << threads << " oracle=" << oracle;
-        }
+    for (const std::size_t threads : {2u, 4u}) {
+        const ApproxGreedyResult par =
+            approx_with(pts, ApproxParams{.epsilon = 0.5}, threads);
+        EXPECT_TRUE(same_edge_set(par.spanner, serial.spanner)) << "threads=" << threads;
     }
 }
 
@@ -154,8 +133,7 @@ TEST(ApproxGreedyTest, StatsAreCoherent) {
     const EuclideanMetric pts = uniform_points(200, 2, 100.0, rng);
     const ApproxGreedyResult r = approx_greedy_spanner(pts, 0.5);
     EXPECT_GT(r.buckets, 0u);
-    EXPECT_EQ(r.oracle_rejects + r.exact_queries + r.light_edges,
-              r.base.num_edges());
+    EXPECT_EQ(r.exact_queries + r.light_edges, r.base.num_edges());
     EXPECT_GE(r.seconds_total, r.seconds_base);
     EXPECT_NEAR(r.t_base * r.t_sim, 1.5, 1e-12);
 }

@@ -50,8 +50,8 @@ public:
         return std::make_unique<Slices>(all_);
     }
     void seed(Graph& h) override { inner_.seed(h); }
-    void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override {
-        inner_.configure_engine(options, session);
+    void configure_engine(GreedyEngineOptions& options) override {
+        inner_.configure_engine(options);
     }
     [[nodiscard]] double stretch_target(double t) const override {
         return inner_.stretch_target(t);

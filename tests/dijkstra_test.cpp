@@ -108,14 +108,12 @@ TEST(DijkstraTest, BallContainsExactlyTheLimitedNeighborhood) {
     g.add_edge(2, 3, 1.0);
     g.add_edge(3, 4, 1.0);
     DijkstraWorkspace ws(5);
-    const auto& ball = ws.ball(g, 0, 2.0);
-    ASSERT_EQ(ball.size(), 3u);  // vertices 0, 1, 2
-    EXPECT_EQ(ball[0].first, 0u);
-    EXPECT_DOUBLE_EQ(ball[0].second, 0.0);
-    EXPECT_EQ(ball[1].first, 1u);
-    EXPECT_DOUBLE_EQ(ball[1].second, 1.0);
-    EXPECT_EQ(ball[2].first, 2u);
-    EXPECT_DOUBLE_EQ(ball[2].second, 2.0);
+    ws.ball(g, 0, 2.0);  // settles vertices 0, 1, 2
+    EXPECT_DOUBLE_EQ(ws.settled_distance(0), 0.0);
+    EXPECT_DOUBLE_EQ(ws.settled_distance(1), 1.0);
+    EXPECT_DOUBLE_EQ(ws.settled_distance(2), 2.0);
+    EXPECT_EQ(ws.settled_distance(3), kInfiniteWeight);
+    EXPECT_EQ(ws.settled_distance(4), kInfiniteWeight);
 }
 
 TEST(DijkstraTest, BallDistancesAreExact) {
@@ -123,10 +121,10 @@ TEST(DijkstraTest, BallDistancesAreExact) {
     const Graph g = random_graph(50, 0.15, rng);
     DijkstraWorkspace ws(g.num_vertices());
     const auto reference = dijkstra_all(g, 5);
-    const auto& ball = ws.ball(g, 5, 8.0);
-    for (const auto& [v, d] : ball) {
-        EXPECT_DOUBLE_EQ(d, reference[v]);
-        EXPECT_LE(d, 8.0);
+    ws.ball(g, 5, 8.0);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        // Exactly the vertices within the limit settle, at exact distances.
+        EXPECT_EQ(ws.settled_distance(v), reference[v] <= 8.0 ? reference[v] : kInfiniteWeight);
     }
 }
 
@@ -271,13 +269,11 @@ TEST(DijkstraWorkspaceTest, InterleavedQueryKindsNeverSeeStaleState) {
             DijkstraWorkspace fresh(g.num_vertices());
             expect_same_weight(got, fresh.distance_bidirectional(g, s, t, limit), round);
         } else if (kind == 1) {
-            const auto& ball = shared.ball(g, s, limit);
+            shared.ball(g, s, limit);
             DijkstraWorkspace fresh(g.num_vertices());
-            const auto fresh_ball = fresh.ball(g, s, limit);
-            ASSERT_EQ(ball.size(), fresh_ball.size()) << "round " << round;
-            for (std::size_t i = 0; i < ball.size(); ++i) {
-                EXPECT_EQ(ball[i].first, fresh_ball[i].first);
-                EXPECT_NEAR(ball[i].second, fresh_ball[i].second, 1e-12);
+            fresh.ball(g, s, limit);
+            for (VertexId v = 0; v < g.num_vertices(); ++v) {
+                expect_same_weight(shared.settled_distance(v), fresh.settled_distance(v), round);
             }
         } else {
             const Weight got = shared.distance(g, s, t, limit);

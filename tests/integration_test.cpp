@@ -3,9 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/audit.hpp"
-#include "api/candidate_source.hpp"
-#include "api/session.hpp"
-#include "core/approx_greedy.hpp"
 #include "core/greedy.hpp"
 #include "core/greedy_metric.hpp"
 #include "core/self_optimality.hpp"
@@ -109,26 +106,6 @@ TEST(IntegrationTest, SampledStretchIsConsistentWithExact) {
     EXPECT_LE(sampled, exact + 1e-12);        // sampling can only miss the max
     const double full = max_stretch_metric_sampled(pts, h, pts.size(), 7);
     EXPECT_DOUBLE_EQ(full, exact);            // sources >= n falls back to exact
-}
-
-TEST(IntegrationTest, ApproxGreedyOracleAcrossWidenedBuckets) {
-    // The cluster oracle is rebuilt once per bucket at the bucket's
-    // lightest weight, and a bucket after a reject-only one runs to the
-    // end of the candidate list, so one oracle may serve weights far above
-    // its scale. That only costs oracle hits; the spanner must not change.
-    Rng rng(29);
-    const EuclideanMetric pts = uniform_points(150, 2, 80.0, rng);
-    SpannerSession session;
-    BuildOptions options;
-    options.approx.epsilon = 0.5;
-    const ApproxGreedyResult reference = approx_greedy_build(session, pts, options);
-    EXPECT_LE(max_stretch_metric(pts, reference.spanner), 1.5 + 1e-9);
-    options.approx.use_cluster_oracle = true;
-    for (const std::size_t threads : {1u, 2u}) {
-        options.engine.num_threads = threads;
-        const ApproxGreedyResult r = approx_greedy_build(session, pts, options);
-        EXPECT_TRUE(same_edge_set(r.spanner, reference.spanner)) << "threads=" << threads;
-    }
 }
 
 TEST(IntegrationTest, GreedySpannerOfDisconnectedMetricCompletionGraph) {

@@ -115,8 +115,8 @@ TEST(StressTest, GreedyOnHeavyTailWeights) {
 }
 
 TEST(StressTest, ClusteredPointsApproxGreedy) {
-    // Dense blobs with wide gaps: cluster-graph radii straddle the two
-    // scales; E0 and the oracle both get exercised.
+    // Dense blobs with wide gaps: the weight buckets straddle the two
+    // scales, and E0 gets exercised.
     Rng rng(11);
     const EuclideanMetric pts = clustered_points(400, 2, 5, 1000.0, 0.5, rng);
     const ApproxGreedyResult r = approx_greedy_spanner(pts, 0.5);

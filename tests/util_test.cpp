@@ -6,6 +6,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/dary_heap.hpp"
@@ -193,6 +194,21 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
         });
         for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
     }
+}
+
+TEST(ThreadPoolTest, SingleTaskRunsOnTheCallingThread) {
+    // A one-task job has nothing to share: worker 0 (the caller) runs it
+    // inline instead of waking and joining the pool.
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t calls = 0;
+    pool.run(1, [&](std::size_t worker, std::size_t task) {
+        ++calls;
+        EXPECT_EQ(worker, 0u);
+        EXPECT_EQ(task, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+    });
+    EXPECT_EQ(calls, 1u);
 }
 
 TEST(ThreadPoolTest, ReusableAcrossJobs) {
