@@ -32,8 +32,7 @@ int main() {
               << ", theta-graph base (16 cones)\n\n";
 
     Table table({"n", "base |E'|", "|H|", "|H|/n", "lightness", "max deg",
-                 "stretch(sampled)", "exact queries", "base s",
-                 "total s"});
+                 "stretch(sampled)", "base s", "total s"});
     std::vector<double> ns, secs;
     for (std::size_t n : {1024u, 2048u, 4096u, 8192u, 16384u, 32768u, 65536u}) {
         Rng rng(5 * n + 1);
@@ -53,7 +52,6 @@ int main() {
              std::to_string(r.spanner.num_edges()),
              fmt(static_cast<double>(r.spanner.num_edges()) / static_cast<double>(n), 3),
              fmt(lightness, 3), std::to_string(r.spanner.max_degree()), fmt(stretch, 3),
-             std::to_string(r.exact_queries),
              fmt(r.seconds_base, 2), fmt(r.seconds_total, 2)});
     }
     table.print(std::cout);

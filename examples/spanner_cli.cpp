@@ -189,7 +189,8 @@ int main(int argc, char** argv) {
                         ? report.seconds * 1e6 / static_cast<double>(report.candidates)
                         : 0.0;
                 std::cout << "  timing: setup " << report.setup_seconds << " s, build "
-                          << report.seconds << " s (" << us << " us/candidate); "
+                          << report.seconds << " s (" << us << " us/candidate, "
+                          << report.stats.pull_seconds << " s pulling candidates); "
                           << report.stats.cell_balls << " cell balls / "
                           << report.stats.cell_ball_decisions << " batched decisions, "
                           << report.stats.dijkstra_runs << " dijkstra runs\n";

@@ -44,6 +44,7 @@ std::string BuildReport::to_json() const {
     w.member("us_per_candidate",
              candidates > 0 ? seconds * 1e6 / static_cast<double>(candidates) : 0.0);
     w.member("setup_seconds", setup_seconds);
+    w.member("pull_seconds", stats.pull_seconds);
     w.member("pools_constructed", pools_constructed);
     w.member("workspaces_constructed", workspaces_constructed);
     w.member("simd_backend", simd_backend);

@@ -4,17 +4,117 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 
 #include "api/session.hpp"
+#include "simd/radix_sort.hpp"
 #include "spanners/net_spanner.hpp"
 #include "spanners/theta_graph.hpp"
+#include "util/annotations.hpp"
 #include "util/timer.hpp"
 #include "wspd/quadtree.hpp"
 #include "wspd/wspd.hpp"
 
 namespace gsp {
+
+namespace {
+
+/// Most fine bins a placement histograms the weight key into.
+constexpr std::size_t kMaxWeightBins = std::size_t{1} << 16;
+/// Candidates per fine bin on average: a short list pays for few bins.
+constexpr std::size_t kCandidatesPerBin = 16;
+/// A slice packs consecutive fine bins up to this many candidates (64 KiB,
+/// and as much sorter scratch), so every slice sort runs in cache.
+constexpr std::size_t kSliceTarget = 4096;
+
+/// Writes the candidates that `visit` enumerates into `dest` in (weight,
+/// u, v) order, with no comparison sort over the list. `visit(fn)` must
+/// call fn(u, v, w) once per candidate -- exactly dest.size() of them, the
+/// same ones in the same order on each of its three calls:
+///
+///   1. the range of the order-preserving weight key (simd::weight_key);
+///   2. a histogram of the key over at most kMaxWeightBins equal fine
+///      bins, which are then packed, in key order, into slices of at most
+///      kSliceTarget candidates (a bin over the target is a slice alone);
+///   3. every candidate written straight into its bin's slice of `dest`.
+///
+/// A slice holds whole bins, so every weight of one slice is below every
+/// weight of the next and equal weights share a slice: sorting each slice
+/// on its own by (weight, u, v) -- the radix sorter, whose scratch is one
+/// slice, never the list -- sorts the whole of `dest`. Throws
+/// std::invalid_argument on a NaN weight, and std::logic_error when a
+/// later pass sees other weights than the first (a caller's metric whose
+/// answers change between calls).
+template <class Visit>
+GSP_DECISION_PURE void place_by_weight(std::span<GreedyCandidate> dest, Visit&& visit) {
+    const std::size_t count = dest.size();
+    if (count == 0) return;
+    std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t hi = 0;
+    bool has_nan = false;
+    visit([&](VertexId, VertexId, Weight w) {
+        const std::uint64_t key = simd::weight_key(w);
+        lo = std::min(lo, key);
+        hi = std::max(hi, key);
+        has_nan |= std::isnan(w);
+    });
+    if (has_nan) throw std::invalid_argument("candidate source: a candidate weight is NaN");
+
+    const std::size_t max_bins = std::clamp<std::size_t>(count / kCandidatesPerBin, 1,
+                                                         kMaxWeightBins);
+    unsigned shift = 0;
+    while (((hi - lo) >> shift) >= max_bins) ++shift;
+    // A key outside the first pass's range would index past the bins.
+    const auto bin_of = [&](Weight w) {
+        const std::uint64_t key = simd::weight_key(w);
+        if (key < lo || key > hi) {
+            throw std::logic_error("candidate source: a weight changed between passes");
+        }
+        return static_cast<std::size_t>((key - lo) >> shift);
+    };
+    // bin_slice first counts each bin, then names the slice it was packed into.
+    std::vector<std::size_t> bin_slice(static_cast<std::size_t>((hi - lo) >> shift) + 1, 0);
+    visit([&](VertexId, VertexId, Weight w) { ++bin_slice[bin_of(w)]; });
+    std::vector<std::size_t> slice_start{0};
+    std::size_t packed = 0;
+    for (std::size_t& bin : bin_slice) {
+        const std::size_t size = bin;
+        if (packed > slice_start.back() && packed - slice_start.back() + size > kSliceTarget) {
+            slice_start.push_back(packed);
+        }
+        bin = slice_start.size() - 1;
+        packed += size;
+    }
+    if (packed != count) {
+        throw std::logic_error("candidate source: the count pass disagrees with the list size");
+    }
+    slice_start.push_back(count);
+
+    std::vector<std::size_t> cursor(slice_start.begin(), slice_start.end() - 1);
+    GreedyCandidate* out = dest.data();
+    visit([&](VertexId u, VertexId v, Weight w) {
+        const std::size_t s = bin_slice[bin_of(w)];
+        if (cursor[s] == slice_start[s + 1]) {
+            throw std::logic_error("candidate source: the placement pass disagrees with its plan");
+        }
+        out[cursor[s]++] = GreedyCandidate{u, v, w};
+    });
+    const auto tie_less = [](const GreedyCandidate& a, const GreedyCandidate& b) {
+        return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
+    };
+    simd::CandidateRadixSorter sorter;
+    for (std::size_t s = 0; s + 1 < slice_start.size(); ++s) {
+        const std::span<GreedyCandidate> slice =
+            dest.subspan(slice_start[s], slice_start[s + 1] - slice_start[s]);
+        // A slice of one weight enumerated in (u, v) order is done already.
+        if (!std::is_sorted(slice.begin(), slice.end(), tie_less)) sorter.sort(slice);
+    }
+}
+
+}  // namespace
 
 void CandidateSource::seed(Graph&) {}
 
@@ -44,35 +144,31 @@ void MetricCandidateSource::append_sorted_pairs(std::vector<GreedyCandidate>& ou
     const std::size_t n = m_.size();
     if (n < 2) return;
     const std::size_t base = out.size();
-    out.reserve(base + n * (n - 1) / 2);
-    const auto* e2 = dynamic_cast<const EuclideanMetric*>(&m_);
-    if (e2 != nullptr && e2->dim() == 2) {
-        // 2D Euclidean all-pairs: row i's weights d(i, i+1..n-1) in one
-        // batched kernel sweep instead of n - i - 1 virtual calls. The
-        // kernel is bit-exact against the scalar path, so the candidate
-        // list (weights and tie order) is unchanged.
-        std::vector<VertexId> ids(n);
-        for (VertexId j = 0; j < n; ++j) ids[j] = j;
-        std::vector<Weight> row(n);
-        for (VertexId i = 0; i + 1 < n; ++i) {
-            const std::span<const VertexId> tail(ids.data() + i + 1, n - i - 1);
-            e2->distances_from(i, tail, row.data(), *simd_);
-            for (std::size_t j = 0; j < tail.size(); ++j) {
-                out.push_back(GreedyCandidate{i, tail[j], row[j]});
-            }
-        }
-    } else {
-        for (VertexId i = 0; i < n; ++i) {
-            for (VertexId j = i + 1; j < n; ++j) {
-                out.push_back(GreedyCandidate{i, j, m_.distance(i, j)});
-            }
-        }
+    out.resize(base + n * (n - 1) / 2);
+    // Every pass enumerates the pairs row by row, (u, v) ascending. A
+    // Euclidean row's weights d(i, i+1..n-1) come from one batched kernel
+    // sweep instead of n - i - 1 virtual calls; the kernel is bit-exact
+    // against the scalar path, so the weights are the metric's own.
+    const auto* euclidean = dynamic_cast<const EuclideanMetric*>(&m_);
+    std::vector<VertexId> ids;
+    std::vector<Weight> row;
+    if (euclidean != nullptr) {
+        ids.resize(n);
+        std::iota(ids.begin(), ids.end(), VertexId{0});
+        row.resize(n);
     }
-    // The metric kernel's deterministic tie order: (weight, u, v).
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-              [](const GreedyCandidate& a, const GreedyCandidate& b) {
-                  return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
-              });
+    const auto visit = [&](auto&& fn) {
+        for (VertexId i = 0; i + 1 < n; ++i) {
+            if (euclidean != nullptr) {
+                const std::span<const VertexId> tail(ids.data() + i + 1, n - i - 1);
+                euclidean->distances_from(i, tail, row.data(), *simd_);
+                for (std::size_t k = 0; k < tail.size(); ++k) fn(i, tail[k], row[k]);
+            } else {
+                for (VertexId j = i + 1; j < n; ++j) fn(i, j, m_.distance(i, j));
+            }
+        }
+    };
+    place_by_weight(std::span<GreedyCandidate>(out).subspan(base), visit);
 }
 
 void MetricCandidateSource::configure_engine(GreedyEngineOptions& options) {
@@ -113,12 +209,13 @@ namespace {
 /// permutation (12 bytes per pair -- half the materialized candidate), and
 /// partitions the pairs into geometric weight classes [wpos * 2^(c-1),
 /// wpos * 2^c) by recomputing each weight on the fly (two counting
-/// passes). Serving materializes one class at a time into a scratch
-/// vector, sorts it by the source's (weight, u, v) tie rule, and hands out
-/// soft_cap-sized slices. Because the class of a candidate is a monotone
-/// function of its weight and equal weights always share a class, the
-/// concatenation of per-class sorts is exactly the global (weight, u, v)
-/// sort of all representative pairs.
+/// passes). Serving places one class at a time into a scratch vector in
+/// the source's (weight, u, v) tie order (place_by_weight: the sort
+/// scratch is one weight slice of the class, never the class), and hands
+/// out soft_cap-sized slices. Because the class of a candidate is a
+/// monotone function of its weight and equal weights always share a
+/// class, the concatenation of per-class sorts is exactly the global
+/// (weight, u, v) sort of all representative pairs.
 class WspdChunkSource final : public CandidateChunkSource {
 public:
     WspdChunkSource(const EuclideanMetric& m, double separation) : m_(m) {
@@ -176,22 +273,18 @@ public:
     bool next_chunk(std::size_t soft_cap, std::vector<GreedyCandidate>& out) override {
         while (served_ >= scratch_.size()) {
             if (class_start_.empty() || next_class_ + 1 >= class_start_.size()) return false;
-            scratch_.clear();
             served_ = 0;
             const std::uint32_t begin = class_start_[next_class_];
             const std::uint32_t end = class_start_[next_class_ + 1];
             ++next_class_;
-            scratch_.reserve(end - begin);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const VertexId u = us_[order_[k]];
-                const VertexId v = vs_[order_[k]];
-                scratch_.push_back(GreedyCandidate{u, v, m_.distance(u, v)});
-            }
-            std::sort(scratch_.begin(), scratch_.end(),
-                      [](const GreedyCandidate& a, const GreedyCandidate& b) {
-                          return std::tie(a.weight, a.u, a.v) <
-                                 std::tie(b.weight, b.u, b.v);
-                      });
+            scratch_.resize(end - begin);
+            place_by_weight(scratch_, [&](auto&& fn) {
+                for (std::uint32_t k = begin; k < end; ++k) {
+                    const VertexId u = us_[order_[k]];
+                    const VertexId v = vs_[order_[k]];
+                    fn(u, v, m_.distance(u, v));
+                }
+            });
         }
         const std::size_t take =
             std::min(std::max<std::size_t>(soft_cap, 1), scratch_.size() - served_);
@@ -314,16 +407,12 @@ void BaseSpannerCandidateSource::append_sorted_heavy_edges(
     // The simulated candidates: G' minus E0, in the simulation's
     // historical tie order (weight, u, v) over raw endpoints.
     const std::size_t base = out.size();
-    out.reserve(base + base_.num_edges() - light_.size());
-    for (const Edge& e : base_.edges()) {
-        if (e.weight > light_threshold_) {
-            out.push_back(GreedyCandidate{e.u, e.v, e.weight});
+    out.resize(base + base_.num_edges() - light_.size());
+    place_by_weight(std::span<GreedyCandidate>(out).subspan(base), [&](auto&& fn) {
+        for (const Edge& e : base_.edges()) {
+            if (e.weight > light_threshold_) fn(e.u, e.v, e.weight);
         }
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-              [](const GreedyCandidate& a, const GreedyCandidate& b) {
-                  return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
-              });
+    });
 }
 
 void BaseSpannerCandidateSource::seed(Graph& h) {
@@ -362,9 +451,6 @@ ApproxGreedyResult approx_greedy_build(SpannerSession& session, const MetricSpac
     result.spanner = session.build(source, options, &local_report);
     local_report.algorithm = "greedy-approx";
     result.buckets = local_report.stats.buckets;
-    // Every simulated candidate is decided by the exact kernel (cached
-    // witnesses included).
-    result.exact_queries = local_report.stats.edges_examined;
     result.seconds_total = total_timer.seconds();
     if (report != nullptr) *report = local_report;
     return result;

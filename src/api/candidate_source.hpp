@@ -45,7 +45,7 @@ class SpannerSession;
 
 /// How a source's chunks() generator produces the candidate sequence.
 enum class ChunkSupport {
-    kWholeList,  ///< sorts the full list, handed over as one chunk
+    kWholeList,  ///< orders the full list, handed over as one chunk
     kStreaming   ///< generates incrementally with sub-full-list peak memory
 };
 
@@ -109,7 +109,14 @@ private:
 };
 
 /// All n(n-1)/2 pairs of a metric space, ordered by (weight, u, v) -- the
-/// tie rule the metric kernel always used.
+/// tie rule the metric kernel always used. The list is placed, not
+/// comparison-sorted: three passes over the rows (a Euclidean row's
+/// weights in one batched kernel call) find the range of the weight key,
+/// histogram it into at most 2^16 fine bins (fewer for a short list)
+/// packed into slices of a few thousand candidates, and write every pair
+/// straight into its slice of the caller's buffer; each slice is then
+/// radix-sorted on its own. Beside the list itself, the scratch is the
+/// bin table, one row and one slice.
 class MetricCandidateSource final : public CandidateSource {
 public:
     explicit MetricCandidateSource(const MetricSpace& m) : m_(m) {}
@@ -124,7 +131,7 @@ private:
 
     const MetricSpace& m_;
     /// Kernel table for the batched candidate-weight evaluation (2D
-    /// Euclidean inputs); configure_engine pins it to the run's resolved
+    /// Euclidean rows); configure_engine pins it to the run's resolved
     /// backend so a kScalar build stays scalar end to end. The kernels are
     /// bit-exact, so the weights (and the tie order built on them) are
     /// identical either way.
@@ -138,8 +145,10 @@ private:
 
 /// One candidate per well-separated pair of a Euclidean point set: the
 /// dumbbell's representative pair, at its exact metric distance, ordered
-/// by (weight, u, v). Greedy over these n * s^O(d) candidates with engine
-/// stretch t yields a spanner of the *whole* metric with stretch at most
+/// by (weight, u, v) -- each weight class placed into slices and sorted
+/// slice by slice, as the metric source does with its whole list. Greedy
+/// over these n * s^O(d) candidates with engine stretch t yields a
+/// spanner of the *whole* metric with stretch at most
 /// wspd_greedy_stretch_bound(t, s) -- the standard dumbbell induction,
 /// with the single WSPD edge replaced by a t-path between the
 /// representatives.
@@ -173,8 +182,8 @@ private:
 /// The §5 simulation as a candidate source: builds the base spanner G'
 /// (theta graph for 2D Euclidean inputs, net-tree spanner otherwise) in
 /// the constructor, seeds the light E0 edges, streams the remaining edges
-/// of G' ordered by (weight, u, v), and overrides the engine stretch with
-/// t_sim.
+/// of G' ordered by (weight, u, v) (placed into weight slices, as the
+/// metric source does), and overrides the engine stretch with t_sim.
 class BaseSpannerCandidateSource final : public CandidateSource {
 public:
     BaseSpannerCandidateSource(const MetricSpace& m, const BuildOptions& options);

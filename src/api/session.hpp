@@ -58,10 +58,6 @@ public:
     GSP_SERIAL_ONLY Graph build(CandidateSource& source, const BuildOptions& options,
                                 BuildReport* report = nullptr);
 
-    /// The shared resource arena (pools, workspaces, per-bucket scratch)
-    /// -- what the engine borrows each build.
-    [[nodiscard]] EngineResources& resources() { return resources_; }
-
     /// The per-worker workspace pool (analysis/audit and spanners/reroute
     /// take it directly via their pool overloads).
     [[nodiscard]] DijkstraWorkspacePool& workspace_pool() {

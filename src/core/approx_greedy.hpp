@@ -64,7 +64,6 @@ struct ApproxGreedyResult {
     Graph base;                 ///< the base spanner G'
     std::size_t light_edges = 0;    ///< |E0|
     std::size_t buckets = 0;        ///< number of weight buckets processed
-    std::size_t exact_queries = 0;  ///< candidates the engine decided (edges_examined)
     double t_base = 0.0;            ///< stretch budget given to G'
     double t_sim = 0.0;             ///< stretch used by the greedy simulation
     double seconds_base = 0.0;      ///< wall-clock: base construction

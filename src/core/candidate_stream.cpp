@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/timer.hpp"
+
 namespace gsp {
 
 bool CandidateStream::refill() {
     if (exhausted_) return false;
     base_ = cursor_;
     buffer_->clear();
-    if (!source_->next_chunk(soft_cap_, *buffer_) || buffer_->empty()) {
+    const Timer pull_timer;
+    const bool pulled = source_->next_chunk(soft_cap_, *buffer_);
+    pull_seconds_ += pull_timer.seconds();
+    if (!pulled || buffer_->empty()) {
         exhausted_ = true;
         return false;
     }

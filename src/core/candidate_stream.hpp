@@ -135,6 +135,10 @@ public:
     /// builds left in a warm session's buffer).
     [[nodiscard]] std::size_t peak_buffer_bytes() const { return peak_bytes_; }
 
+    /// Wall time spent inside the source's next_chunk so far, timed once
+    /// per chunk pull. A clock reading: reported, never decided on.
+    [[nodiscard]] double pull_seconds() const { return pull_seconds_; }
+
 private:
     bool refill();
 
@@ -148,6 +152,7 @@ private:
     bool have_last_ = false;
     std::size_t streamed_ = 0;
     std::size_t peak_bytes_ = 0;
+    double pull_seconds_ = 0.0;
 };
 
 /// A bucket's candidates grouped by a per-candidate *anchor* endpoint,

@@ -33,6 +33,9 @@ struct GreedyStats {
     std::size_t dijkstra_runs = 0;   ///< distance/ball queries actually executed
     double seconds = 0.0;            ///< wall-clock time of the run (candidate
                                      ///< generation included)
+    double pull_seconds = 0.0;       ///< the part of `seconds` spent inside the
+                                     ///< source's next_chunk (timed once per
+                                     ///< chunk; no decision reads it)
 
     // GreedyEngine counters (zero when the matching optimisation is off).
     std::size_t balls_computed = 0;       ///< serial cell balls and group probes grown

@@ -117,6 +117,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h, CandidateChunkSource& source,
         out = run_impl(adapter, std::move(h), feed, local);
     }
     local.seconds = timer.seconds();
+    local.pull_seconds = feed.pull_seconds();
     if (stats != nullptr) *stats = local;
     return out;
 }

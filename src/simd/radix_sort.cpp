@@ -26,20 +26,6 @@ constexpr unsigned kMaxDigits = 64 / kDigitBits;
 /// larger ones are first split by their leading digit.
 constexpr std::size_t kLsdMax = 16384;
 
-/// Order-preserving uint64 image of a NaN-free double (sign-magnitude to
-/// biased two's-complement); -0.0 canonicalized to +0.0 first so
-/// comparator-equal weights share one key.
-std::uint64_t weight_key(double w) {
-    if (w == 0.0) w = 0.0;  // +0.0 and -0.0 collapse to +0.0's bits
-    std::uint64_t bits = std::bit_cast<std::uint64_t>(w);
-    if (bits >> 63) {
-        bits = ~bits;  // negatives: reverse payload order, below positives
-    } else {
-        bits |= std::uint64_t{1} << 63;  // nonnegatives: above negatives
-    }
-    return bits;
-}
-
 bool tie_less(const GreedyCandidate& a, const GreedyCandidate& b) {
     return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
 }

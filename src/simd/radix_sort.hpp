@@ -37,6 +37,7 @@
 // distances), so step 2 is usually one linear scan with no swaps.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -45,6 +46,20 @@
 #include "util/annotations.hpp"
 
 namespace gsp::simd {
+
+/// Order-preserving uint64 image of a NaN-free double (sign-magnitude to
+/// biased two's-complement); -0.0 canonicalized to +0.0 first so
+/// comparator-equal weights share one key.
+[[nodiscard]] inline std::uint64_t weight_key(double w) {
+    if (w == 0.0) w = 0.0;  // +0.0 and -0.0 collapse to +0.0's bits
+    std::uint64_t bits = std::bit_cast<std::uint64_t>(w);
+    if (bits >> 63) {
+        bits = ~bits;  // negatives: reverse payload order, below positives
+    } else {
+        bits |= std::uint64_t{1} << 63;  // nonnegatives: above negatives
+    }
+    return bits;
+}
 
 /// Reusable sorter (the ping-pong buffer and the digit histograms persist
 /// across calls; the grid stream finalizes one window per call). Scratch

@@ -249,7 +249,7 @@ TEST(BuildReportTest, JsonCarriesTheWholeReport) {
     for (const char* key :
          {"\"algorithm\": \"greedy\"", "\"source\": \"graph-edges\"", "\"vertices\"",
           "\"candidates\"", "\"edges\"", "\"weight\"", "\"max_degree\"", "\"seconds\"",
-          "\"pools_constructed\"", "\"workspaces_constructed\"", "\"stats\"",
+          "\"pull_seconds\"", "\"pools_constructed\"", "\"workspaces_constructed\"", "\"stats\"",
           "\"edges_examined\"", "\"snapshot_accepts\""}) {
         EXPECT_NE(json.find(key), std::string::npos) << key << " missing in " << json;
     }
@@ -258,6 +258,19 @@ TEST(BuildReportTest, JsonCarriesTheWholeReport) {
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
+}
+
+TEST(BuildReportTest, PullSecondsIsThePartOfTheRunSpentInTheSource) {
+    Rng rng(10);
+    const EuclideanMetric pts = uniform_points(300, 2, 100.0, rng);
+    SpannerSession session;
+    BuildOptions options;
+    options.stretch = 1.5;
+    MetricCandidateSource source(pts);
+    BuildReport report;
+    (void)session.build(source, options, &report);
+    EXPECT_GT(report.stats.pull_seconds, 0.0);
+    EXPECT_LE(report.stats.pull_seconds, report.stats.seconds);
 }
 
 TEST(WspdSourceTest, StretchStaysUnderTheDumbbellBound) {

@@ -131,9 +131,14 @@ TEST(ApproxGreedyTest, TrivialInputs) {
 TEST(ApproxGreedyTest, StatsAreCoherent) {
     Rng rng(19);
     const EuclideanMetric pts = uniform_points(200, 2, 100.0, rng);
-    const ApproxGreedyResult r = approx_greedy_spanner(pts, 0.5);
+    SpannerSession session;
+    BuildOptions options;
+    options.approx.epsilon = 0.5;
+    BuildReport report;
+    const ApproxGreedyResult r = approx_greedy_build(session, pts, options, &report);
     EXPECT_GT(r.buckets, 0u);
-    EXPECT_EQ(r.exact_queries + r.light_edges, r.base.num_edges());
+    // The engine decides every base edge that is not seeded into E0.
+    EXPECT_EQ(report.stats.edges_examined + r.light_edges, r.base.num_edges());
     EXPECT_GE(r.seconds_total, r.seconds_base);
     EXPECT_NEAR(r.t_base * r.t_sim, 1.5, 1e-12);
 }
