@@ -2,15 +2,17 @@
 // is built from: limited Dijkstra (one- and two-sided), CSR snapshots, MST,
 // net hierarchy, quadtree, WSPD, theta graph, greedy engine configurations.
 //
-// main() additionally runs a small greedy-kernel sweep and writes the
-// BENCH_greedy.json artifact before the registered benchmarks execute, so
-// CI can smoke-validate the schema cheaply:
-//   ./bench_micro --benchmark_filter='^$'   # JSON only, no benchmarks
+// main() first prints the priority-queue ablation (d-ary heaps vs the
+// bucket queue on bounded probes), then runs the registered benchmarks:
+//   ./bench_micro --benchmark_filter='^$'   # queue ablation only
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
 #include <iostream>
-
-#include "greedy_kernel_bench.hpp"
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "api/candidate_source.hpp"
 #include "api/session.hpp"
@@ -295,84 +297,9 @@ void queue_ablation_section() {
               << "\n\n";
 }
 
-/// The v8 SIMD kernel ablation: each vector kernel (and the radix chunk
-/// sort) against its scalar arm on identical inputs, outputs asserted
-/// identical before any timing is quoted. Printed as a table here and
-/// recorded as the "simd_probe" object of BENCH_greedy.json, where the
-/// validator enforces the 1.3x floor on at least two kernels whenever
-/// dispatch selected a vector backend.
-benchutil::SimdProbeResult simd_ablation_section() {
-    const auto probe = benchutil::run_simd_probe();
-    std::cout << "== SIMD kernel ablation: scalar vs dispatched (" << probe.backend
-              << ") ==\n";
-    gsp::Table table({"kernel", "scalar (s)", "simd (s)", "speedup", "outputs"});
-    const auto row = [&](const char* name, const benchutil::SimdKernelAblation& a) {
-        table.add_row({name, gsp::fmt(a.scalar_seconds, 4), gsp::fmt(a.simd_seconds, 4),
-                       gsp::fmt_ratio(a.speedup),
-                       a.outputs_identical ? "identical" : "MISMATCHED"});
-    };
-    row("far_sweep", probe.far_sweep);
-    row("distance_batch", probe.distance_batch);
-    row("radix_sort (vs stable_sort)", probe.radix_sort);
-    table.print(std::cout);
-    std::cout << "\n";
-    return probe;
-}
-
-/// Quick kernel sweep + session-reuse probe + the reduced linear-space
-/// memory probe + BENCH_greedy.json, sized for a CI smoke run. Including
-/// the session probe here means every PR's smoke job counter-verifies the
-/// warm-start contract (the validator fails on any warm pool / workspace
-/// construction); including the n = 10^5 memory probe (GSP_MEM_PROBE_N
-/// overrides) means every PR certifies the chunked pipeline's linear RSS
-/// budget before the full 10^6 history run on main.
-void write_smoke_json() {
-    Rng rng(42);
-    const std::size_t n = 512;
-    const Graph g = random_graph_nm(n, 8 * n, {.lo = 1.0, .hi = 2.0}, rng);
-    const double t = 2.0;
-    const auto runs = benchutil::run_kernel_sweep(g, t);
-    const auto session_probe = benchutil::run_session_probe(n, t, 2, 4);
-    const auto mem_probe = benchutil::run_mem_probe(benchutil::mem_probe_n(100'000));
-    const auto time_probe = benchutil::run_time_probe(benchutil::time_probe_n(100'000));
-    const auto simd_probe = simd_ablation_section();
-    const std::string path = benchutil::bench_json_path();
-    benchutil::write_bench_greedy_json(path, "bench_micro", "random_nm", n,
-                                       g.num_edges(), t, runs, mem_probe, time_probe,
-                                       &session_probe, nullptr, nullptr, &simd_probe);
-    bool all_match = true;
-    for (const auto& r : runs) all_match = all_match && r.matches_naive;
-    std::size_t mem_high_kb = 0;
-    for (const auto& inst : mem_probe.instances) {
-        mem_high_kb = std::max(mem_high_kb,
-                               inst.rss_after_kb - mem_probe.rss_before_kb);
-    }
-    std::cout << "wrote " << path << " (smoke sweep, n=" << n
-              << ", edge sets " << (all_match ? "identical" : "MISMATCHED")
-              << ", warm session constructions "
-              << session_probe.warm_pool_constructions << "/"
-              << session_probe.warm_workspace_constructions
-              << "; mem probe n=" << mem_probe.n << " rss +" << mem_high_kb
-              << " KiB of " << mem_probe.rss_budget_kb << " KiB budget, "
-              << (mem_probe.within_budget ? "within budget" : "OVER BUDGET")
-              << "; time probe n=" << time_probe.n << " "
-              << time_probe.us_per_candidate << " us/candidate, cell-ball share "
-              << time_probe.cell_ball_share << "; simd probe " << simd_probe.backend << " far-sweep "
-              << simd_probe.far_sweep.speedup << "x / dist "
-              << simd_probe.distance_batch.speedup << "x / radix "
-              << simd_probe.radix_sort.speedup << "x, outputs "
-              << (simd_probe.far_sweep.outputs_identical &&
-                          simd_probe.distance_batch.outputs_identical &&
-                          simd_probe.radix_sort.outputs_identical
-                      ? "identical"
-                      : "MISMATCHED")
-              << ")\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-    write_smoke_json();
     queue_ablation_section();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

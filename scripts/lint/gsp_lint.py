@@ -23,7 +23,7 @@ Checks
                        an explicit suppression arguing commutativity.
   gsp-no-fma           std::fma / FMA intrinsics are banned under src/simd/
                        and inside GSP_DECISION_PURE functions: a contracted
-                       arm breaks kForced == kScalar bit-identity.
+                       arm breaks kAuto == kScalar bit-identity.
 
 Suppressions
 ------------
@@ -456,7 +456,7 @@ def check_no_fma(functions, sources) -> list[Finding]:
                 line = src.line_of(m.start())
                 out.append(Finding(src.path, line, "gsp-no-fma",
                                    f"{why} under src/simd/ (kernels must stay "
-                                   "mul-then-add for kForced==kScalar bit-identity)",
+                                   "mul-then-add for kAuto==kScalar bit-identity)",
                                    src.line_text(line)))
     return out
 

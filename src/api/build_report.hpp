@@ -5,8 +5,8 @@
 // facts every experiment wants (size, weight, max degree), wall-clock
 // split into total vs resource setup, and the session warm-start counters
 // that certify a warm build paid zero thread-pool / workspace
-// construction. One JSON serializer, shared with the BENCH_greedy.json
-// emitters through append_greedy_stats.
+// construction. One JSON serializer; append_greedy_stats writes the
+// counter block on its own for callers that fingerprint a build.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +32,9 @@ struct BuildReport {
     std::size_t max_degree = 0;
 
     // Timing and the session warm-start certificate: on a warm
-    // SpannerSession both construction counters are zero -- the
-    // session-reuse bench probe (BENCH_greedy.json v4) tracks exactly
-    // these fields.
+    // SpannerSession both construction counters are zero --
+    // SpannerSessionTest and perfbench's checker assert exactly these
+    // fields.
     double seconds = 0.0;        ///< whole build() call (candidates + run)
     double setup_seconds = 0.0;  ///< engine construction / pool acquisition
     std::size_t pools_constructed = 0;       ///< thread pools built by this call
@@ -42,9 +42,8 @@ struct BuildReport {
 
     /// The SIMD kernel backend the build's probes actually executed
     /// ("scalar", "sse4.2", "avx2"): the dispatch-resolved answer, not the
-    /// knob -- a kAuto run on AVX2 hardware records "avx2", and a bench
-    /// history row carries it so cross-backend timing comparisons are
-    /// refused rather than silently mixed.
+    /// knob -- a kAuto run on AVX2 hardware records "avx2", so a timing
+    /// always names the backend that produced it.
     std::string simd_backend;
 
     /// Process peak RSS (KiB) sampled when the build finished. The OS

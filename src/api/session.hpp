@@ -8,8 +8,7 @@
 // live for a single call; a request-serving process keeps one session per
 // serving thread, and every warm build() pays zero pool / workspace
 // construction (BuildReport::pools_constructed / workspaces_constructed
-// certify it; the session-reuse bench probe tracks it in
-// BENCH_greedy.json v4).
+// certify it; SpannerSessionTest and perfbench's checker assert it).
 //
 // Reuse never changes results: every run's decisions *and stats* are a
 // pure function of (candidates, options) -- a session reused across

@@ -71,15 +71,13 @@ struct EngineTuning {
     /// batched relaxation in BatchedProbe, batched 2D distance
     /// evaluation, radix chunk finalization). kAuto runtime-
     /// dispatches to the widest instruction set the CPU reports (AVX2 >
-    /// SSE4.2 > scalar); kScalar pins the pure-C++ reference; kForced pins
-    /// the widest vector table the build can express even where a future
-    /// heuristic might prefer scalar (degrading gracefully to scalar on
-    /// non-x86-64 builds). Decision preserving in the strongest sense the
+    /// SSE4.2 > scalar; scalar on non-x86-64 builds); kScalar pins the
+    /// pure-C++ reference. Decision preserving in the strongest sense the
     /// codebase uses: every kernel is bit-exact against its scalar
     /// reference (see src/simd/simd.hpp), so edges, verdicts, AND stats
     /// are identical across backends -- property-tested by
     /// simd_kernel_test.
-    enum class SimdBackend { kAuto, kScalar, kForced };
+    enum class SimdBackend { kAuto, kScalar };
     SimdBackend simd_backend = SimdBackend::kAuto;
 
     /// Optional goal-direction oracle for the engine's single-target point

@@ -21,8 +21,8 @@
 
 namespace gsp {
 
-/// Counters describing one greedy run (for the runtime experiments and the
-/// BENCH_greedy.json kernel-ablation artifact). Every counter except
+/// Counters describing one greedy run (for the runtime experiments,
+/// BuildReport and perfbench's layer metrics). Every counter except
 /// `seconds` is a pure function of (candidates, options): no decision
 /// reads a clock, and stage-2 work is decided per whole-bucket source
 /// group against the bucket-start spanner, so a parallel build reports
@@ -81,8 +81,7 @@ struct GreedyStats {
 
     /// Peak resident bytes of the stage-2 -> stage-3 handoff (one state
     /// byte per candidate of the bucket + one packed far bit in parallel
-    /// runs); the bytes-per-candidate numerator tracked in
-    /// BENCH_greedy.json.
+    /// runs); perfbench reports it as engine.handoff_peak_mb.
     std::size_t handoff_peak_bytes = 0;
 
     // Candidate-memory counters (the chunk stream). For a whole-list

@@ -15,8 +15,6 @@ const simd::Kernels& resolve_simd_kernels(EngineTuning::SimdBackend backend) {
     switch (backend) {
         case EngineTuning::SimdBackend::kScalar:
             return simd::scalar_kernels();
-        case EngineTuning::SimdBackend::kForced:
-            return simd::kernels_for(simd::detect());
         case EngineTuning::SimdBackend::kAuto:
             break;
     }

@@ -170,11 +170,9 @@ private:
 };
 
 /// The kernel table a run with the given SimdBackend knob executes:
-/// kScalar pins the reference table, kAuto and kForced both resolve to
-/// the widest table the CPU supports (kForced differs only in *intent* --
-/// it is the property-test knob asserting "I expect vector lanes", and
-/// degrades to scalar gracefully off x86-64). Resolved once per run;
-/// every probe and grid consumer is handed the same table.
+/// kScalar pins the reference table, kAuto resolves to the widest table
+/// the CPU supports (scalar off x86-64). Resolved once per run; every
+/// probe and grid consumer is handed the same table.
 [[nodiscard]] const simd::Kernels& resolve_simd_kernels(EngineTuning::SimdBackend backend);
 
 /// The candidate list of a graph input: all edges of g sorted by

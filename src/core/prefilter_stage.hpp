@@ -81,7 +81,7 @@ struct PrefilterContext {
     /// runtime-dispatched default). The engine resolves
     /// EngineTuning::SimdBackend once per run and threads the table here,
     /// so stage-2 workers pin exactly the backend the serial loop uses --
-    /// a kScalar/kForced property-test run never mixes backends. The
+    /// a kScalar/kAuto property-test run never mixes backends. The
     /// kernels are bit-exact across backends, so this (like every field
     /// above) cannot change a verdict.
     const simd::Kernels* simd = nullptr;

@@ -5,7 +5,7 @@
 // This file is compiled with -ffp-contract=off (project-wide on the gsp
 // library): the scalar reference's dx*dx + dy*dy must never be contracted
 // into an FMA, or the "bitwise equal to EuclideanMetric::distance"
-// contract -- and with it kScalar-vs-kForced bit-identity -- would break
+// contract -- and with it kScalar-vs-kAuto bit-identity -- would break
 // on FMA-capable -march settings.
 #include "simd/simd.hpp"
 

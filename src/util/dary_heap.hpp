@@ -5,8 +5,8 @@
 // height (fewer sift levels per pop) and keeps the four children of a node
 // in at most two cache lines, trading a slightly wider min-of-children scan
 // -- the standard win for decrease-key-free Dijkstra workloads where pushes
-// outnumber pops and most sifts terminate early. bench_runtime's heap
-// section measures the 2-ary vs 4-ary delta on a replayed kernel workload.
+// outnumber pops and most sifts terminate early. bench_micro's queue
+// ablation measures the 2-, 4- and 8-ary layouts on bounded Dijkstra probes.
 #pragma once
 
 #include <algorithm>

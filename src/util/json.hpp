@@ -1,10 +1,9 @@
 // A minimal ordered JSON writer.
 //
-// The one serialization substrate every machine-readable artifact shares:
-// BuildReport::to_json (src/api/build_report) and the BENCH_greedy.json
-// emitters (bench/greedy_kernel_bench.hpp) all build their documents
-// through it, instead of each hand-rolling `out << "\"key\": "` streams
-// that drift apart. Deliberately tiny: objects, arrays, scalars, insertion
+// The serialization substrate behind BuildReport::to_json
+// (src/api/build_report) and the stats fingerprints the tests compare,
+// instead of each hand-rolling `out << "\"key\": "` streams that drift
+// apart. Deliberately tiny: objects, arrays, scalars, insertion
 // order preserved, no parsing, no dependencies.
 #pragma once
 

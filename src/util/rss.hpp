@@ -7,10 +7,8 @@
 // reporting both the running peak and the delta (a zero delta means the
 // phase fit inside memory some earlier phase already touched).
 //
-// Shared by BuildReport (peak RSS per build) and the bench harness (the
-// per-probe mem rows of BENCH_greedy.json v5); previously the bench read
-// it once at process exit, silently attributing the global maximum to
-// every row.
+// Shared by BuildReport (peak RSS per build), bench_linear_space (the
+// RSS delta of each probe instance) and perfbench (peak_rss_mb).
 #pragma once
 
 #include <cstddef>

@@ -3,14 +3,20 @@
 // must return exactly the same edge set as the naive kernel, on every
 // instance family -- that is the engine's core contract, and what lets
 // bench_ablation attribute speed differences purely to the optimisations.
+// NaiveKernelTest checks the naive kernel itself against a literal
+// Algorithm 1 that shares no engine code.
 #include "core/greedy_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <queue>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -139,6 +145,73 @@ TEST_P(EngineEquivalenceTest, EveryConfigurationMatchesTheNaiveKernel) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, EngineEquivalenceTest,
                          ::testing::Combine(::testing::Values(3u, 17u, 101u),
                                             ::testing::Values(1.1, 1.5, 2.0, 4.0)));
+
+/// Algorithm 1, literally, with no engine code: scan the edges by
+/// (w, min endpoint, max endpoint, id) and keep (u, v) iff a binary-heap
+/// Dijkstra from u over the spanner so far finds no path of length
+/// <= t * w.
+Graph literal_greedy(const Graph& g, double t) {
+    std::vector<EdgeId> order(g.num_edges());
+    std::iota(order.begin(), order.end(), EdgeId{0});
+    const auto key = [&g](EdgeId id) {
+        const Edge& e = g.edge(id);
+        return std::make_tuple(e.weight, std::min(e.u, e.v), std::max(e.u, e.v), id);
+    };
+    std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) { return key(a) < key(b); });
+    Graph h(g.num_vertices());
+    using Item = std::pair<Weight, VertexId>;
+    for (const EdgeId id : order) {
+        const Edge& e = g.edge(id);
+        std::vector<Weight> dist(g.num_vertices(), std::numeric_limits<Weight>::infinity());
+        std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+        dist[e.u] = 0.0;
+        heap.emplace(0.0, e.u);
+        while (!heap.empty()) {
+            const auto [d, x] = heap.top();
+            heap.pop();
+            if (d > dist[x]) continue;
+            if (x == e.v) break;
+            for (const HalfEdge& half : h.neighbors(x)) {
+                if (d + half.weight < dist[half.to]) {
+                    dist[half.to] = d + half.weight;
+                    heap.emplace(dist[half.to], half.to);
+                }
+            }
+        }
+        if (dist[e.v] > t * e.weight) h.add_edge(e.u, e.v, e.weight);
+    }
+    return h;
+}
+
+TEST(NaiveKernelTest, MatchesLiteralAlgorithmOneEdgeForEdge) {
+    // Every equivalence suite compares against EngineTuning::naive(); this
+    // checks naive() itself. Weights from a small set whose sums land on
+    // (or an ulp beside) other weights make exact and near ties common.
+    const std::vector<Weight> weights = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
+                                         0.7, 0.8, 0.9, 1.1, 1.3};
+    for (const double t : {1.0, 1.5, 2.0}) {
+        Rng rng(static_cast<std::uint64_t>(t * 1000));
+        for (int instance = 0; instance < 100; ++instance) {
+            const std::size_t n = 40 + rng.index(40);
+            const Graph shape = random_graph_nm(n, 4 * n, {.lo = 1.0, .hi = 1.0}, rng);
+            Graph g(n);
+            for (const Edge& e : shape.edges()) {
+                g.add_edge(e.u, e.v, rng.pick(std::span<const Weight>(weights)));
+            }
+            SpannerSession session;
+            GraphCandidateSource source(g);
+            BuildOptions options;
+            options.stretch = t;
+            options.engine = EngineTuning::naive();
+            const Graph naive = session.build(source, options);
+            const Graph want = literal_greedy(g, t);
+            ASSERT_EQ(naive.num_edges(), want.num_edges()) << "t=" << t << " #" << instance;
+            for (EdgeId id = 0; id < want.num_edges(); ++id) {
+                ASSERT_EQ(naive.edge(id), want.edge(id)) << "t=" << t << " #" << instance;
+            }
+        }
+    }
+}
 
 TEST(GreedyEngineTest, DeterministicAcrossRuns) {
     Rng rng(9);

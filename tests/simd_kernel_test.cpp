@@ -9,10 +9,11 @@
 // std::stable_sort byte for byte (memcmp), including tie-heavy and
 // signed-zero weights.
 //
-// Pipeline level: a build with EngineTuning::SimdBackend::kForced must
-// return the same edge set AND the same decision counters -- the full
-// GreedyStats serialization -- as kScalar, across the sources
-// {graph, metric, wspd, grid} and thread counts {1, 2, 4, hardware}.
+// Pipeline level: a build with EngineTuning::SimdBackend::kAuto (the
+// dispatch-selected table) must return the same edge set AND the same
+// decision counters -- the full GreedyStats serialization -- as kScalar,
+// across the sources {graph, metric, wspd, grid} and thread counts
+// {1, 2, 4, hardware}.
 // That is the property the whole backend rests on: set_kernels only ever
 // trades nanoseconds.
 #include "simd/simd.hpp"
@@ -309,7 +310,7 @@ std::string stats_fingerprint(const GreedyStats& stats) {
     return w.str();
 }
 
-void check_forced_equals_scalar(
+void check_auto_equals_scalar(
     const std::function<std::unique_ptr<CandidateSource>()>& make_source,
     double stretch, const std::string& what) {
     BuildOptions scalar_opts;
@@ -326,13 +327,13 @@ void check_forced_equals_scalar(
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                       std::size_t{0}}) {
         const std::string label = what + " threads=" + std::to_string(threads);
-        BuildOptions forced = scalar_opts;
-        forced.engine.num_threads = threads;
-        forced.engine.simd_backend = EngineTuning::SimdBackend::kForced;
+        BuildOptions dispatched = scalar_opts;
+        dispatched.engine.num_threads = threads;
+        dispatched.engine.simd_backend = EngineTuning::SimdBackend::kAuto;
         const auto source = make_source();
         SpannerSession session;
         BuildReport report;
-        const Graph h = session.build(*source, forced, &report);
+        const Graph h = session.build(*source, dispatched, &report);
         EXPECT_TRUE(same_edge_set(h, reference)) << label;
         EXPECT_EQ(report.edges, scalar_report.edges) << label;
         EXPECT_EQ(report.weight, scalar_report.weight) << label;
@@ -364,28 +365,28 @@ class SimdBackendEquivalenceTest : public ::testing::TestWithParam<std::uint64_t
 TEST_P(SimdBackendEquivalenceTest, GraphEdges) {
     Rng rng(GetParam());
     const Graph g = erdos_renyi(150, 0.12, {.lo = 0.5, .hi = 3.0}, rng);
-    check_forced_equals_scalar([&] { return std::make_unique<GraphCandidateSource>(g); },
-                               1.8, "graph");
+    check_auto_equals_scalar([&] { return std::make_unique<GraphCandidateSource>(g); },
+                             1.8, "graph");
 }
 
 TEST_P(SimdBackendEquivalenceTest, MetricPairs) {
     Rng rng(GetParam() ^ 0xbeef);
     const EuclideanMetric pts = uniform_points(70, 2, 70.0, rng);
-    check_forced_equals_scalar(
+    check_auto_equals_scalar(
         [&] { return std::make_unique<MetricCandidateSource>(pts); }, 1.5, "metric");
 }
 
 TEST_P(SimdBackendEquivalenceTest, WspdPairs) {
     Rng rng(GetParam() ^ 0x2468);
     const EuclideanMetric pts = uniform_points(110, 2, 90.0, rng);
-    check_forced_equals_scalar(
+    check_auto_equals_scalar(
         [&] { return std::make_unique<WspdCandidateSource>(pts, 9.0); }, 1.5, "wspd");
 }
 
 TEST_P(SimdBackendEquivalenceTest, GridStream) {
     Rng rng(GetParam() ^ 0x1357);
     const EuclideanMetric pts = uniform_points(160, 2, 120.0, rng);
-    check_forced_equals_scalar(
+    check_auto_equals_scalar(
         [&] { return std::make_unique<GridCandidateSource>(pts, 9.0); }, 1.5, "grid");
 }
 
