@@ -166,12 +166,6 @@ int main(int argc, char** argv) {
     // One session for every build: warm pools, warm workspaces. The audit
     // path borrows the same workspace pool (no per-call allocation).
     SpannerSession session;
-    // What the probe kernels will actually run as (the dispatch-resolved
-    // answer for this machine; the per-build reports repeat it as
-    // "simd_backend" so saved JSON stays self-describing).
-    std::cout << "simd backend: "
-              << simd::backend_label(resolve_simd_kernels(options.engine.simd_backend))
-              << "\n";
     int failures = 0;
     for (const std::string& name : names) {
         const AlgorithmInfo* info = registry.find(name);

@@ -22,8 +22,10 @@ Checks
                        src/core/prefilter_stage.hpp; every other use needs
                        an explicit suppression arguing commutativity.
   gsp-no-fma           std::fma / FMA intrinsics are banned under src/simd/
-                       and inside GSP_DECISION_PURE functions: a contracted
-                       arm breaks kAuto == kScalar bit-identity.
+                       and inside GSP_DECISION_PURE functions: a fused
+                       multiply-add rounds once where
+                       EuclideanMetric::distance rounds twice, so batched
+                       distances would stop being bitwise equal to it.
 
 Suppressions
 ------------
@@ -456,7 +458,8 @@ def check_no_fma(functions, sources) -> list[Finding]:
                 line = src.line_of(m.start())
                 out.append(Finding(src.path, line, "gsp-no-fma",
                                    f"{why} under src/simd/ (kernels must stay "
-                                   "mul-then-add for kAuto==kScalar bit-identity)",
+                                   "mul-then-add, bitwise equal to "
+                                   "EuclideanMetric::distance)",
                                    src.line_text(line)))
     return out
 

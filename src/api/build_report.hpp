@@ -40,10 +40,8 @@ struct BuildReport {
     std::size_t pools_constructed = 0;       ///< thread pools built by this call
     std::size_t workspaces_constructed = 0;  ///< Dijkstra workspaces built by this call
 
-    /// The SIMD kernel backend the build's probes actually executed
-    /// ("scalar", "sse4.2", "avx2"): the dispatch-resolved answer, not the
-    /// knob -- a kAuto run on AVX2 hardware records "avx2", so a timing
-    /// always names the backend that produced it.
+    /// Kept for perfbench only, which records it: always "scalar" on an
+    /// engine build (the library has one kernel path), empty otherwise.
     std::string simd_backend;
 
     /// Process peak RSS (KiB) sampled when the build finished. The OS

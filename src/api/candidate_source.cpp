@@ -146,9 +146,9 @@ void MetricCandidateSource::append_sorted_pairs(std::vector<GreedyCandidate>& ou
     const std::size_t base = out.size();
     out.resize(base + n * (n - 1) / 2);
     // Every pass enumerates the pairs row by row, (u, v) ascending. A
-    // Euclidean row's weights d(i, i+1..n-1) come from one batched kernel
-    // sweep instead of n - i - 1 virtual calls; the kernel is bit-exact
-    // against the scalar path, so the weights are the metric's own.
+    // Euclidean row's weights d(i, i+1..n-1) come from one batched
+    // distances_from call instead of n - i - 1 virtual calls; it is bitwise
+    // distance(), so the weights are the metric's own.
     const auto* euclidean = dynamic_cast<const EuclideanMetric*>(&m_);
     std::vector<VertexId> ids;
     std::vector<Weight> row;
@@ -161,7 +161,7 @@ void MetricCandidateSource::append_sorted_pairs(std::vector<GreedyCandidate>& ou
         for (VertexId i = 0; i + 1 < n; ++i) {
             if (euclidean != nullptr) {
                 const std::span<const VertexId> tail(ids.data() + i + 1, n - i - 1);
-                euclidean->distances_from(i, tail, row.data(), *simd_);
+                euclidean->distances_from(i, tail, row.data());
                 for (std::size_t k = 0; k < tail.size(); ++k) fn(i, tail[k], row[k]);
             } else {
                 for (VertexId j = i + 1; j < n; ++j) fn(i, j, m_.distance(i, j));
@@ -169,18 +169,6 @@ void MetricCandidateSource::append_sorted_pairs(std::vector<GreedyCandidate>& ou
         }
     };
     place_by_weight(std::span<GreedyCandidate>(out).subspan(base), visit);
-}
-
-void MetricCandidateSource::configure_engine(GreedyEngineOptions& options) {
-    // Pin the candidate-weight batches to the run's resolved backend
-    // (configure_engine runs before chunks() in a session build).
-    simd_ = &resolve_simd_kernels(options.simd_backend);
-    // The metric would be a sound goal oracle here (edge weights are
-    // metric distances), but it does not pay on all-pairs streams,
-    // measured at n = 512..2048: `goal_bound` reroutes the point probes
-    // through one-sided A*, forfeiting the bidirectional two-sided
-    // harvest (~1.8x slower overall). It stays available as an explicit
-    // override.
 }
 
 WspdCandidateSource::WspdCandidateSource(const EuclideanMetric& m, double separation,

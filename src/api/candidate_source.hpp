@@ -111,12 +111,19 @@ private:
 /// All n(n-1)/2 pairs of a metric space, ordered by (weight, u, v) -- the
 /// tie rule the metric kernel always used. The list is placed, not
 /// comparison-sorted: three passes over the rows (a Euclidean row's
-/// weights in one batched kernel call) find the range of the weight key,
-/// histogram it into at most 2^16 fine bins (fewer for a short list)
-/// packed into slices of a few thousand candidates, and write every pair
-/// straight into its slice of the caller's buffer; each slice is then
-/// radix-sorted on its own. Beside the list itself, the scratch is the
-/// bin table, one row and one slice.
+/// weights in one batched distances_from call) find the range of the
+/// weight key, histogram it into at most 2^16 fine bins (fewer for a
+/// short list) packed into slices of a few thousand candidates, and write
+/// every pair straight into its slice of the caller's buffer; each slice
+/// is then radix-sorted on its own. Beside the list itself, the scratch is
+/// the bin table, one row and one slice.
+///
+/// The metric would be a sound goal oracle for the engine (edge weights
+/// are metric distances), but it does not pay on all-pairs streams,
+/// measured at n = 512..2048: `goal_bound` reroutes the point probes
+/// through one-sided A*, forfeiting the bidirectional two-sided harvest
+/// (~1.8x slower overall). So this source leaves the engine options alone;
+/// the oracle stays available as an explicit override.
 class MetricCandidateSource final : public CandidateSource {
 public:
     explicit MetricCandidateSource(const MetricSpace& m) : m_(m) {}
@@ -124,18 +131,11 @@ public:
     [[nodiscard]] const char* kind() const override { return "metric-pairs"; }
     [[nodiscard]] std::size_t num_vertices() const override { return m_.size(); }
     [[nodiscard]] std::unique_ptr<CandidateChunkSource> chunks() override;
-    void configure_engine(GreedyEngineOptions& options) override;
 
 private:
     void append_sorted_pairs(std::vector<GreedyCandidate>& out) const;
 
     const MetricSpace& m_;
-    /// Kernel table for the batched candidate-weight evaluation (2D
-    /// Euclidean rows); configure_engine pins it to the run's resolved
-    /// backend so a kScalar build stays scalar end to end. The kernels are
-    /// bit-exact, so the weights (and the tie order built on them) are
-    /// identical either way.
-    const simd::Kernels* simd_ = &simd::auto_kernels();
 };
 
 /// Stretch guarantee of greedy-over-WSPD-pairs: a t-path between the

@@ -46,14 +46,12 @@ void GridCandidateSource::configure_engine(GreedyEngineOptions& options) {
     // the pair's ellipse instead of a disc around one endpoint. The
     // source borrows the metric from the caller, who must keep it alive
     // through the build anyway -- the grid holds the same reference.
-    if (options.goal_bound == nullptr) {
+    // A run with `bidirectional` off asked for the blind one-sided sweep
+    // (EngineTuning::naive() does) and keeps it: A*'s f-key prune sums in
+    // another order and drops witnesses that tie t * w exactly.
+    if (options.goal_bound == nullptr && options.bidirectional) {
         options.goal_bound = &m_;
     }
-    // The grid's pair-distance batches run through the same kernel table
-    // the engine resolves for its probes, so one knob pins every consumer
-    // (the property tests rely on a kScalar build never touching a vector
-    // lane anywhere in the pipeline).
-    grid_.set_kernels(&resolve_simd_kernels(options.simd_backend));
 }
 
 }  // namespace gsp

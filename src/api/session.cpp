@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "api/candidate_source.hpp"
+#include "simd/dispatch.hpp"
 #include "util/rss.hpp"
 #include "util/timer.hpp"
 
@@ -54,9 +55,7 @@ GSP_SERIAL_ONLY Graph SpannerSession::build(CandidateSource& source,
         report->pools_constructed = resources_.pools_constructed() - pools_before;
         report->workspaces_constructed =
             resources_.workspaces_constructed() - workspaces_before;
-        // The dispatch-resolved answer, not the knob: what the probes ran.
-        report->simd_backend =
-            simd::backend_label(resolve_simd_kernels(engine.options().simd_backend));
+        report->simd_backend = simd::backend_name(simd::detect());
         report->peak_rss_kb = process_peak_rss_kb();
         report->stats = stats;
     }

@@ -1,6 +1,8 @@
 #include "core/candidate_stream.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "util/timer.hpp"
@@ -28,6 +30,13 @@ bool CandidateStream::refill() {
         }
         prev = c.weight;
         have_prev = true;
+    }
+    // The chunk is sorted, so its last weight gives its largest threshold.
+    if (!std::isfinite(stretch_ * prev)) {
+        std::ostringstream msg;
+        msg << "CandidateStream: stretch " << stretch_ << " times candidate weight " << prev
+            << " is not finite";
+        throw std::invalid_argument(msg.str());
     }
     last_weight_ = prev;
     have_last_ = true;

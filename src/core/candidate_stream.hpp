@@ -108,16 +108,19 @@ public:
     static constexpr std::size_t kMaxBucket = 0xffffffffu;
 
     /// `buffer` must outlive the stream; it is cleared and refilled on
-    /// every chunk pull. Requires soft_cap >= 1.
+    /// every chunk pull. Requires soft_cap >= 1. `stretch` is the run's t:
+    /// every threshold t * w must be finite, or an unreachable pair
+    /// (distance +inf) would be rejected.
     CandidateStream(CandidateChunkSource& source, std::vector<GreedyCandidate>& buffer,
-                    std::size_t soft_cap)
-        : source_(&source), buffer_(&buffer), soft_cap_(soft_cap) {}
+                    std::size_t soft_cap, double stretch)
+        : source_(&source), buffer_(&buffer), soft_cap_(soft_cap), stretch_(stretch) {}
 
     /// Produce the next bucket (stream-global candidate indices); false at
     /// end of stream. A bucket is [lo, 2 * lo]; with `widen` it is the
     /// rest of the resident chunk instead. Either way it holds at most
     /// kMaxBucket candidates. Throws std::invalid_argument if the source
-    /// violates the ordering contract.
+    /// violates the ordering contract, or if stretch * the heaviest weight
+    /// of a chunk is not finite.
     bool next(CandidateBucket& out, bool widen);
 
     /// The resident candidates of `bucket` (which must be the bucket most
@@ -145,6 +148,7 @@ private:
     CandidateChunkSource* source_;
     std::vector<GreedyCandidate>* buffer_;
     std::size_t soft_cap_;
+    double stretch_;
     std::size_t base_ = 0;    ///< global index of buffer_[0]
     std::size_t cursor_ = 0;  ///< global index of the next unconsumed candidate
     bool exhausted_ = false;

@@ -67,19 +67,6 @@ struct EngineTuning {
     enum class CellBatching { kAuto, kOn, kOff };
     CellBatching cell_batching = CellBatching::kAuto;
 
-    /// Vector kernel backend for the hot inner loops (the far sweep and
-    /// batched relaxation in BatchedProbe, batched 2D distance
-    /// evaluation, radix chunk finalization). kAuto runtime-
-    /// dispatches to the widest instruction set the CPU reports (AVX2 >
-    /// SSE4.2 > scalar; scalar on non-x86-64 builds); kScalar pins the
-    /// pure-C++ reference. Decision preserving in the strongest sense the
-    /// codebase uses: every kernel is bit-exact against its scalar
-    /// reference (see src/simd/simd.hpp), so edges, verdicts, AND stats
-    /// are identical across backends -- property-tested by
-    /// simd_kernel_test.
-    enum class SimdBackend { kAuto, kScalar };
-    SimdBackend simd_backend = SimdBackend::kAuto;
-
     /// Optional goal-direction oracle for the engine's single-target point
     /// probes (group probes stay plain bounded Dijkstra): when set, they
     /// run A* keyed by g + metric(v, target) instead of a blind

@@ -63,8 +63,9 @@ struct GreedyStats {
     std::size_t prefilter_gated_off = 0;  ///< always 0
 
     // Group-probe counters (zero when ball_sharing is off; with anchored
-    // cell-batched groups only stage 2 probes groups). All three are per-group facts of deterministic probes, so they are
-    // invariant across worker counts (the equivalence suite checks this).
+    // cell-batched groups only stage 2 probes groups). All three are
+    // per-group facts of deterministic probes, so they are invariant
+    // across worker counts (the equivalence suite checks this).
     std::size_t group_probes = 0;           ///< batched multi-target probes run
     std::size_t group_probe_decisions = 0;  ///< candidates those probes decided
     std::size_t group_probe_early_exits = 0;  ///< probes that stopped with frontier

@@ -1,6 +1,7 @@
 #include "core/greedy_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -10,16 +11,6 @@
 #include "util/timer.hpp"
 
 namespace gsp {
-
-const simd::Kernels& resolve_simd_kernels(EngineTuning::SimdBackend backend) {
-    switch (backend) {
-        case EngineTuning::SimdBackend::kScalar:
-            return simd::scalar_kernels();
-        case EngineTuning::SimdBackend::kAuto:
-            break;
-    }
-    return simd::auto_kernels();
-}
 
 namespace {
 
@@ -82,8 +73,10 @@ GreedyEngine::GreedyEngine(std::size_t n, GreedyEngineOptions options,
 }
 
 void GreedyEngine::init() {
-    if (!(options_.stretch >= 1.0)) {  // NaN-proof: NaN fails every comparison
-        throw std::invalid_argument("GreedyEngine: stretch must be >= 1");
+    // NaN-proof: NaN fails every comparison. An infinite stretch would
+    // reject unreachable pairs (inf <= inf) and return a non-spanner.
+    if (!(std::isfinite(options_.stretch) && options_.stretch >= 1.0)) {
+        throw std::invalid_argument("GreedyEngine: stretch must be finite and >= 1");
     }
     if (options_.chunk_soft_cap == 0) {
         throw std::invalid_argument("GreedyEngine: chunk_soft_cap must be >= 1");
@@ -105,7 +98,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h, CandidateChunkSource& source,
     // Sortedness is validated incrementally as chunks arrive (the stream
     // throws on a contract violation), including across chunk boundaries.
     GreedyStats local;
-    CandidateStream feed(source, buffer, options_.chunk_soft_cap);
+    CandidateStream feed(source, buffer, options_.chunk_soft_cap, options_.stretch);
     Graph out(0);
     if (options_.csr_snapshot) {
         IncrementalAdapter adapter;
@@ -159,14 +152,6 @@ GSP_DECISION_PURE GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter,
     const std::size_t meets_before = ws.meet_events() + ws_pool.total_meet_events();
     ws.resize(n_);
     if (parallel) ws_pool.configure(workers_, n_);
-
-    // Resolve the SIMD backend once and hand every consumer the same
-    // kernel table: the serial probe here and the stage-2 workers (via
-    // ctx.simd below). The tables are bit-exact replacements for each
-    // other, so this cannot change a decision -- only how fast the sweeps
-    // and relaxations run.
-    const simd::Kernels& simd_k = resolve_simd_kernels(options_.simd_backend);
-    ws.batched().set_kernels(&simd_k);
 
     if (track_state) {
         ball_bucket.assign(n_, 0);
@@ -307,7 +292,6 @@ GSP_DECISION_PURE GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter,
             ctx.bidirectional = options_.bidirectional;
             ctx.ball_scope = bucket_seq;
             ctx.snapshot_epoch = snapshot_epoch;
-            ctx.simd = &simd_k;
             prefilter_stage.run_bucket(*pool_, ws_pool, adapter.view(), ctx, state,
                                        ball_bucket, ball_epoch, ball_radius, stats);
         }

@@ -45,8 +45,8 @@
 // GreedyEngine either owns privately (the one-shot entry points) or borrows
 // from a SpannerSession (src/api/session) that keeps them warm across many
 // build() calls -- the request-serving path, where a warm build pays zero
-// pool/workspace construction (counter-verified by the session-reuse bench
-// probe).
+// pool/workspace construction (counter-verified by SpannerSessionTest and
+// perfbench's checker).
 #pragma once
 
 #include <cstddef>
@@ -168,12 +168,6 @@ private:
     EngineResources* res_;                    ///< owned or borrowed
     ThreadPool* pool_ = nullptr;              ///< stage-2 executor (workers_ > 1)
 };
-
-/// The kernel table a run with the given SimdBackend knob executes:
-/// kScalar pins the reference table, kAuto resolves to the widest table
-/// the CPU supports (scalar off x86-64). Resolved once per run; every
-/// probe and grid consumer is handed the same table.
-[[nodiscard]] const simd::Kernels& resolve_simd_kernels(EngineTuning::SimdBackend backend);
 
 /// The candidate list of a graph input: all edges of g sorted by
 /// (weight, min endpoint, max endpoint, edge id) -- the deterministic tie

@@ -1,5 +1,5 @@
 // The narrow seam between the prefilter and the batched group-probe
-// kernel (ROADMAP direction 4's accelerator slot).
+// kernel.
 //
 // Everything that crosses this boundary is plain-old-data in SoA form:
 //
@@ -9,8 +9,8 @@
 //   out: one of two verdicts per slot (far bit OR exact distance <=
 //        radius) and the completeness radius of the settled frontier.
 //
-// The contract an alternative backend must honor to slot in here is
-// exactly the verdict-bitset contract of core/prefilter_stage.hpp:
+// The kernel's contract is exactly the verdict-bitset contract of
+// core/prefilter_stage.hpp:
 //   * a returned distance is the length of a realizable path on the
 //     probed view (sound forever as a reject witness);
 //   * a far verdict certifies d(source, target) > radius ON THAT VIEW
@@ -21,9 +21,7 @@
 //     frontier publishable as a lazily revalidated ball.
 // Verdicts must be pure functions of (view, source, targets, radii):
 // the stage's determinism argument (schedule-independent edge sets and
-// decision stats) rests on it. Nothing in the contract requires a
-// sequential traversal -- a wavefront/GPU relaxation that returns exact
-// bounded distances satisfies it verbatim.
+// decision stats) rests on it.
 //
 // This class owns only the gather scratch (group member -> SoA slot);
 // the traversal state lives in the BatchedProbe the caller passes in

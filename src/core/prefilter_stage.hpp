@@ -77,14 +77,6 @@ struct PrefilterContext {
     /// whose states its harvest wrote.
     std::uint64_t ball_scope = 0;
     std::uint64_t snapshot_epoch = 0;
-    /// Vector kernel table for the group-probe traversals (null = the
-    /// runtime-dispatched default). The engine resolves
-    /// EngineTuning::SimdBackend once per run and threads the table here,
-    /// so stage-2 workers pin exactly the backend the serial loop uses --
-    /// a kScalar/kAuto property-test run never mixes backends. The
-    /// kernels are bit-exact across backends, so this (like every field
-    /// above) cannot change a verdict.
-    const simd::Kernels* simd = nullptr;
 };
 
 /// Owns the packed far bitset and per-worker counters. One instance per
@@ -232,7 +224,6 @@ GSP_HOT_PATH void PrefilterStage::process_group(
     // only the group's size, so it is schedule-free.
     if (grp.size() >= 2) {
         BatchedProbe& probe = ws.batched();
-        probe.set_kernels(ctx.simd);  // pin the run's resolved backend
         const auto is_undecided = [&](std::uint32_t local) {
             return state[local] != CandidateState::kWitnessed;
         };

@@ -45,7 +45,7 @@ Graph random_geometric(std::size_t n, double radius, Rng& rng,
 /// With radius a few multiples of spread, the candidate set is dominated
 /// by dense intra-cluster edges whose endpoints have many near-parallel
 /// alternatives of almost equal length -- the accept-heavy regime of the
-/// greedy at moderate stretch (the two-phase bench probe's instance).
+/// greedy at moderate stretch.
 Graph clustered_geometric(std::size_t n, std::size_t clusters, double extent,
                           double spread, double radius, Rng& rng,
                           bool ensure_connected = true);

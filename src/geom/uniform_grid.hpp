@@ -60,7 +60,6 @@
 #include "metric/euclidean.hpp"
 #include "simd/aligned.hpp"
 #include "simd/radix_sort.hpp"
-#include "simd/simd.hpp"
 
 namespace gsp {
 
@@ -99,14 +98,6 @@ public:
     /// Upper bound on any pairwise distance (the bounding-box diagonal).
     [[nodiscard]] double max_distance_bound() const { return dmax_; }
 
-    /// Vector kernel table for the batched candidate-weight evaluation of
-    /// the window scans (one distances2d call per 8 pairs, bitwise equal
-    /// to per-pair metric().distance); nullptr restores the runtime
-    /// default.
-    void set_kernels(const simd::Kernels* k) {
-        simd_ = k != nullptr ? k : &simd::auto_kernels();
-    }
-
     /// The candidate guaranteed to cover pair (i, j): the pair itself when
     /// near, otherwise its assigned level's representative pair. The
     /// emitted stream provably contains this exact (u, v, weight) triple
@@ -136,7 +127,6 @@ private:
     simd::AlignedVector<std::uint32_t> cell_start_;  ///< prefix per level-0 cell
     simd::AlignedVector<VertexId> near_ids_;
     simd::AlignedVector<double> near_x_, near_y_;
-    const simd::Kernels* simd_ = &simd::auto_kernels();
 };
 
 /// The pull-based generator over a grid: the planned window sweep

@@ -13,9 +13,8 @@
 //  * a target whose radius falls below the frontier's current minimum can
 //    never be reached in time -- it is decided *far* without ever being
 //    visited. Radii are kept sorted, so this check is one forward sweep
-//    of a cursor over a contiguous Weight array per pop (the
-//    SIMD-friendly bound-evaluation pass: amortized O(k) total, laid out
-//    for vector compare);
+//    of a cursor over a contiguous Weight array per pop (amortized O(k)
+//    total);
 //  * the relaxation limit is always the largest *undecided* radius, so
 //    the searched area shrinks as targets resolve, and the probe
 //    terminates the moment the last target is decided -- typically far
@@ -45,29 +44,18 @@
 // probe settled every vertex out to that radius (unsettled => farther),
 // which is what lets the engine revalidate a probe's far verdicts lazily
 // (its published ball).
-// The far sweep and the relaxation drain run through the vector kernel
-// table (src/simd/simd.hpp): the sweep is one lower-bound scan over the
-// contiguous radii array, and the drain computes a block of tentative
-// distances and a <= limit lane mask per kernel call (labels still
-// update in scalar iteration order). Every kernel is bit-exact against
-// its scalar reference, so verdicts, settles, work counters, and queue
-// contents are identical across backends -- set_kernels() only ever
-// trades nanoseconds.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "graph/types.hpp"
 #include "simd/aligned.hpp"
-#include "simd/simd.hpp"
 #include "util/annotations.hpp"
 #include "util/bucket_queue.hpp"
 
@@ -75,23 +63,13 @@ namespace gsp {
 
 class BatchedProbe {
 public:
-    /// Vector kernel table for the sweeps and drains; nullptr restores the
-    /// runtime-dispatched default. The table must outlive the probe's use
-    /// (the engine hands out pointers to the static per-backend tables).
-    void set_kernels(const simd::Kernels* k) {
-        simd_ = k != nullptr ? k : &simd::auto_kernels();
-    }
-
-    /// The table the next run will use (bench/report introspection).
-    [[nodiscard]] const simd::Kernels& kernels() const { return *simd_; }
-
     /// One traversal deciding every (source, targets[i]) pair against
     /// radii[i]. Radii must be nondecreasing (SourceGroups hands members
     /// out in bucket order, which is weight order -- the invariant is
     /// documented on SourceGroups); duplicate target vertices are fine
     /// (each slot is decided independently). The radii array is the far
-    /// sweep's vector operand, read in place (the caller keeps it alive
-    /// through the run). After run(): target_far(i) / target_bound(i)
+    /// sweep's operand, read in place (the caller keeps it alive through
+    /// the run). After run(): target_far(i) / target_bound(i)
     /// hold the verdicts, certified_radius() the radius out to which
     /// every vertex settled.
     template <class View>
@@ -157,9 +135,7 @@ public:
             // The batched bound evaluation: every undecided radius below
             // the frontier minimum is unreachable in time -- decide the
             // whole prefix far in one contiguous sweep.
-            for (const std::size_t stop =
-                     simd_->sweep_lower_bound(radii.data(), asc, k, d);
-                 asc < stop; ++asc) {
+            for (; asc < k && radii[asc] < d; ++asc) {
                 if (!decided_[asc]) {
                     decided_[asc] = 1;
                     far_[asc] = 1;
@@ -195,39 +171,14 @@ public:
                 limit = radii[top - 1];
             }
 
-            const auto relax_edge = [&](const HalfEdge& h, Weight nd) {
-                const bool fresh = stamp_[h.to] != current_;
-                if (fresh || nd < dist_[h.to]) {
+            for (const auto& h : view.neighbors(v)) {
+                const Weight nd = d + h.weight;
+                if (nd > limit) continue;
+                if (stamp_[h.to] != current_ || nd < dist_[h.to]) {
                     stamp_[h.to] = current_;
                     dist_[h.to] = nd;
                     queue_.push(nd, h.to);
                     ++work_;
-                }
-            };
-            const auto nbrs = view.neighbors(v);
-            if constexpr (std::is_convertible_v<decltype(nbrs),
-                                                std::span<const HalfEdge>>) {
-                // The batched drain: one kernel call computes a block of
-                // tentative distances and the <= limit lane mask; labels
-                // and queue pushes then replay in scalar iteration order,
-                // so the traversal is bitwise the per-edge loop's.
-                const std::span<const HalfEdge> edges(nbrs);
-                std::size_t i = 0;
-                while (i < edges.size()) {
-                    const std::size_t blk =
-                        std::min<std::size_t>(edges.size() - i, simd::kMaxLanes);
-                    const std::uint32_t mask = simd_->relax_lanes(
-                        edges.data() + i, blk, d, limit, nd_buf_.data());
-                    for (std::size_t j = 0; j < blk; ++j) {
-                        if ((mask >> j) & 1u) relax_edge(edges[i + j], nd_buf_[j]);
-                    }
-                    i += blk;
-                }
-            } else {
-                for (const auto& h : nbrs) {
-                    const Weight nd = d + h.weight;
-                    if (nd > limit) continue;
-                    relax_edge(h, nd);
                 }
             }
         }
@@ -281,8 +232,8 @@ private:
     }
 
     // SoA label state, epoch-stamped for O(touched) resets; cache-line
-    // aligned so vector sweeps never split their first load and the
-    // arrays never false-share with neighboring allocations.
+    // aligned so the arrays never false-share with neighboring
+    // allocations.
     simd::AlignedVector<Weight> dist_;
     simd::AlignedVector<std::uint64_t> stamp_;
     // Per-vertex target registration (stamped) + per-slot chain links.
@@ -296,8 +247,6 @@ private:
 
     std::uint64_t current_ = 0;
     BucketQueue queue_;
-    std::array<Weight, simd::kMaxLanes> nd_buf_{};  ///< batched tentative dists
-    const simd::Kernels* simd_ = &simd::auto_kernels();
     Weight certified_radius_ = 0.0;
     bool early_exit_ = false;
     std::size_t work_ = 0;

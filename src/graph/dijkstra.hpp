@@ -196,8 +196,8 @@ public:
 
     /// Workspaces constructed over this pool's lifetime. configure() only
     /// ever grows the pool, so on a warm pool (a SpannerSession reused
-    /// across builds) this stays flat -- the counter the session-reuse
-    /// bench probe certifies.
+    /// across builds) this stays flat -- the counter SpannerSessionTest
+    /// and perfbench's checker certify.
     [[nodiscard]] std::size_t created() const { return created_; }
 
 private:

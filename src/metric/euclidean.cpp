@@ -1,6 +1,5 @@
 #include "metric/euclidean.hpp"
 
-#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <stdexcept>
@@ -81,7 +80,7 @@ Weight EuclideanMetric::distance(VertexId i, VertexId j) const {
 }
 
 void EuclideanMetric::distances_from(VertexId src, std::span<const VertexId> targets,
-                                     Weight* out, const simd::Kernels& k) const {
+                                     Weight* out) const {
     const std::size_t n = targets.size();
     if (dim_ != 2) {
         for (std::size_t i = 0; i < n; ++i) out[i] = distance(src, targets[i]);
@@ -89,20 +88,11 @@ void EuclideanMetric::distances_from(VertexId src, std::span<const VertexId> tar
     }
     const double sx = coords_[2 * static_cast<std::size_t>(src)];
     const double sy = coords_[2 * static_cast<std::size_t>(src) + 1];
-    constexpr std::size_t kBlock = 16;
-    double ax[kBlock], ay[kBlock], bx[kBlock], by[kBlock];
-    std::size_t i = 0;
-    while (i < n) {
-        const std::size_t blk = std::min(n - i, kBlock);
-        for (std::size_t j = 0; j < blk; ++j) {
-            const std::size_t t = targets[i + j];
-            ax[j] = sx;
-            ay[j] = sy;
-            bx[j] = coords_[2 * t];
-            by[j] = coords_[2 * t + 1];
-        }
-        k.distances2d(ax, ay, bx, by, blk, out + i);
-        i += blk;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t t = targets[i];
+        const double dx = sx - coords_[2 * t];
+        const double dy = sy - coords_[2 * t + 1];
+        out[i] = std::sqrt(dx * dx + dy * dy);
     }
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "metric/metric_space.hpp"
-#include "simd/simd.hpp"
 
 namespace gsp {
 
@@ -34,13 +33,10 @@ public:
     [[nodiscard]] double squared_distance(VertexId i, VertexId j) const;
 
     /// Batched distances: out[i] = distance(src, targets[i]), bitwise (the
-    /// vector lanes and the scalar loop evaluate the same mul/add/sqrt
-    /// tree; the build forbids FMA contraction project-wide). Runs through
-    /// the given kernel table for dim() == 2, the scalar virtual-call loop
-    /// otherwise. The metric candidate source's weight evaluation batches
-    /// through here.
-    void distances_from(VertexId src, std::span<const VertexId> targets, Weight* out,
-                        const simd::Kernels& k) const;
+    /// 2D loop evaluates the same mul/add/sqrt tree as distance(); the
+    /// build forbids FMA contraction project-wide). The metric candidate
+    /// source's weight evaluation batches through here.
+    void distances_from(VertexId src, std::span<const VertexId> targets, Weight* out) const;
 
 private:
     std::size_t dim_;

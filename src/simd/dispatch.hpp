@@ -1,32 +1,18 @@
-// Runtime CPU feature detection for the vector kernel tables.
-//
-// Dispatch policy (also documented in the README's "SIMD backend"
-// section): the widest instruction set the *running* CPU reports wins --
-// AVX2, then SSE4.2, then the scalar reference. Detection runs once (the
-// first call latches the answer), costs one CPUID tree walk, and never
-// consults the compile-time -march: a binary built for baseline x86-64
-// still runs the AVX2 table on an AVX2 machine, because the vector
-// bodies are compiled with per-function target attributes rather than a
-// translation-unit-wide flag.
-//
-// On non-x86-64 targets (or compilers without __builtin_cpu_supports)
-// detection constant-folds to kScalar and the vector tables alias the
-// scalar one, so every call site stays unconditional.
+// Kept for perfbench only, which records the backend of every run: the
+// library has one scalar kernel path and no CPU dispatch, so the answer
+// is always "scalar".
 #pragma once
 
 namespace gsp::simd {
 
 enum class Backend {
-    kScalar,  ///< pure C++ reference implementation (always available)
-    kSSE42,   ///< 128-bit lanes: 2 doubles / 4 u32 per op
-    kAVX2,    ///< 256-bit lanes: 4 doubles / 8 u32 per op
+    kScalar,  ///< the one kernel path
 };
 
-/// Widest backend the running CPU supports. Latched on first call.
-[[nodiscard]] Backend detect();
+/// Always kScalar.
+[[nodiscard]] inline Backend detect() { return Backend::kScalar; }
 
-/// Human-readable backend name ("scalar" / "sse4.2" / "avx2") -- the
-/// string BuildReport::simd_backend and the bench artifacts record.
-[[nodiscard]] const char* backend_name(Backend b);
+/// "scalar": the string BuildReport::simd_backend records.
+[[nodiscard]] inline const char* backend_name(Backend) { return "scalar"; }
 
 }  // namespace gsp::simd

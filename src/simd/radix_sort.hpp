@@ -28,7 +28,7 @@
 // and step 2 keeps equal (u, v) in input order within each run. The
 // result is sorted by std::tie(weight, u, v) with ties in input order --
 // the permutation std::stable_sort produces with the chunk comparator,
-// byte for byte (the simd_kernel_test asserts this on tie-heavy and
+// byte for byte (radix_sort_test asserts this on tie-heavy and
 // signed-zero inputs). Ranges of at most kInsertionMax elements are
 // insertion-sorted instead, so a small window never pays for a digit
 // table.

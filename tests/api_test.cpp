@@ -44,6 +44,12 @@ TEST(BuildOptionsTest, ValidatesTheSharedFields) {
     nan_stretch.stretch = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(nan_stretch.validate(), std::invalid_argument);
 
+    // An infinite stretch rejects unreachable pairs (inf <= inf) and
+    // would return a non-spanner.
+    BuildOptions inf_stretch;
+    inf_stretch.stretch = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(inf_stretch.validate(), std::invalid_argument);
+
     BuildOptions bad_chunk;
     bad_chunk.engine.chunk_soft_cap = 0;
     EXPECT_THROW(bad_chunk.validate(), std::invalid_argument);

@@ -4,17 +4,15 @@
 // instance family -- that is the engine's core contract, and what lets
 // bench_ablation attribute speed differences purely to the optimisations.
 // NaiveKernelTest checks the naive kernel itself against a literal
-// Algorithm 1 that shares no engine code.
+// Algorithm 1 that shares no engine code (literal_greedy.hpp), on graph
+// inputs and on every point source.
 #include "core/greedy_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <numeric>
-#include <queue>
 #include <set>
 #include <span>
 #include <string>
@@ -24,11 +22,13 @@
 
 #include "api/build_options.hpp"
 #include "api/candidate_source.hpp"
+#include "api/grid_source.hpp"
 #include "api/session.hpp"
 #include "core/greedy.hpp"
 #include "gen/graphs.hpp"
 #include "gen/points.hpp"
 #include "graph/graph.hpp"
+#include "literal_greedy.hpp"
 #include "metric/euclidean.hpp"
 #include "util/random.hpp"
 
@@ -146,43 +146,6 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, EngineEquivalenceTest,
                          ::testing::Combine(::testing::Values(3u, 17u, 101u),
                                             ::testing::Values(1.1, 1.5, 2.0, 4.0)));
 
-/// Algorithm 1, literally, with no engine code: scan the edges by
-/// (w, min endpoint, max endpoint, id) and keep (u, v) iff a binary-heap
-/// Dijkstra from u over the spanner so far finds no path of length
-/// <= t * w.
-Graph literal_greedy(const Graph& g, double t) {
-    std::vector<EdgeId> order(g.num_edges());
-    std::iota(order.begin(), order.end(), EdgeId{0});
-    const auto key = [&g](EdgeId id) {
-        const Edge& e = g.edge(id);
-        return std::make_tuple(e.weight, std::min(e.u, e.v), std::max(e.u, e.v), id);
-    };
-    std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) { return key(a) < key(b); });
-    Graph h(g.num_vertices());
-    using Item = std::pair<Weight, VertexId>;
-    for (const EdgeId id : order) {
-        const Edge& e = g.edge(id);
-        std::vector<Weight> dist(g.num_vertices(), std::numeric_limits<Weight>::infinity());
-        std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-        dist[e.u] = 0.0;
-        heap.emplace(0.0, e.u);
-        while (!heap.empty()) {
-            const auto [d, x] = heap.top();
-            heap.pop();
-            if (d > dist[x]) continue;
-            if (x == e.v) break;
-            for (const HalfEdge& half : h.neighbors(x)) {
-                if (d + half.weight < dist[half.to]) {
-                    dist[half.to] = d + half.weight;
-                    heap.emplace(dist[half.to], half.to);
-                }
-            }
-        }
-        if (dist[e.v] > t * e.weight) h.add_edge(e.u, e.v, e.weight);
-    }
-    return h;
-}
-
 TEST(NaiveKernelTest, MatchesLiteralAlgorithmOneEdgeForEdge) {
     // Every equivalence suite compares against EngineTuning::naive(); this
     // checks naive() itself. Weights from a small set whose sums land on
@@ -209,6 +172,83 @@ TEST(NaiveKernelTest, MatchesLiteralAlgorithmOneEdgeForEdge) {
             for (EdgeId id = 0; id < want.num_edges(); ++id) {
                 ASSERT_EQ(naive.edge(id), want.edge(id)) << "t=" << t << " #" << instance;
             }
+        }
+    }
+}
+
+/// 70% of an (8..13) x (8..13) lattice of spacing 0.1: decimal
+/// coordinates, so distances and path sums tie exactly, or miss a tie by
+/// an ulp, all the time.
+EuclideanMetric decimal_lattice(Rng& rng) {
+    const std::size_t cols = 8 + rng.index(6);
+    const std::size_t rows = 8 + rng.index(6);
+    std::vector<double> coords;
+    for (std::size_t i = 0; i < cols; ++i) {
+        for (std::size_t j = 0; j < rows; ++j) {
+            if (rng.uniform01() < 0.7) {
+                coords.push_back(0.1 * static_cast<double>(i));
+                coords.push_back(0.1 * static_cast<double>(j));
+            }
+        }
+    }
+    return EuclideanMetric(2, std::move(coords));
+}
+
+/// A naive() session build over `source` against literal_greedy on the
+/// source's own seed edges and sorted list at engine stretch `t`, edge
+/// for edge in insertion order.
+void expect_naive_is_literal(CandidateSource& source, BuildOptions options, double t,
+                             const std::string& label) {
+    options.engine = EngineTuning::naive();
+    SpannerSession session;
+    const Graph naive = session.build(source, options);
+    Graph seed(source.num_vertices());
+    source.seed(seed);
+    std::vector<GreedyCandidate> sorted;
+    source.materialize(sorted);
+    const Graph want = literal_greedy(std::move(seed), sorted, t);
+    ASSERT_EQ(naive.num_edges(), want.num_edges()) << label;
+    for (EdgeId id = 0; id < want.num_edges(); ++id) {
+        ASSERT_EQ(naive.edge(id), want.edge(id)) << label << " edge " << id;
+    }
+}
+
+TEST(NaiveKernelTest, MatchesLiteralAlgorithmOneOnEveryPointSource) {
+    // Decimal lattices through the metric, WSPD (s = 9) and grid (s = 5)
+    // sources at t in {1, 1.1, 1.5}, 20 instances each. naive() asks for
+    // the blind one-sided sweep, so the grid must not hand it the A* goal
+    // oracle, whose f-key prune drops witnesses that tie t * w exactly.
+    for (const double t : {1.0, 1.1, 1.5}) {
+        Rng rng(static_cast<std::uint64_t>(t * 1000) + 7);
+        for (int instance = 0; instance < 20; ++instance) {
+            const EuclideanMetric pts = decimal_lattice(rng);
+            BuildOptions options;
+            options.stretch = t;
+            const std::string at = "t=" + std::to_string(t) + " #" + std::to_string(instance);
+            MetricCandidateSource metric(pts);
+            expect_naive_is_literal(metric, options, t, "metric " + at);
+            WspdCandidateSource wspd(pts, 9.0);
+            expect_naive_is_literal(wspd, options, t, "wspd " + at);
+            GridCandidateSource grid(pts, 5.0);
+            expect_naive_is_literal(grid, options, t, "grid " + at);
+        }
+    }
+}
+
+TEST(NaiveKernelTest, MatchesLiteralAlgorithmOneOnTheBaseSpannerSource) {
+    // The simulation seeds its E0 edges and runs at its own t_sim,
+    // whatever BuildOptions::stretch says, so epsilon is what varies:
+    // t_sim = (1 + eps) / (1 + eps / 3) is about 1.065, 1.286 and 1.5.
+    for (const double eps : {0.1, 0.5, 1.0}) {
+        Rng rng(static_cast<std::uint64_t>(eps * 1000) + 11);
+        for (int instance = 0; instance < 20; ++instance) {
+            const EuclideanMetric pts = decimal_lattice(rng);
+            BuildOptions options;
+            options.approx.epsilon = eps;
+            BaseSpannerCandidateSource base(pts, options);
+            expect_naive_is_literal(base, options, base.t_sim(),
+                                    "eps=" + std::to_string(eps) + " #" +
+                                        std::to_string(instance));
         }
     }
 }
@@ -260,9 +300,24 @@ TEST(GreedyEngineTest, RejectsBadOptions) {
     GreedyEngineOptions nan_stretch;
     nan_stretch.stretch = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(GreedyEngine(3, nan_stretch), std::invalid_argument);
+    // An infinite stretch rejects unreachable pairs (inf <= inf).
+    GreedyEngineOptions inf_stretch;
+    inf_stretch.stretch = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(GreedyEngine(3, inf_stretch), std::invalid_argument);
     GreedyEngineOptions bad_chunk;
     bad_chunk.chunk_soft_cap = 0;
     EXPECT_THROW(GreedyEngine(3, bad_chunk), std::invalid_argument);
+}
+
+TEST(GreedyEngineTest, RejectsAThresholdThatOverflows) {
+    // A finite stretch whose t * w overflows to +inf would reject the
+    // unreachable pairs just like an infinite one: the path 0-1-2 must
+    // keep both edges or fail, never return 0 edges.
+    Graph path(3);
+    path.add_edge(0, 1, 1e10);
+    path.add_edge(1, 2, 1e10);
+    EXPECT_THROW((void)greedy_spanner(path, 1e300), std::invalid_argument);
+    EXPECT_EQ(greedy_spanner(path, 1e290).num_edges(), 2u);
 }
 
 TEST(GreedyEngineTest, BucketAfterAZeroAcceptBucketRunsToTheChunkEnd) {
@@ -326,7 +381,7 @@ TEST(GreedyEngineTest, WidenedBucketsThatStillAcceptMatchNaive) {
         out.insert(out.end(), cands.begin(), cands.end());
     });
     std::vector<GreedyCandidate> buffer;
-    CandidateStream replay(replay_source, buffer, EngineTuning{}.chunk_soft_cap);
+    CandidateStream replay(replay_source, buffer, EngineTuning{}.chunk_soft_cap, 1.5);
     CandidateBucket bucket;
     bool widen = false;
     std::size_t buckets = 0;

@@ -1,6 +1,6 @@
 // Golden fixture for gsp-no-fma: an explicit fused multiply-add inside a
 // GSP_DECISION_PURE function. A contracted arm rounds once where the
-// scalar reference rounds twice, breaking kAuto == kScalar bit-identity.
+// per-pair distance rounds twice, breaking batched == per-pair bit-identity.
 // Lint-only input; never compiled or linked into any target.
 #include <cmath>
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -113,6 +116,58 @@ TEST(EuclideanMetricTest, LargeButRepresentableExtentStillBuilds) {
                                                               BuildInput::of(m), options);
             EXPECT_GE(h.num_edges(), m.size() - 1) << info->name << " scale=" << scale;
             EXPECT_TRUE(std::isfinite(h.total_weight())) << info->name << " scale=" << scale;
+        }
+    }
+}
+
+TEST(EuclideanMetricTest, DistancesFromIsBitwiseDistance) {
+    // The metric source's row weights come from distances_from, so they
+    // must be distance() bit for bit: the candidate tie order and the
+    // consistency of the engine's A* heuristic both rest on it. A
+    // contracted FMA in either path (a missing -ffp-contract=off at an
+    // FMA-capable -march) breaks it. Points: coincident pairs, -0.0
+    // coordinates, denormal offsets and magnitudes up to 1e150, whose
+    // squares reach 1e300; every target count from 0 to 33.
+    constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
+    Rng rng(23);
+    std::vector<double> coords;
+    for (std::size_t i = 0; i < 40; ++i) {
+        double x = (rng.uniform01() - 0.5) * 2e3;
+        double y = (rng.uniform01() - 0.5) * 2e3;
+        switch (i % 5) {
+            case 0:
+                y = -0.0;
+                break;
+            case 1:  // coincides with point i - 1, with +0.0 for its -0.0
+                x = coords[coords.size() - 2];
+                y = 0.0;
+                break;
+            case 2:
+                x = kDenormal;
+                y = -kDenormal;
+                break;
+            case 3:
+                x = rng.uniform01() * 1e150;
+                y = -rng.uniform01() * 1e150;
+                break;
+            default:
+                break;
+        }
+        coords.push_back(x);
+        coords.push_back(y);
+    }
+    const EuclideanMetric m(2, std::move(coords));
+    for (VertexId src = 0; src < 5; ++src) {
+        for (std::size_t n = 0; n <= 33; ++n) {
+            std::vector<VertexId> targets(n);
+            for (VertexId& t : targets) t = static_cast<VertexId>(rng.index(m.size()));
+            std::vector<Weight> out(n, -1.0);
+            m.distances_from(src, targets, out.data());
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                          std::bit_cast<std::uint64_t>(m.distance(src, targets[i])))
+                    << "src " << src << " n=" << n << " target " << targets[i];
+            }
         }
     }
 }
